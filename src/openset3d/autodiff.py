@@ -7,10 +7,25 @@ adjoints into every reachable node. Intermediate tensors (e.g. the per-point
 feature matrix of the encoder) keep their adjoint after the sweep, which is
 what channel-weighted saliency needs.
 
+Ownership: whoever creates a Tape owns it, and the Tape owns its tensors
+(through its node list) and everything their backward closures keep alive.
+A Tensor refers back to its Tape only weakly, so a tape and all of its
+activations are freed by reference counting as soon as the owner drops the
+Tape and every Tensor taken from it; the cyclic collector is never needed.
+A Tensor may outlive its Tape: its .data and .grad stay readable, but
+recording a new op on it (or calling backward with it) raises RuntimeError
+naming the tensor, rather than silently starting a new tape.
+
+Adjoints are never written in place. An op may hand the same adjoint array
+to several parents (add, add_const), and backward stores a freshly returned
+adjoint without copying it, so accumulation always builds a new array.
+
 Everything is float64 and eager; there is no fusion or graph rewriting.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -37,21 +52,32 @@ __all__ = [
 ]
 
 _NORM_EPS = 1e-12
+_INF_BITS = np.float64(np.inf).view(np.uint64)
 
 
 class Tensor:
     """A node on a Tape: cached forward value plus an adjoint slot."""
 
-    __slots__ = ("tape", "data", "parents", "grad", "_grad_fn", "name")
+    __slots__ = ("_tape_ref", "data", "parents", "grad", "_grad_fn", "name")
 
     def __init__(self, tape, data, parents=(), grad_fn=None, name=""):
-        self.tape = tape
+        self._tape_ref = tape._ref
         self.data = np.asarray(data, dtype=np.float64)
         self.parents = tuple(parents)
         self.grad = None
         self._grad_fn = grad_fn
         self.name = name
         tape._nodes.append(self)
+
+    @property
+    def tape(self) -> "Tape":
+        tape = self._tape_ref()
+        if tape is None:
+            raise RuntimeError(
+                f"tensor {self.name or '<unnamed>'!r} outlived its Tape; keep the Tape "
+                "(or the TapedModel bound to it) alive while recording ops on its tensors"
+            )
+        return tape
 
     @property
     def shape(self):
@@ -73,6 +99,7 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[Tensor] = []
+        self._ref = weakref.ref(self)  # shared by every tensor on this tape
 
     def __len__(self):
         return len(self._nodes)
@@ -86,9 +113,11 @@ class Tape:
 
         Adjoints accumulate by addition, so a tensor used in several places
         (a parameter bound once and encoded three times, say) collects the
-        sum of all its downstream contributions.
+        sum of all its downstream contributions. A returned adjoint is
+        stored as it is; the sum is always a new array, because the same
+        adjoint object may also be held by other nodes.
         """
-        if loss.tape is not self:
+        if loss._tape_ref is not self._ref:
             raise ValueError("loss tensor belongs to a different tape")
         if loss.data.shape != ():
             raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -101,17 +130,17 @@ class Tape:
                 if g is None:
                     continue
                 if parent.grad is None:
-                    parent.grad = np.array(g, dtype=np.float64)
+                    parent.grad = np.asarray(g, dtype=np.float64)  # no copy of an array
                 else:
                     parent.grad = parent.grad + g
 
 
 def _tape_of(*tensors: Tensor) -> Tape:
-    tape = tensors[0].tape
+    ref = tensors[0]._tape_ref
     for t in tensors[1:]:
-        if t.tape is not tape:
+        if t._tape_ref is not ref:
             raise ValueError("operands recorded on different tapes")
-    return tape
+    return tensors[0].tape
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -123,7 +152,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ValueError(
             f"linear shape mismatch: x {x.shape}, w {w.shape}, b {b.shape}"
         )
-    out = x.data @ w.data + b.data
+    out = x.data @ w.data
+    out += b.data
 
     def grad_fn(g):
         return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
@@ -132,13 +162,19 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    """Elementwise max(0, x); the subgradient at 0 is 0."""
-    mask = x.data > 0.0
+    """Elementwise max(x, 0); the subgradient at 0 is 0.
+
+    NaN propagates: a NaN input gives a NaN output (so a NaN coordinate
+    poisons the features and logits downstream instead of being masked to
+    0) and a zero adjoint. Every non-positive input, -0.0 included, gives
+    +0.0.
+    """
+    out = np.maximum(x.data, 0.0)
 
     def grad_fn(g):
-        return (g * mask,)
+        return (g * (out > 0.0),)
 
-    return Tensor(x.tape, np.where(mask, x.data, 0.0), (x,), grad_fn, "relu")
+    return Tensor(x.tape, out, (x,), grad_fn, "relu")
 
 
 def max_pool_points(a: Tensor) -> Tensor:
@@ -167,7 +203,10 @@ def max_pool_groups(a: Tensor, sizes) -> Tensor:
     """Per-group column-wise max: rows of `a` are B stacked clouds.
 
     `sizes` gives the row count of each group; the output is (B, d). The
-    tie rule matches max_pool_points within every group.
+    tie rule matches max_pool_points within every group: the value and the
+    adjoint come from the lowest-index row attaining the max. Forward only
+    reduces values; the argmax is found in backward, so a forward-only pass
+    never pays for it.
     """
     sizes = np.asarray(sizes, dtype=np.intp)
     if a.ndim != 2:
@@ -176,21 +215,43 @@ def max_pool_groups(a: Tensor, sizes) -> Tensor:
         raise ValueError("every group must contain at least one row")
     if int(sizes.sum()) != a.shape[0]:
         raise ValueError("group sizes do not add up to the row count")
-    d = a.shape[1]
+    n_groups, d = len(sizes), a.shape[1]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    out = np.empty((len(sizes), d))
-    args = np.empty((len(sizes), d), dtype=np.intp)
-    for g_idx in range(len(sizes)):
-        block = a.data[offsets[g_idx] : offsets[g_idx + 1]]
-        arg = block.argmax(axis=0)
-        args[g_idx] = arg + offsets[g_idx]
-        out[g_idx] = block[arg, np.arange(d)]
+    equal = n_groups > 0 and bool((sizes == sizes[0]).all())
+    # The bit patterns of doubles without a sign bit (+0.0 up to +inf) sort
+    # like their values, so an unsigned max over the bits is the exact max
+    # of such a column. Relu output is all of that kind. A column holding a
+    # negative value, -0.0 or NaN has a larger max pattern than +inf and is
+    # redone as a first-argmax over floats, which is the tie rule for +0.0
+    # against -0.0 and for NaN.
+    bits = a.data.view(np.uint64)
+    if equal:
+        top = bits.reshape(n_groups, -1, d).max(axis=1)
+    else:
+        top = np.empty((n_groups, d), dtype=np.uint64)
+        for g_idx in range(n_groups):
+            bits[offsets[g_idx] : offsets[g_idx + 1]].max(axis=0, out=top[g_idx])
+    out = top.view(np.float64)
+    gs, cs = np.nonzero(top > _INF_BITS)
+    if len(gs):
+        # each group's rows, padded with copies of its last row
+        rows = offsets[gs, None] + np.minimum(np.arange(sizes.max()), sizes[gs, None] - 1)
+        cand = a.data[rows, cs[:, None]]
+        out[gs, cs] = cand[np.arange(len(gs)), cand.argmax(axis=1)]
 
     def grad_fn(g):
+        # out holds the bits of the first max row, so the first row with
+        # equal bits is the first argmax (integer compare: NaN matches too)
+        if equal:
+            args = (bits.reshape(n_groups, -1, d) == top[:, None, :]).argmax(axis=1)
+        else:
+            args = np.empty((n_groups, d), dtype=np.intp)
+            for g_idx in range(n_groups):
+                block = bits[offsets[g_idx] : offsets[g_idx + 1]]
+                args[g_idx] = (block == top[g_idx]).argmax(axis=0)
+        args += offsets[:-1, None]
         z = np.zeros_like(a.data)
-        cols = np.arange(d)
-        for g_idx in range(len(sizes)):
-            z[args[g_idx], cols] += g[g_idx]
+        z[args, np.arange(d)] += g
         return (z,)
 
     return Tensor(a.tape, out, (a,), grad_fn, "max_pool_groups")

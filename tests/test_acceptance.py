@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. The desk-scale experiment (criteria 6 and 7) trains the full
-benchmark for three seeds and dominates the runtime.
+benchmark for three seeds and dominates the runtime; both are marked
+`slow`, so `pytest -m "not slow"` leaves them out.
 """
 
 import time
@@ -253,6 +254,7 @@ def experiment():
     return outcomes, time.time() - start
 
 
+@pytest.mark.slow
 def test_criterion_6_desk_scale_open_set(experiment):
     outcomes, elapsed = experiment
     full_acc = mean_acc(outcomes, "full")
@@ -266,6 +268,7 @@ def test_criterion_6_desk_scale_open_set(experiment):
                 f"experiment {elapsed / 60:.1f} min <= 30 min")
 
 
+@pytest.mark.slow
 def test_criterion_7_ablation_direction(experiment):
     outcomes, _ = experiment
     full = mean_auroc(outcomes, "full")

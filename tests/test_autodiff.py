@@ -390,3 +390,216 @@ def test_forward_is_deterministic_and_replayable():
     loss2, out2 = run()
     assert loss1 == loss2  # bit-identical replay without parameter updates
     assert np.array_equal(out1, out2)
+
+
+# ----------------------------------------------------------------------
+# bit-exactness against reference formulas (forward values and adjoints
+# are compared through tobytes(), so signed zeros and tie routing count)
+
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
+
+# few distinct values, signed zeros included, so ties and dead columns are common
+_TIE_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                        st.floats(-4.0, 4.0, allow_subnormal=False))
+_FLOATS = st.floats(-4.0, 4.0, allow_subnormal=False)
+_PROP = settings(max_examples=60, deadline=None, derandomize=True)
+# +0.0 and -0.0 tie for the max; the first row's zero must win
+_SIGNED_ZERO_TIE = (np.array([[0.0, -0.0], [-0.0, 0.0]]), [2], np.array([[-0.0, 1.0]]))
+
+
+def _bits_equal(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _adjoint_run(build, arrays, g):
+    """Forward `build` on leaves of `arrays`, push adjoint `g` into its output."""
+    tape = ad.Tape()
+    leaves = [tape.leaf(v) for v in arrays]
+    out = build(*leaves)
+    tape.backward(ad.sum_all(ad.mul_const(out, g)))  # the adjoint reaching out is g * 1.0
+    return out.data, [leaf.grad for leaf in leaves]
+
+
+def _pool_reference(a, sizes, g):
+    """The per-group argmax loop: value and adjoint from the first max row."""
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    cols = np.arange(a.shape[1])
+    out = np.empty((len(sizes), a.shape[1]))
+    z = np.zeros_like(a)
+    for i in range(len(sizes)):
+        block = a[offsets[i] : offsets[i + 1]]
+        arg = block.argmax(axis=0)
+        out[i] = block[arg, cols]
+        z[arg + offsets[i], cols] += g[i]
+    return out, z
+
+
+@st.composite
+def _grouped(draw):
+    d = draw(st.integers(1, 5))
+    n_groups = draw(st.integers(1, 4))
+    if draw(st.booleans()):  # equal group sizes take their own path
+        sizes = [draw(st.integers(1, 6))] * n_groups
+    else:
+        sizes = draw(st.lists(st.integers(1, 6), min_size=n_groups, max_size=n_groups))
+    a = draw(hnp.arrays(np.float64, (sum(sizes), d), elements=_TIE_VALUES))
+    g = draw(hnp.arrays(np.float64, (n_groups, d), elements=_TIE_VALUES))
+    return a, sizes, g
+
+
+@_PROP
+@given(st.data())
+def test_relu_bit_exact_against_where_reference(data):
+    shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=2, max_side=6))
+    x = data.draw(hnp.arrays(np.float64, shape, elements=_TIE_VALUES))
+    g = data.draw(hnp.arrays(np.float64, shape, elements=_TIE_VALUES))
+    out, (dx,) = _adjoint_run(ad.relu, [x], g)
+    assert _bits_equal(out, np.where(x > 0.0, x, 0.0))
+    assert _bits_equal(dx, g * (x > 0.0))
+
+
+@_PROP
+@given(st.data())
+def test_linear_bit_exact_against_matmul_plus_bias(data):
+    n, k, m = (data.draw(st.integers(1, 6)) for _ in range(3))
+    x = data.draw(hnp.arrays(np.float64, (n, k), elements=_FLOATS))
+    w = data.draw(hnp.arrays(np.float64, (k, m), elements=_FLOATS))
+    b = data.draw(hnp.arrays(np.float64, (m,), elements=_TIE_VALUES))
+    g = data.draw(hnp.arrays(np.float64, (n, m), elements=_TIE_VALUES))
+    out, (dx, dw, db) = _adjoint_run(ad.linear, [x, w, b], g)
+    assert _bits_equal(out, x @ w + b)
+    assert _bits_equal(dx, g @ w.T)
+    assert _bits_equal(dw, x.T @ g)
+    assert _bits_equal(db, g.sum(axis=0))
+
+
+@_PROP
+@given(_grouped())
+@example(_SIGNED_ZERO_TIE)
+@example((np.array([[1.0], [-0.0], [0.0], [2.0]]), [1, 2, 1], np.array([[1.0], [1.0], [1.0]])))
+def test_max_pool_groups_bit_exact_against_argmax_loop(case):
+    a, sizes, g = case
+    out, (da,) = _adjoint_run(lambda t: ad.max_pool_groups(t, sizes), [a], g)
+    ref_out, ref_da = _pool_reference(a, sizes, g)
+    assert _bits_equal(out, ref_out)
+    assert _bits_equal(da, ref_da)
+
+
+@_PROP
+@given(_grouped(), st.data())
+def test_relu_then_pool_routes_dead_columns_to_first_row(case, data):
+    pre, sizes, g = case
+    dead = data.draw(st.lists(st.integers(0, pre.shape[1] - 1), max_size=pre.shape[1]))
+    pre = pre.copy()
+    pre[:, dead] = -np.abs(pre[:, dead])  # all-zero columns after the relu
+    tape = ad.Tape()
+    x = tape.leaf(pre)
+    act = ad.relu(x)
+    out = ad.max_pool_groups(act, sizes)
+    tape.backward(ad.sum_all(ad.mul_const(out, g)))
+    ref_act = np.where(pre > 0.0, pre, 0.0)
+    ref_out, ref_dact = _pool_reference(ref_act, sizes, g)
+    assert _bits_equal(out.data, ref_out)
+    assert _bits_equal(act.grad, ref_dact)
+    assert _bits_equal(x.grad, ref_dact * (pre > 0.0))
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    for col in dead:
+        # the whole column ties at 0: each group's first row takes the adjoint
+        expected = np.zeros(len(pre))
+        expected[offsets[:-1]] = g[:, col]
+        assert _bits_equal(act.grad[:, col], expected + 0.0)
+
+
+@pytest.mark.parametrize("sizes", [[2, 2], [1, 3]])
+def test_max_pool_groups_routes_nan_like_argmax(sizes):
+    a = np.array([[1.0, np.nan], [np.nan, 2.0], [3.0, np.nan], [np.nan, np.nan]])
+    g = np.array([[1.0, 2.0], [3.0, 4.0]])
+    out, (da,) = _adjoint_run(lambda t: ad.max_pool_groups(t, sizes), [a], g)
+    ref_out, ref_da = _pool_reference(a, sizes, g)
+    assert np.array_equal(out, ref_out, equal_nan=True)
+    assert _bits_equal(da, ref_da)
+
+
+def test_aliased_adjoints_sum_exactly():
+    rng = np.random.default_rng(12)
+    x0, y0 = rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4)
+    g = rng.uniform(-1, 1, 4)
+    tape = ad.Tape()
+    x, y = tape.leaf(x0), tape.leaf(y0)
+    doubled = ad.add(x, x)  # hands the same adjoint object to x twice
+    chain = ad.add_const(ad.add_const(ad.add_const(y, 1.0), -2.0), 0.5)
+    out = ad.add(ad.add(doubled, chain), y)
+    tape.backward(ad.sum_all(ad.mul_const(out, g)))
+    assert _bits_equal(x.grad, g + g)
+    assert _bits_equal(y.grad, g + g)
+    assert _bits_equal(chain.grad, g)
+    assert _bits_equal(out.grad, g)  # no accumulation wrote into a shared adjoint
+
+
+def test_parameter_leaf_encoded_three_times_gets_exact_sum():
+    from openset3d.encoder import Model
+
+    rng = np.random.default_rng(13)
+    model = Model(num_known=3, feat_dim=8, point_widths=(6, 8), proj_hidden=(4,), seed=2)
+    batches = [[rng.uniform(-1, 1, (n, 3)) for n in (7, 7)] for _ in range(2)]
+    batches.append([rng.uniform(-1, 1, (n, 3)) for n in (5, 9, 4)])
+    weights = [rng.uniform(-1, 1, (len(b), 4)) for b in batches]
+
+    def weighted_logits(bound, clouds, w):
+        _, feats = bound.encode_batch(clouds)
+        return ad.sum_all(ad.mul_const(bound.logits(feats), w))
+
+    singles = []
+    for clouds, w in zip(batches, weights):
+        tape = ad.Tape()
+        bound = model.bind(tape)
+        tape.backward(weighted_logits(bound, clouds, w))
+        singles.append(bound.param_grads())
+    tape = ad.Tape()
+    bound = model.bind(tape)
+    terms = [weighted_logits(bound, clouds, w) for clouds, w in zip(batches, weights)]
+    tape.backward(ad.add(ad.add(terms[0], terms[1]), terms[2]))
+    combined = bound.param_grads()
+    for name, grad in combined.items():
+        # the reverse sweep meets the last encoding first
+        expected = (singles[2][name] + singles[1][name]) + singles[0][name]
+        assert _bits_equal(grad, expected), name
+
+
+# ----------------------------------------------------------------------
+# tape lifetime
+
+
+def test_tape_is_freed_by_reference_counting():
+    import gc
+    import weakref
+
+    gc.disable()
+    try:
+        tape = ad.Tape()
+        x = tape.leaf(np.ones((3, 2)))
+        out = ad.relu(ad.linear(x, tape.leaf(np.ones((2, 2))), tape.leaf(np.zeros(2))))
+        tape.backward(ad.sum_all(out))
+        ref = weakref.ref(tape)
+        del tape, x, out
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_tensor_outliving_its_tape_raises_a_clear_error():
+    tape = ad.Tape()
+    x = tape.leaf(np.array([1.0, -2.0]), "x")
+    y = ad.relu(x)
+    tape.backward(ad.sum_all(y))
+    del tape
+    # values and adjoints stay readable ...
+    assert np.array_equal(y.data, [1.0, 0.0])
+    assert np.array_equal(x.grad, [1.0, 0.0])
+    # ... but a new op on an orphaned tensor is refused
+    with pytest.raises(RuntimeError, match="'x' outlived its Tape"):
+        ad.relu(x)
+    with pytest.raises(RuntimeError, match="outlived its Tape"):
+        ad.add(x, y)

@@ -203,3 +203,15 @@ def test_model_grads_cover_all_parameters():
     grads = bound.param_grads()
     assert set(grads) == set(model.params)
     assert any(np.abs(g).max() > 0 for g in grads.values())
+
+
+def test_nan_coordinate_gives_non_finite_logits():
+    # relu propagates NaN, so the max-pool cannot drop the poisoned point
+    model = small_model()
+    rng = np.random.default_rng(14)
+    clean = random_cloud(rng, 12)
+    poisoned = random_cloud(rng, 12)
+    poisoned[5, 1] = np.nan
+    logits = model.infer_batch([clean, poisoned])
+    assert np.isfinite(logits[0]).all()
+    assert not np.isfinite(logits[1]).any()

@@ -1,6 +1,8 @@
 """Loss surfaces, two-phase training behavior, and determinism contracts."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from openset3d.training import (
     predict_logits,
     report_csv_text,
     run_combined,
+    run_pretrain,
     total_loss,
     train,
 )
@@ -179,10 +182,44 @@ def test_divergence_aborts_with_epoch():
     state = init_state(dataset, config)
     # poison a post-relu parameter so the loss itself goes non-finite
     state.model.params["proj0.b"][:] = np.nan
-    from openset3d.training import run_pretrain
     with pytest.raises(TrainingDiverged) as err:
         run_pretrain(state, dataset, config, 1)
     assert err.value.epoch == 0
+
+
+def test_nan_training_cloud_aborts_training():
+    dataset = tiny_dataset()
+    config = tiny_config(phase1_epochs=1, phase2_epochs=0)
+    state = init_state(dataset, config)
+    dataset.train_known[3].points[7, 2] = np.nan
+    with pytest.raises(TrainingDiverged) as err:
+        run_pretrain(state, dataset, config, 1)
+    assert err.value.epoch == 0
+
+
+def test_step_tapes_are_freed_without_the_cyclic_collector(monkeypatch):
+    made = []
+
+    class RecordingTape(ad.Tape):
+        def __init__(self):
+            super().__init__()
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(ad, "Tape", RecordingTape)
+    dataset = tiny_dataset()
+    config = tiny_config(phase1_epochs=1, phase2_epochs=0)
+    state = init_state(dataset, config)
+    gc.disable()
+    try:
+        run_pretrain(state, dataset, config, 1)
+        assert len(made) > 1
+        assert all(ref() is None for ref in made)
+        made.clear()
+        state.model.infer_batch([r.points for r in dataset.val_known[:4]])
+        assert len(made) == 1
+        assert made[0]() is None
+    finally:
+        gc.enable()
 
 
 def test_combined_phase_without_caches_rejected():

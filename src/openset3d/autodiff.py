@@ -20,6 +20,31 @@ Adjoints are never written in place. An op may hand the same adjoint array
 to several parents (add, add_const), and backward stores a freshly returned
 adjoint without copying it, so accumulation always builds a new array.
 
+Row-sparse adjoints. The max-pool's output depends only on its "critical"
+rows, the ones that win some channel's max, so its adjoint is zero on every
+other row. max_pool_groups backward returns it as a RowSparse: the sorted
+unique critical rows, their values, and +0.0 everywhere else. relu and
+linear take such an adjoint and keep it row-sparse (a node records whether
+it does when it is created, so a wrapped backward closure keeps the path):
+relu masks only those rows, and linear computes dx on those rows,
+dW = x[rows].T @ v and db = v.sum(0). Tape.backward densifies a RowSparse
+before it reaches any other op and whenever two adjoints are summed, and
+Tensor.grad densifies on read, so callers only ever see dense arrays.
+
+Numeric contract of that path:
+
+- byte-identical to the dense formulas: forward values, the max-pool's
+  adjoint (the per-point features' .grad that saliency reads), and each
+  relu's masking of the adjoint it receives;
+- equal up to summation order: what linear returns. dW and db sum over
+  the critical rows only, where the dense formulas also add the +0.0
+  products of every other row, and BLAS may group the products of a
+  (rows, d) matmul differently from those of the full one, dx included.
+  A trained checkpoint therefore differs in its trailing bits from one
+  trained with the dense formulas; reruns stay byte-identical. A
+  non-finite value in a row outside the critical set no longer reaches
+  dW through a 0 * inf or 0 * nan product.
+
 Everything is float64 and eager; there is no fusion or graph rewriting.
 """
 
@@ -32,6 +57,7 @@ import numpy as np
 __all__ = [
     "Tape",
     "Tensor",
+    "RowSparse",
     "linear",
     "relu",
     "max_pool_points",
@@ -55,19 +81,54 @@ _NORM_EPS = 1e-12
 _INF_BITS = np.float64(np.inf).view(np.uint64)
 
 
+class RowSparse:
+    """An (N, d) adjoint that is +0.0 outside `rows`.
+
+    `rows` is sorted and unique; `values[i]` is the adjoint of row rows[i].
+    """
+
+    __slots__ = ("rows", "values", "shape")
+
+    def __init__(self, rows, values, shape):
+        self.rows = rows
+        self.values = values
+        self.shape = shape
+
+    def dense(self) -> np.ndarray:
+        z = np.zeros(self.shape)
+        z[self.rows] = self.values
+        return z
+
+
+def _dense(g):
+    return g.dense() if type(g) is RowSparse else g
+
+
 class Tensor:
-    """A node on a Tape: cached forward value plus an adjoint slot."""
+    """A node on a Tape: cached forward value plus an adjoint slot.
 
-    __slots__ = ("_tape_ref", "data", "parents", "grad", "_grad_fn", "name")
+    `takes_rows` marks a node whose backward closure accepts a RowSparse
+    adjoint; every other node gets a dense one.
+    """
 
-    def __init__(self, tape, data, parents=(), grad_fn=None, name=""):
+    __slots__ = ("_tape_ref", "data", "parents", "_grad", "_grad_fn", "name", "takes_rows")
+
+    def __init__(self, tape, data, parents=(), grad_fn=None, name="", takes_rows=False):
         self._tape_ref = tape._ref
         self.data = np.asarray(data, dtype=np.float64)
         self.parents = tuple(parents)
-        self.grad = None
+        self._grad = None
         self._grad_fn = grad_fn
         self.name = name
+        self.takes_rows = takes_rows
         tape._nodes.append(self)
+
+    @property
+    def grad(self):
+        """The adjoint after backward (None if the loss does not depend on it)."""
+        if type(self._grad) is RowSparse:
+            self._grad = self._grad.dense()
+        return self._grad
 
     @property
     def tape(self) -> "Tape":
@@ -115,24 +176,27 @@ class Tape:
         (a parameter bound once and encoded three times, say) collects the
         sum of all its downstream contributions. A returned adjoint is
         stored as it is; the sum is always a new array, because the same
-        adjoint object may also be held by other nodes.
+        adjoint object may also be held by other nodes. A RowSparse adjoint
+        is densified before a node that does not take one, and before a sum.
         """
         if loss._tape_ref is not self._ref:
             raise ValueError("loss tensor belongs to a different tape")
         if loss.data.shape != ():
             raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
-        loss.grad = np.asarray(1.0)
+        loss._grad = np.asarray(1.0)
         for node in reversed(self._nodes):
-            if node.grad is None or node._grad_fn is None:
+            g = node._grad
+            if g is None or node._grad_fn is None:
                 continue
-            parent_grads = node._grad_fn(node.grad)
-            for parent, g in zip(node.parents, parent_grads):
-                if g is None:
+            if type(g) is RowSparse and not node.takes_rows:
+                g = node._grad = g.dense()
+            for parent, pg in zip(node.parents, node._grad_fn(g)):
+                if pg is None:
                     continue
-                if parent.grad is None:
-                    parent.grad = np.asarray(g, dtype=np.float64)  # no copy of an array
+                if parent._grad is None:  # stored as it is: no copy of an array
+                    parent._grad = pg if type(pg) is RowSparse else np.asarray(pg, np.float64)
                 else:
-                    parent.grad = parent.grad + g
+                    parent._grad = _dense(parent._grad) + _dense(pg)
 
 
 def _tape_of(*tensors: Tensor) -> Tape:
@@ -156,9 +220,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out += b.data
 
     def grad_fn(g):
+        if type(g) is RowSparse:
+            v = g.values
+            return (RowSparse(g.rows, v @ w.data.T, x.shape),
+                    x.data[g.rows].T @ v, v.sum(axis=0))
         return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
 
-    return Tensor(tape, out, (x, w, b), grad_fn, "linear")
+    return Tensor(tape, out, (x, w, b), grad_fn, "linear", takes_rows=True)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -172,9 +240,11 @@ def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, 0.0)
 
     def grad_fn(g):
+        if type(g) is RowSparse:
+            return (RowSparse(g.rows, g.values * (out[g.rows] > 0.0), out.shape),)
         return (g * (out > 0.0),)
 
-    return Tensor(x.tape, out, (x,), grad_fn, "relu")
+    return Tensor(x.tape, out, (x,), grad_fn, "relu", takes_rows=True)
 
 
 def max_pool_points(a: Tensor) -> Tensor:
@@ -206,7 +276,8 @@ def max_pool_groups(a: Tensor, sizes) -> Tensor:
     tie rule matches max_pool_points within every group: the value and the
     adjoint come from the lowest-index row attaining the max. Forward only
     reduces values; the argmax is found in backward, so a forward-only pass
-    never pays for it.
+    never pays for it. The adjoint is a RowSparse over the critical rows,
+    the rows that are the first argmax of some group's column.
     """
     sizes = np.asarray(sizes, dtype=np.intp)
     if a.ndim != 2:
@@ -250,9 +321,16 @@ def max_pool_groups(a: Tensor, sizes) -> Tensor:
                 block = bits[offsets[g_idx] : offsets[g_idx + 1]]
                 args[g_idx] = (block == top[g_idx]).argmax(axis=0)
         args += offsets[:-1, None]
-        z = np.zeros_like(a.data)
-        z[args, np.arange(d)] += g
-        return (z,)
+        hit = np.zeros(a.shape[0], dtype=bool)
+        hit[args] = True
+        rows = np.flatnonzero(hit)
+        slot = np.empty(a.shape[0], dtype=np.intp)  # slot[r]: place of row r in rows
+        slot[rows] = np.arange(len(rows))
+        # each (row, column) pair is hit once; += keeps the dense 0.0 + g,
+        # which turns a -0.0 adjoint into +0.0
+        values = np.zeros((len(rows), d))
+        values[slot[args], np.arange(d)] += g
+        return (RowSparse(rows, values, a.shape),)
 
     return Tensor(a.tape, out, (a,), grad_fn, "max_pool_groups")
 

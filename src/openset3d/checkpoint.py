@@ -15,6 +15,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from .encoder import Model
 __all__ = ["save_checkpoint", "load_checkpoint"]
 
 MAGIC = "openset3d checkpoint v1"
+HEADER_KEYS = ("num_known", "feat_dim", "point_widths", "proj_hidden")
 
 
 def _format_rows(arr: np.ndarray):
@@ -41,11 +43,39 @@ def save_checkpoint(path, model: Model) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+def _parse_header(path, text) -> dict:
+    if len(text) < 2:
+        raise ValueError(f"{path}:2: missing the hyperparameter header")
+    try:
+        header = json.loads(text[1])
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:2: hyperparameter header is not JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}:2: hyperparameter header is not a JSON object")
+    for key in HEADER_KEYS:
+        if key not in header:
+            raise ValueError(f"{path}:2: hyperparameter header is missing {key!r}")
+    return header
+
+
+def _parse_row(path, lineno, name, row, width) -> list[float]:
+    fields = row.split()
+    if len(fields) != width:
+        raise ValueError(
+            f"{path}:{lineno}: parameter {name!r} row has {len(fields)} values, expected {width}"
+        )
+    try:
+        return [float(v) for v in fields]
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: parameter {name!r}: {exc}") from exc
+
+
 def load_checkpoint(path) -> Model:
+    """Parse a checkpoint; every malformed input names its path and line."""
     text = Path(path).read_text(encoding="ascii").splitlines()
     if not text or text[0] != MAGIC:
         raise ValueError(f"{path}: not an openset3d checkpoint")
-    header = json.loads(text[1])
+    header = _parse_header(path, text)
     model = Model(
         num_known=header["num_known"],
         feat_dim=header["feat_dim"],
@@ -61,10 +91,13 @@ def load_checkpoint(path) -> Model:
             i += 1
             continue
         fields = line.split()
-        if fields[0] != "param":
+        if fields[0] != "param" or len(fields) < 2:
             raise ValueError(f"{path}:{i + 1}: expected a param header, got {line!r}")
         name = fields[1]
-        shape = tuple(int(v) for v in fields[2:])
+        try:
+            shape = tuple(int(v) for v in fields[2:])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{i + 1}: bad shape for {name!r}: {exc}") from exc
         if name not in expected:
             raise ValueError(f"{path}:{i + 1}: unknown parameter {name!r}")
         if shape != model.params[name].shape:
@@ -73,11 +106,20 @@ def load_checkpoint(path) -> Model:
                 f"{model.params[name].shape} for {name!r}"
             )
         rows = shape[0] if len(shape) > 1 else 1
+        width = math.prod(shape[1:]) if len(shape) > 1 else math.prod(shape)
         block = text[i + 1 : i + 1 + rows]
         if len(block) != rows:
-            raise ValueError(f"{path}: truncated value block for {name!r}")
-        values = [[float(v) for v in row.split()] for row in block]
-        model.params[name] = np.array(values, dtype=np.float64).reshape(shape)
+            raise ValueError(f"{path}:{i + 1}: truncated value block for {name!r}")
+        values = np.array(
+            [_parse_row(path, i + 2 + k, name, row, width) for k, row in enumerate(block)],
+            dtype=np.float64,
+        )
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+        if len(bad):
+            raise ValueError(
+                f"{path}:{i + 2 + bad[0]}: parameter {name!r} has a non-finite value"
+            )
+        model.params[name] = values.reshape(shape)
         seen.add(name)
         i += 1 + rows
     missing = expected - seen

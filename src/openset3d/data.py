@@ -302,9 +302,12 @@ def write_cloud(path, points: np.ndarray, class_name: str | None = None) -> None
 
 
 def read_cloud(path) -> tuple[np.ndarray, str | None]:
-    """Returns (points, class name or None); malformed lines name their number."""
+    """Returns (points, class name or None).
+
+    A malformed line or a non-finite coordinate is rejected with its number.
+    """
     class_name = None
-    rows = []
+    rows, linenos = [], []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -321,9 +324,14 @@ def read_cloud(path) -> tuple[np.ndarray, str | None]:
             rows.append([float(v) for v in parts])
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+        linenos.append(lineno)
     if not rows:
         raise ValueError(f"{path}: no points found")
-    return np.array(rows, dtype=np.float64), class_name
+    points = np.array(rows, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if len(bad):
+        raise ValueError(f"{path}: line {linenos[bad[0]]}: non-finite coordinate")
+    return points, class_name
 
 
 def write_dataset(dataset: ToyDataset, out_dir) -> None:

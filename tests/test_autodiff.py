@@ -603,3 +603,239 @@ def test_tensor_outliving_its_tape_raises_a_clear_error():
         ad.relu(x)
     with pytest.raises(RuntimeError, match="outlived its Tape"):
         ad.add(x, y)
+
+
+# ----------------------------------------------------------------------
+# row-sparse adjoints of the shared point MLP. The references are the dense
+# formulas: the pool scatters into a zero matrix, relu multiplies by its
+# mask, and linear returns g @ W.T, x.T @ g and g.sum(0) over every row.
+
+
+_MAX_POOL_GROUPS = ad.max_pool_groups
+
+
+def _dense_pool(a, sizes):
+    """max_pool_groups whose adjoint is densified where it is made, so the
+    ops below it run their dense formulas."""
+    out = _MAX_POOL_GROUPS(a, sizes)
+    inner = out._grad_fn
+    out._grad_fn = lambda g: tuple(gi.dense() for gi in inner(g))
+    return out
+
+
+def _critical_rows(a, sizes):
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    return np.unique(np.concatenate([
+        a[offsets[i] : offsets[i + 1]].argmax(axis=0) + offsets[i] for i in range(len(sizes))
+    ]))
+
+
+def _sum_order_close(got, ref, scale):
+    """Agreement up to summation order: within 1e-12 of the summed absolute
+    products where the reference is finite; NaN only where it has NaN."""
+    finite = np.isfinite(ref)
+    assert not np.isnan(got[~np.isnan(ref)]).any()
+    assert (np.abs(got - ref)[finite] <= 1e-12 * scale[finite]).all()
+
+
+@st.composite
+def _mlp_case(draw):
+    """Grouped clouds through linear-relu-linear-relu, with ties, dead columns and NaN."""
+    pts, sizes, g = draw(_grouped())
+    n, d_in = pts.shape
+    width = draw(st.integers(1, 4))
+    d_out = g.shape[1]
+    w0 = draw(hnp.arrays(np.float64, (d_in, width), elements=_TIE_VALUES))
+    b0 = draw(hnp.arrays(np.float64, (width,), elements=_TIE_VALUES))
+    w1 = draw(hnp.arrays(np.float64, (width, d_out), elements=_TIE_VALUES))
+    b1 = draw(hnp.arrays(np.float64, (d_out,), elements=_TIE_VALUES))
+    for col in draw(st.lists(st.integers(0, d_out - 1), max_size=d_out)):
+        w1[:, col], b1[col] = 0.0, -1.0  # dead column: every row ties at +0.0
+    for row, col in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, d_in - 1)),
+                                  max_size=2)):
+        pts[row, col] = np.nan
+    return pts, sizes, g, (w0, b0, w1, b1)
+
+
+@_PROP
+@given(_mlp_case())
+@example((np.array([[0.0], [0.0], [1.0], [1.0]]), [2, 2], np.array([[-0.0], [1.0]]),
+          (np.ones((1, 1)), np.zeros(1), np.ones((1, 1)), np.zeros(1))))
+def test_row_sparse_backward_matches_the_dense_formulas(case):
+    pts, sizes, g, (w0, b0, w1, b1) = case
+    tape = ad.Tape()
+    x, lw0, lb0, lw1, lb1 = (tape.leaf(v) for v in (pts, w0, b0, w1, b1))
+    z0 = ad.linear(x, lw0, lb0)
+    h = ad.relu(z0)
+    z1 = ad.linear(h, lw1, lb1)
+    act = ad.relu(z1)
+    out = ad.max_pool_groups(act, sizes)
+    tape.backward(ad.sum_all(ad.mul_const(out, g)))
+
+    ref_z0 = pts @ w0 + b0
+    ref_h = np.maximum(ref_z0, 0.0)
+    ref_z1 = ref_h @ w1 + b1
+    ref_act = np.maximum(ref_z1, 0.0)
+    ref_out, ref_dact = _pool_reference(ref_act, sizes, g)
+    for got, ref in ((z0, ref_z0), (h, ref_h), (z1, ref_z1), (act, ref_act), (out, ref_out)):
+        assert _bits_equal(got.data, ref)
+    # the pool's adjoint and the relu directly above it are byte-equal
+    assert _bits_equal(act.grad, ref_dact)
+    ref_dz1 = ref_dact * (ref_act > 0.0)
+    assert _bits_equal(z1.grad, ref_dz1)
+    # every relu masks the adjoint it receives exactly
+    assert _bits_equal(z0.grad, h.grad * (ref_h > 0.0))
+    # rows outside the critical set hold exactly +0.0
+    outside = np.setdiff1d(np.arange(len(pts)), _critical_rows(ref_act, sizes))
+    for node in (act, z1, h, z0, x):
+        assert node.grad[outside].tobytes() == np.zeros((len(outside), node.shape[1])).tobytes()
+    # linear's sums run over the critical rows only
+    ref_dh = ref_dz1 @ w1.T
+    _sum_order_close(h.grad, ref_dh, np.abs(ref_dz1) @ np.abs(w1.T))
+    ref_dz0 = ref_dh * (ref_h > 0.0)
+    _sum_order_close(lw1.grad, ref_h.T @ ref_dz1, np.abs(ref_h.T) @ np.abs(ref_dz1))
+    _sum_order_close(lb1.grad, ref_dz1.sum(axis=0), np.abs(ref_dz1).sum(axis=0))
+    _sum_order_close(lw0.grad, pts.T @ ref_dz0, np.abs(pts.T) @ np.abs(ref_dz0))
+    _sum_order_close(lb0.grad, ref_dz0.sum(axis=0), np.abs(ref_dz0).sum(axis=0))
+
+
+def _mlp_pool_grads(build_pool_input, pts, params, sizes, g, pool=ad.max_pool_groups):
+    tape = ad.Tape()
+    x = tape.leaf(pts)
+    leaves = [tape.leaf(v) for v in params]
+    act = ad.relu(ad.linear(ad.relu(ad.linear(x, *leaves[:2])), *leaves[2:]))
+    feed = build_pool_input(tape, act)
+    out = pool(feed, sizes)
+    tape.backward(ad.sum_all(ad.mul_const(out, g)))
+    return [act.grad, feed.grad, x.grad] + [leaf.grad for leaf in leaves]
+
+
+def _random_mlp(seed, n_rows=24, width=5, d=6):
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1, 1, (n_rows, 3))
+    params = (rng.uniform(-1, 1, (3, width)), rng.uniform(-0.5, 0.5, width),
+              rng.uniform(-1, 1, (width, d)), rng.uniform(-0.5, 0.5, d))
+    return rng, pts, params
+
+
+@pytest.mark.parametrize("sizes", [[8, 8, 8], [5, 12, 7]])
+@pytest.mark.parametrize("feed", ["mul_const", "add"])
+def test_pool_fed_by_a_dense_op_gets_the_dense_formulas(sizes, feed):
+    rng, pts, params = _random_mlp(21)
+    g = rng.uniform(-1, 1, (len(sizes), 6))
+    c = rng.uniform(0.5, 2.0, (24, 6))
+    other = rng.uniform(0, 1, (24, 6))
+
+    def build(tape, act):
+        if feed == "mul_const":
+            return ad.mul_const(act, c)
+        return ad.add(act, tape.leaf(other))
+
+    got = _mlp_pool_grads(build, pts, params, sizes, g)
+    ref = _mlp_pool_grads(build, pts, params, sizes, g, pool=_dense_pool)
+    for a, b in zip(got, ref):
+        assert _bits_equal(a, b)
+
+
+@pytest.mark.parametrize("row_first", [False, True])
+def test_relu_output_with_a_second_consumer_sums_densely(row_first):
+    rng, pts, params = _random_mlp(22)
+    sizes = [10, 14]
+    g = rng.uniform(-1, 1, (2, 6))
+    g_row = rng.uniform(-1, 1, 6)
+
+    def run(pool):
+        tape = ad.Tape()
+        x = tape.leaf(pts)
+        leaves = [tape.leaf(v) for v in params]
+        act = ad.relu(ad.linear(ad.relu(ad.linear(x, *leaves[:2])), *leaves[2:]))
+        if row_first:  # the sweep meets the pool last
+            row = ad.take_row(act, 3)
+            out = pool(act, sizes)
+        else:
+            out = pool(act, sizes)
+            row = ad.take_row(act, 3)
+        loss = ad.add(ad.sum_all(ad.mul_const(out, g)), ad.sum_all(ad.mul_const(row, g_row)))
+        tape.backward(loss)
+        return [act.grad, x.grad] + [leaf.grad for leaf in leaves]
+
+    got, ref = run(ad.max_pool_groups), run(_dense_pool)
+    for a, b in zip(got, ref):
+        assert _bits_equal(a, b)
+    _, ref_dact = _pool_reference(np.maximum(np.maximum(pts @ params[0] + params[1], 0.0)
+                                             @ params[2] + params[3], 0.0), sizes, g)
+    z_row = np.zeros_like(ref_dact)
+    z_row[3] = g_row
+    assert _bits_equal(got[0], ref_dact + z_row if row_first else z_row + ref_dact)
+
+
+def test_wrapped_backward_closures_keep_the_row_sparse_path():
+    # a profiler replaces each node's backward closure with a plain wrapper;
+    # whether a node takes a row-sparse adjoint is read from the node
+    rng, pts, params = _random_mlp(23)
+    sizes = [12, 12]
+    g = rng.uniform(-1, 1, (2, 6))
+    seen = []
+
+    def run(wrap):
+        tape = ad.Tape()
+        x = tape.leaf(pts)
+        leaves = [tape.leaf(v) for v in params]
+        act = ad.relu(ad.linear(ad.relu(ad.linear(x, *leaves[:2])), *leaves[2:]))
+        loss = ad.sum_all(ad.mul_const(ad.max_pool_groups(act, sizes), g))
+        if wrap:
+            for node in tape._nodes:
+                inner = node._grad_fn
+                if inner is None:
+                    continue
+
+                def grad_fn(adj, inner=inner, name=node.name):
+                    seen.append((name, type(adj)))
+                    return inner(adj)
+
+                node._grad_fn = grad_fn
+        tape.backward(loss)
+        return [act.grad, x.grad] + [leaf.grad for leaf in leaves]
+
+    plain, wrapped = run(False), run(True)
+    for a, b in zip(plain, wrapped):
+        assert _bits_equal(a, b)
+    assert [t for name, t in seen if name in ("linear", "relu")] == [ad.RowSparse] * 4
+    assert all(t is np.ndarray for name, t in seen if name not in ("linear", "relu"))
+
+
+def _read_side(model, records):
+    from openset3d.training import build_saliency_cache, score_records
+
+    logits = model.infer_batch([r.points for r in records])
+    scores = [(s.confidence, s.predicted_class) for s in score_records(model, records)]
+    cache = build_saliency_cache(model, records)
+    return logits, scores, [cache.get(r.object_id, cache.model_checksum) for r in records]
+
+
+def test_scores_and_saliency_equal_the_dense_reference(monkeypatch):
+    from openset3d.data import generate_dataset, tiny_manifest
+    from openset3d.training import TrainConfig, init_state, run_pretrain
+
+    dataset = generate_dataset(tiny_manifest(seed=3, instances_per_class=20, points_per_cloud=48))
+    config = TrainConfig(batch_size=8, seed=0, feat_dim=16, point_widths=(12, 16),
+                         proj_hidden=(), learning_rate=0.002)
+    state = run_pretrain(init_state(dataset, config), dataset, config, epochs=1)
+    records = dataset.train_known[:40]
+    logits, scores, maps = _read_side(state.model, records)
+    monkeypatch.setattr(ad, "max_pool_groups", _dense_pool)
+    ref_logits, ref_scores, ref_maps = _read_side(state.model, records)
+    assert _bits_equal(logits, ref_logits)
+    assert scores == ref_scores
+    assert len(maps) == len(ref_maps) == len(records)
+    assert all(_bits_equal(got, ref) for got, ref in zip(maps, ref_maps))
+
+
+def test_grad_reads_as_a_dense_array():
+    tape = ad.Tape()
+    x = tape.leaf(np.array([[1.0, 0.0], [2.0, 3.0], [0.5, 0.5]]))
+    act = ad.relu(x)
+    tape.backward(ad.sum_all(ad.max_pool_groups(act, [3])))
+    assert type(act.grad) is np.ndarray
+    assert _bits_equal(act.grad, [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+    assert _bits_equal(x.grad, [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])

@@ -205,6 +205,14 @@ def test_malformed_line_names_its_number(tmp_path):
         read_cloud(path)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_non_finite_coordinate_names_its_line(tmp_path, bad):
+    path = tmp_path / "poisoned.txt"
+    path.write_text(f"# class cone\n0 0 0\n1 1 1\n2 {bad} 2\n3 3 3\n")
+    with pytest.raises(ValueError, match=r"poisoned\.txt: line 4: non-finite coordinate"):
+        read_cloud(path)
+
+
 # ----------------------------------------------------------------------
 # saliency cache
 

@@ -1,5 +1,7 @@
 """Encoder, prototype head, and checkpoint round-trip checks."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,63 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_text("not a checkpoint\n")
     with pytest.raises(ValueError, match="checkpoint"):
+        load_checkpoint(path)
+
+
+def _saved_checkpoint_lines(tmp_path):
+    model = Model(num_known=3, feat_dim=8, point_widths=(6, 8), proj_hidden=(4,), seed=0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model)
+    return path, path.read_text().splitlines()
+
+
+def _value_line(lines, name, row=0):
+    """0-based index of value row `row` of parameter `name`."""
+    header = next(i for i, line in enumerate(lines) if line.split()[:2] == ["param", name])
+    return header + 1 + row
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_checkpoint_rejects_non_finite_values_with_their_line(tmp_path, bad):
+    path, lines = _saved_checkpoint_lines(tmp_path)
+    at = _value_line(lines, "point1.w", row=2)
+    fields = lines[at].split()
+    fields[3] = bad
+    lines[at] = " ".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    message = rf"model\.ckpt:{at + 1}: parameter 'point1\.w' has a non-finite value"
+    with pytest.raises(ValueError, match=message):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("change", [-1, 1])
+def test_checkpoint_rejects_a_row_of_the_wrong_width(tmp_path, change):
+    path, lines = _saved_checkpoint_lines(tmp_path)
+    at = _value_line(lines, "proj0.w", row=1)
+    fields = lines[at].split()
+    lines[at] = " ".join(fields[:-1] if change < 0 else fields + ["0.5"])
+    path.write_text("\n".join(lines) + "\n")
+    width = len(fields)
+    with pytest.raises(
+        ValueError,
+        match=rf"model\.ckpt:{at + 1}: parameter 'proj0\.w' row has {width + change} values, "
+              rf"expected {width}",
+    ):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("at, pattern, repl, message", [
+    (1, '"point_widths"', '"widths"', r":2: hyperparameter header is missing 'point_widths'"),
+    (1, r"\}$", "", r":2: hyperparameter header is not JSON"),
+    (1, "^.*$", "[1, 2]", r":2: hyperparameter header is not a JSON object"),
+    (2, "$", "x", r":3: bad shape for 'point0\.b'"),
+    (2, "^.*$", "param", r":3: expected a param header"),
+])
+def test_checkpoint_rejects_a_malformed_header_with_its_line(tmp_path, at, pattern, repl, message):
+    path, lines = _saved_checkpoint_lines(tmp_path)
+    lines[at] = re.sub(pattern, repl, lines[at])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"model\.ckpt" + message):
         load_checkpoint(path)
 
 

@@ -16,11 +16,11 @@ w = tape.leaf(rng.normal(0, 0.5, (3, 4)), name="w")
 b = tape.leaf(np.zeros(4), name="b")
 
 hidden = ad.relu(ad.linear(x, w, b))
-pooled = ad.max_pool_points(hidden)  # (4,) column-wise max over the 5 rows
+pooled = ad.max_pool_groups(hidden, [5])  # (1, 4): column-wise max over one group of 5 rows
 loss = ad.mean_all(pooled)
 
 print(f"tape recorded {len(tape)} nodes")
-print("pooled feature:", np.round(pooled.data, 4))
+print("pooled feature:", np.round(pooled.data[0], 4))
 print("loss:", round(loss.item(), 6))
 
 # --- one backward sweep fills every reachable adjoint ----------------------
@@ -34,7 +34,7 @@ def head_loss(theta):
     tape = ad.Tape()
     wv = tape.leaf(theta.reshape(3, 4))
     out = ad.relu(ad.linear(tape.leaf(x.data), wv, tape.leaf(np.zeros(4))))
-    value = ad.mean_all(ad.max_pool_points(out))
+    value = ad.mean_all(ad.max_pool_groups(out, [5]))
     tape.backward(value)
     return value.item(), wv.grad.ravel()
 

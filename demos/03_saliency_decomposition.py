@@ -10,7 +10,12 @@ Run:  python demos/03_saliency_decomposition.py
 import numpy as np
 
 from openset3d.data import generate_dataset, tiny_manifest
-from openset3d.saliency import partial_views, saliency_map, split_by_saliency, tunable_decompose
+from openset3d.saliency import (
+    partial_views,
+    saliency_maps_batch,
+    split_by_saliency,
+    tunable_decompose,
+)
 from openset3d.training import TrainConfig, train
 
 dataset = generate_dataset(tiny_manifest(seed=3, instances_per_class=40, points_per_cloud=64))
@@ -23,7 +28,7 @@ print(f"closed-set pretraining done (final val acc "
       f"{result.rows[-1]['val_acc']:.2f})")
 
 record = dataset.test_known[0]
-smap = saliency_map(model, record.points, record.class_index)
+smap = saliency_maps_batch(model, [record.points], [record.class_index])[0]
 print(f"\nsaliency for {record.object_id}:")
 print(f"  raw range [{smap.raw.min():.4f}, {smap.raw.max():.4f}], "
       f"{(smap.raw > 0).sum()} of {len(smap.raw)} points positive")

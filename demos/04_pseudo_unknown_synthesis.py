@@ -5,9 +5,10 @@ Run:  python demos/04_pseudo_unknown_synthesis.py
 
 import numpy as np
 
+from openset3d import autodiff as ad
 from openset3d.data import generate_dataset, tiny_manifest
 from openset3d.saliency import Part, random_split
-from openset3d.synthesis import gss_loss, mix, pseudo_label
+from openset3d.synthesis import mix, pseudo_label
 
 dataset = generate_dataset(tiny_manifest(seed=3, instances_per_class=10, points_per_cloud=64))
 rng = np.random.default_rng(11)
@@ -38,8 +39,13 @@ worked = pseudo_label({0: 2, 1: 1}, num_known=4, eps=0.1, eps_known=0.1, mix_cou
 print("\nworked example (C=4, parts 2x class0 + 1x class1):", np.round(worked, 6))
 
 # --- the synthesis loss is a plain soft-label cross-entropy -----------------
+def synthesis_loss(logits, soft_label):
+    tape = ad.Tape()
+    return ad.soft_cross_entropy(tape.leaf(logits), soft_label).item()
+
+
 logits = rng.uniform(-1, 1, 3)
 print(f"\nsynthesis loss on random logits {np.round(logits, 3)}: "
-      f"{gss_loss(logits, sample.soft_label):.4f}")
-uniform = gss_loss(np.zeros(3), np.eye(3)[2])
+      f"{synthesis_loss(logits, sample.soft_label):.4f}")
+uniform = synthesis_loss(np.zeros(3), np.eye(3)[2])
 print(f"uniform logits, one-hot unknown label: {uniform:.5f} (= ln 3 = {np.log(3):.5f})")

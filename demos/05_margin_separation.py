@@ -31,11 +31,12 @@ for weights in ([0.0], [0.05], [2.0, 4.0]):
 positive = anchor + rng.normal(0, 0.1, 6)  # the high-saliency part's feature
 negative = bank[2] * 2.0 + rng.normal(0, 0.02, 6)  # some class-2 feature
 pseudo = pseudo_features(anchor, [0.05], model, 1, np.random.default_rng(2))
-triplet = build_triplet((anchor, 1), positive, (negative, 2), pseudo,
+tape = ad.Tape()  # the anchor is a tape leaf; array members join its tape
+triplet = build_triplet((tape.leaf(anchor), 1), positive, (negative, 2), pseudo,
                         p_replace=0.5, rng=np.random.default_rng(3))
 print(f"\ntriplet built, replacement: {triplet.replacement}")
 
-loss = margin_loss(triplet, pos_weight=0.01, neg_weight=1.0, margin=10.0)
+loss = margin_loss(triplet, pos_weight=0.01, neg_weight=1.0, margin=10.0).item()
 print(f"weighted hinge loss: {loss:.4f} "
       "(0.01*d(a,p) - 1.0*d(a,n) + 10, clamped at 0)")
 

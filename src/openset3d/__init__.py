@@ -43,7 +43,6 @@ from .saliency import (
     normalize_scores,
     partial_views,
     random_split,
-    saliency_map,
     saliency_maps_batch,
     split_by_saliency,
     tunable_decompose,
@@ -51,8 +50,6 @@ from .saliency import (
 from .synthesis import (
     SyntheticSample,
     apply_transform,
-    gss_loss,
-    invert_transform,
     mix,
     pseudo_label,
     sample_transform,
@@ -63,14 +60,12 @@ from .training import (
     TrainConfig,
     TrainResult,
     TrainingDiverged,
+    batch_loss,
     build_decomposition_caches,
     build_saliency_cache,
-    cls_loss,
     evaluate_closed_set,
     evaluate_open_set,
-    high_saliency_loss,
     predict_logits,
-    total_loss,
     train,
 )
 

@@ -60,11 +60,9 @@ __all__ = [
     "RowSparse",
     "linear",
     "relu",
-    "max_pool_points",
     "max_pool_groups",
     "cosine_logits",
     "soft_cross_entropy",
-    "pick",
     "pick_rows",
     "take_row",
     "sum_all",
@@ -247,34 +245,13 @@ def relu(x: Tensor) -> Tensor:
     return Tensor(x.tape, out, (x,), grad_fn, "relu", takes_rows=True)
 
 
-def max_pool_points(a: Tensor) -> Tensor:
-    """Column-wise max over the point axis: (N, d) -> (d,).
-
-    Each channel routes its adjoint to the lowest-index row attaining the
-    max, which keeps backward deterministic under ties.
-    """
-    if a.ndim != 2:
-        raise ValueError("max_pool_points expects a 2-D array (N, d)")
-    n, d = a.shape
-    if n == 0:
-        raise ValueError("max_pool_points rejects an empty point axis")
-    arg = a.data.argmax(axis=0)  # first max per column
-    out = a.data[arg, np.arange(d)]
-
-    def grad_fn(g):
-        z = np.zeros_like(a.data)
-        z[arg, np.arange(d)] = g
-        return (z,)
-
-    return Tensor(a.tape, out, (a,), grad_fn, "max_pool_points")
-
-
 def max_pool_groups(a: Tensor, sizes) -> Tensor:
     """Per-group column-wise max: rows of `a` are B stacked clouds.
 
-    `sizes` gives the row count of each group; the output is (B, d). The
-    tie rule matches max_pool_points within every group: the value and the
-    adjoint come from the lowest-index row attaining the max. Forward only
+    `sizes` gives the row count of each group; the output is (B, d), and
+    one cloud of N rows is the single group [N]. Each channel of each group
+    takes its value and routes its adjoint to the lowest-index row attaining
+    the max, which keeps backward deterministic under ties. Forward only
     reduces values; the argmax is found in backward, so a forward-only pass
     never pays for it. The adjoint is a RowSparse over the critical rows,
     the rows that are the first argmax of some group's column.
@@ -392,20 +369,6 @@ def soft_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         return (dy[0] if single else dy,)
 
     return Tensor(logits.tape, loss[0] if single else loss, (logits,), grad_fn, "soft_ce")
-
-
-def pick(x: Tensor, index: int) -> Tensor:
-    """Scalar element of a 1-D tensor."""
-    if x.ndim != 1:
-        raise ValueError("pick expects a 1-D tensor")
-    index = int(index)
-
-    def grad_fn(g):
-        z = np.zeros_like(x.data)
-        z[index] = g
-        return (z,)
-
-    return Tensor(x.tape, x.data[index], (x,), grad_fn, "pick")
 
 
 def pick_rows(x: Tensor, indices) -> Tensor:

@@ -6,7 +6,8 @@ open-set evaluation, and synthetic-sample export. Configuration comes from
 an optional flat key-value file (dotted keys, e.g. `train.alpha = 0.1`),
 overridden by flags and trailing `key=value` arguments.
 
-Exit codes: 0 success, 1 runtime failure, 2 invalid configuration.
+Exit codes: 0 success, 1 runtime failure, 2 invalid configuration (a
+saliency cache built from another checkpoint included).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
     ConfigError,
     SaliencyCache,
+    StaleCacheError,
     default_manifest,
     generate_dataset,
     load_dataset,
@@ -174,11 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_records(args):
-    dataset = load_dataset(args.dataset)
-    return dataset
-
-
 def _require_class_match(model, dataset):
     if model.num_known != len(dataset.known_classes):
         raise ConfigError(
@@ -203,7 +200,7 @@ def cmd_pretrain(args) -> int:
     config = _gather_config(args)
     if args.epochs is not None:
         config = dataclasses.replace(config, phase1_epochs=args.epochs)
-    dataset = _load_records(args)
+    dataset = load_dataset(args.dataset)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     state = init_state(dataset, config)
@@ -221,7 +218,7 @@ def cmd_pretrain(args) -> int:
 
 def cmd_saliency(args) -> int:
     config = _gather_config(args)
-    dataset = _load_records(args)
+    dataset = load_dataset(args.dataset)
     model = load_checkpoint(args.checkpoint)
     _require_class_match(model, dataset)
     out = Path(args.out)
@@ -236,21 +233,17 @@ def cmd_train(args) -> int:
     config = _gather_config(args)
     if args.epochs is not None:
         config = dataclasses.replace(config, phase2_epochs=args.epochs)
-    dataset = _load_records(args)
+    dataset = load_dataset(args.dataset)
     model = load_checkpoint(args.checkpoint)
     _require_class_match(model, dataset)
     caches = None
-    if config.needs_parts() and config.use_tsd and config.saliency_mode == "cached":
+    if config.needs_cache():
         if not args.saliency:
             raise ConfigError("cached saliency mode requires --saliency <cache file>")
         if not Path(args.saliency).exists():
             raise ConfigError(f"saliency cache not found: {args.saliency}")
         cache = SaliencyCache.load(args.saliency)
-        if cache.model_checksum != model.checksum():
-            raise ConfigError(
-                "saliency cache was built from a different checkpoint; rerun the "
-                "saliency command against this model"
-            )
+        cache.check(model.checksum())  # before the views are built from it
         caches = DecompCaches(cache, build_views(dataset.train_known, cache, config))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -267,7 +260,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     _ = _gather_config(args)  # validates overrides even though eval has no knobs yet
-    dataset = _load_records(args)
+    dataset = load_dataset(args.dataset)
     model = load_checkpoint(args.checkpoint)
     _require_class_match(model, dataset)
     out = Path(args.out)
@@ -290,14 +283,13 @@ def cmd_eval(args) -> int:
 
 def cmd_synth_demo(args) -> int:
     config = _gather_config(args)
-    dataset = _load_records(args)
+    dataset = load_dataset(args.dataset)
     model = load_checkpoint(args.checkpoint)
     _require_class_match(model, dataset)
     if not Path(args.saliency).exists():
         raise ConfigError(f"saliency cache not found: {args.saliency}")
     cache = SaliencyCache.load(args.saliency)
-    if cache.model_checksum != model.checksum():
-        raise ConfigError("saliency cache does not match the checkpoint")
+    cache.check(model.checksum())
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rng = stream_rng(config.seed, 99)
@@ -308,7 +300,7 @@ def cmd_synth_demo(args) -> int:
         parts = []
         for pick in picks:
             rec = train_records[int(pick)]
-            raw = cache.get(rec.object_id, cache.model_checksum)
+            raw = cache.get(rec.object_id)
             smap = SaliencyMap(raw=raw, normalized=normalize_scores(raw))
             # pure saliency split: thresholds (1, 0) disqualify every view
             _, low = tunable_decompose(
@@ -363,7 +355,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, StaleCacheError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit:

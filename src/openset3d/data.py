@@ -382,13 +382,12 @@ class SaliencyCache:
     """Per-dataset store of raw saliency scores keyed by object id.
 
     The cache remembers the checksum of the model that produced the scores;
-    reading with any other checksum fails loudly so stale saliency can
-    never silently steer training.
+    check() refuses any other model, so stale saliency can never silently
+    steer training.
     """
 
-    def __init__(self, model_checksum: str, normalization: str = "raw"):
+    def __init__(self, model_checksum: str):
         self.model_checksum = model_checksum
-        self.normalization = normalization
         self._scores: dict[str, np.ndarray] = {}
 
     def __len__(self):
@@ -397,20 +396,19 @@ class SaliencyCache:
     def __contains__(self, object_id):
         return object_id in self._scores
 
-    def put(self, object_id: str, scores: np.ndarray, model_checksum: str) -> None:
+    def check(self, model_checksum: str) -> None:
+        """Raise StaleCacheError unless the scores came from this model."""
         if model_checksum != self.model_checksum:
             raise StaleCacheError(
-                f"cache built for model {self.model_checksum[:12]}..., "
-                f"put offered {model_checksum[:12]}..."
+                f"saliency cache was built from model {self.model_checksum[:12]}..., "
+                f"not {model_checksum[:12]}...; rebuild it from this model (retrain "
+                "or rerun the saliency command)"
             )
+
+    def put(self, object_id: str, scores: np.ndarray) -> None:
         self._scores[object_id] = np.asarray(scores, dtype=np.float64).copy()
 
-    def get(self, object_id: str, model_checksum: str) -> np.ndarray:
-        if model_checksum != self.model_checksum:
-            raise StaleCacheError(
-                f"cache built for model {self.model_checksum[:12]}..., "
-                f"get asked for {model_checksum[:12]}... (retrain or rebuild the cache)"
-            )
+    def get(self, object_id: str) -> np.ndarray:
         if object_id not in self._scores:
             raise CacheMissError(object_id)
         return self._scores[object_id]
@@ -418,7 +416,7 @@ class SaliencyCache:
     def save(self, path) -> None:
         with open(path, "wb") as fh:
             fh.write(_CACHE_MAGIC)
-            header = {"model_checksum": self.model_checksum, "normalization": self.normalization}
+            header = {"model_checksum": self.model_checksum}
             fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
             for object_id in sorted(self._scores):
                 scores = self._scores[object_id]
@@ -433,7 +431,7 @@ class SaliencyCache:
             if magic != _CACHE_MAGIC:
                 raise ValueError(f"{path}: not a saliency cache file")
             header = json.loads(fh.readline().decode())
-            cache = cls(header["model_checksum"], header.get("normalization", "raw"))
+            cache = cls(header["model_checksum"])  # other header keys are ignored
             while True:
                 line = fh.readline()
                 if not line:

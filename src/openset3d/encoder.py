@@ -134,9 +134,6 @@ class Model:
         _, feats = bound.encode_batch(clouds)
         return bound.logits(feats).data
 
-    def infer(self, points) -> np.ndarray:
-        return self.infer_batch([points])[0]
-
     def feature_logits(self, feature: np.ndarray) -> np.ndarray:
         """Cosine logits of a raw feature vector against the current bank."""
         f = np.asarray(feature, dtype=np.float64)
@@ -186,11 +183,6 @@ class TapedModel:
             if i < self.model._num_proj - 1:
                 f = ad.relu(f)
         return a_all, f
-
-    def encode(self, points):
-        """Single-cloud encode: per-point features (N, d_pre) and feature (d,)."""
-        a_all, f = self.encode_batch([points])
-        return a_all, ad.take_row(f, 0)
 
     def logits(self, f: ad.Tensor) -> ad.Tensor:
         """Cosine similarities of feature row(s) against the prototype bank."""

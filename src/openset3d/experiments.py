@@ -84,8 +84,7 @@ def run_seed(dataset: ToyDataset, config: TrainConfig,
     run_pretrain(state, dataset, config, config.phase1_epochs, progress)
     baseline = _metrics(state.model, dataset)
     caches = None
-    if any(v.needs_parts() and v.use_tsd and v.saliency_mode == "cached"
-           for v in variants.values()):
+    if any(v.needs_cache() for v in variants.values()):
         caches = build_decomposition_caches(state.model, dataset.train_known, config)
     results = {}
     for name, vcfg in variants.items():

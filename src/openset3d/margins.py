@@ -27,7 +27,7 @@ __all__ = [
 
 @dataclass
 class Triplet:
-    anchor: object  # Tensor or ndarray feature
+    anchor: object  # Tensor (margin_loss) or ndarray feature
     positive: object
     negative: object
     replacement: str  # "none" | "positive" | "negative"
@@ -107,35 +107,26 @@ def build_triplet(anchor, positive, negative, pseudo, p_replace, rng) -> Triplet
     )
 
 
-def _as_tensor(tape, value):
-    return value if isinstance(value, ad.Tensor) else tape.leaf(np.asarray(value, dtype=np.float64))
-
-
 def margin_loss(triplet: Triplet, pos_weight, neg_weight, margin):
-    """Hinged weighted triplet loss:
+    """Hinged weighted triplet loss, as a scalar Tensor:
 
         max(0, pos_weight * d(anchor, positive)
               - neg_weight * d(anchor, negative) + margin)
 
-    with Euclidean d. Differentiable wherever the hinge is strictly
-    positive; returns a Tensor when any member is on a tape, else a float.
+    with Euclidean d. The anchor is a tape Tensor; an array member (a
+    pseudo-feature) becomes a constant leaf on the anchor's tape.
+    Differentiable wherever the hinge is strictly positive.
     """
     if pos_weight < 0 or neg_weight < 0 or margin < 0:
         raise ValueError("triplet weights and margin must be nonnegative")
-    members = (triplet.anchor, triplet.positive, triplet.negative)
-    tensors = [m for m in members if isinstance(m, ad.Tensor)]
-    if tensors:
-        tape = tensors[0].tape
-        a, p, n = (_as_tensor(tape, m) for m in members)
-        d_pos = ad.euclidean(a, p)
-        d_neg = ad.euclidean(a, n)
-        pre = ad.add_const(
-            ad.add(ad.scale(d_pos, pos_weight), ad.scale(d_neg, -neg_weight)), margin
-        )
-        return ad.relu(pre)
-    a, p, n = (np.asarray(m, dtype=np.float64) for m in members)
-    if not all(np.isfinite(v).all() for v in (a, p, n)):
-        raise ValueError("margin_loss rejects non-finite features")
-    d_pos = float(np.linalg.norm(a - p))
-    d_neg = float(np.linalg.norm(a - n))
-    return max(0.0, pos_weight * d_pos - neg_weight * d_neg + margin)
+    if not isinstance(triplet.anchor, ad.Tensor):
+        raise TypeError("margin_loss needs the anchor on a tape (an ad.Tensor)")
+    tape = triplet.anchor.tape
+    a, p, n = (m if isinstance(m, ad.Tensor) else tape.leaf(np.asarray(m, dtype=np.float64))
+               for m in (triplet.anchor, triplet.positive, triplet.negative))
+    d_pos = ad.euclidean(a, p)
+    d_neg = ad.euclidean(a, n)
+    pre = ad.add_const(
+        ad.add(ad.scale(d_pos, pos_weight), ad.scale(d_neg, -neg_weight)), margin
+    )
+    return ad.relu(pre)

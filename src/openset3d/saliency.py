@@ -26,7 +26,6 @@ __all__ = [
     "Part",
     "normalize_scores",
     "gradcam_scores",
-    "saliency_map",
     "saliency_maps_batch",
     "split_by_saliency",
     "random_split",
@@ -89,13 +88,21 @@ def gradcam_scores(activations: np.ndarray, gradients: np.ndarray) -> np.ndarray
 
 
 def saliency_maps_batch(model: Model, clouds, labels) -> list[SaliencyMap]:
-    """Saliency for many clouds in one forward/backward pass.
+    """Per-point importance of each cloud for its ground-truth known class.
 
-    The backward target is the sum of each sample's true-class logit;
-    samples are independent, so every cloud's per-point feature slice
-    receives exactly its own logit's gradient.
+    One forward/backward pass covers the whole list. The backward target is
+    the sum of each sample's true-class logit; samples are independent, so
+    every cloud's per-point feature slice receives exactly its own logit's
+    gradient. A label outside 0..C-1 (the unknown slot, or a negative index
+    that would wrap onto it) is rejected.
     """
     labels = np.asarray(labels, dtype=np.intp)
+    bad = labels[(labels < 0) | (labels >= model.num_known)]
+    if bad.size:
+        raise ValueError(
+            f"saliency needs ground-truth known class indices 0..{model.num_known - 1}, "
+            f"got {int(bad[0])}"
+        )
     tape = ad.Tape()
     bound = model.bind(tape)
     a_all, feats = bound.encode_batch(clouds)
@@ -113,13 +120,6 @@ def saliency_maps_batch(model: Model, clouds, labels) -> list[SaliencyMap]:
         maps.append(SaliencyMap(raw=raw, normalized=normalize_scores(raw)))
         offset += n
     return maps
-
-
-def saliency_map(model: Model, points: np.ndarray, class_index: int) -> SaliencyMap:
-    """Per-point importance of `points` for its ground-truth class."""
-    if class_index < 0 or class_index >= model.num_known:
-        raise ValueError("saliency_map needs the ground-truth known class index")
-    return saliency_maps_batch(model, [points], [class_index])[0]
 
 
 def split_by_saliency(scores: np.ndarray, mix_count: int) -> Decomposition:

@@ -13,19 +13,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from .saliency import Part
 
 __all__ = [
     "TransformParams",
     "sample_transform",
     "apply_transform",
-    "invert_transform",
     "standard_transforms",
     "pseudo_label",
     "SyntheticSample",
     "mix",
-    "gss_loss",
 ]
 
 
@@ -65,13 +62,6 @@ def apply_transform(points, tp: TransformParams) -> np.ndarray:
     if tp.jitter is not None:
         pts = pts + tp.jitter
     return pts
-
-
-def invert_transform(points, tp: TransformParams) -> np.ndarray:
-    """Undo translate/rotate/scale; jitter is additive noise and stays."""
-    pts = np.asarray(points, dtype=np.float64) - tp.offset
-    pts = pts @ _yaw_matrix(tp.angle)  # transpose of the forward rotation
-    return pts / tp.scale
 
 
 def standard_transforms(points, rng, **kwargs) -> np.ndarray:
@@ -174,17 +164,3 @@ def mix(parts, n_out, num_known, eps, eps_known, rng, transform_kwargs=None) -> 
         radius=radius,
     )
 
-
-def gss_loss(logits, soft_label):
-    """Cross-entropy of the synthetic sample's logits against its soft label.
-
-    Accepts a tape Tensor (returns a differentiable scalar Tensor) or a
-    plain array (returns a float).
-    """
-    label = np.asarray(soft_label, dtype=np.float64)
-    if isinstance(logits, ad.Tensor):
-        return ad.soft_cross_entropy(logits, label)
-    y = np.asarray(logits, dtype=np.float64)
-    m = y.max()
-    lse = np.log(np.exp(y - m).sum()) + m
-    return float(lse * label.sum() - (label * y).sum())

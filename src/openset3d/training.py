@@ -6,6 +6,9 @@ from the same optimizer state against the combined loss
 
     total = cls + alpha * high_part + beta * synthesis + gamma * margin.
 
+Both phases run one epoch loop that steps on batch_loss; a phase-1 epoch
+passes it no parts, which leaves the classification term alone.
+
 Reproducibility contract: every stochastic choice draws from a generator
 keyed by (seed, stream, global epoch), so runs with the same config and
 seed are bit-identical, and a phase-2 run whose extra loss weights are all
@@ -35,7 +38,7 @@ from .saliency import (
     saliency_maps_batch,
     tunable_decompose,
 )
-from .synthesis import gss_loss, mix
+from .synthesis import mix
 
 __all__ = [
     "TrainConfig",
@@ -43,9 +46,7 @@ __all__ = [
     "TrainResult",
     "TrainingDiverged",
     "Adam",
-    "cls_loss",
-    "high_saliency_loss",
-    "total_loss",
+    "batch_loss",
     "train",
     "init_state",
     "run_pretrain",
@@ -152,6 +153,10 @@ class TrainConfig:
     def needs_parts(self) -> bool:
         return self.alpha > 0 or self.gss_active() or self.sms_active()
 
+    def needs_cache(self) -> bool:
+        """True when phase 2 reads decomposition caches (TSD in cached mode)."""
+        return self.needs_parts() and self.use_tsd and self.saliency_mode == "cached"
+
 
 class Adam:
     """Adaptive moment estimation over the model's parameter dict."""
@@ -185,59 +190,6 @@ def cosine_lr(lr0: float, epoch: int, total_epochs: int) -> float:
 
 
 # ----------------------------------------------------------------------
-# loss operations
-
-
-def _one_hot(index: int, width: int) -> np.ndarray:
-    t = np.zeros(width)
-    t[index] = 1.0
-    return t
-
-
-def cls_loss(logits, class_index: int):
-    """Cross-entropy of the (C+1)-way softmax against a known class.
-
-    The last logit belongs to the unknown prototype; labeling a real sample
-    with it is rejected. Accepts a Tensor (differentiable) or an array.
-    """
-    width = logits.shape[-1]
-    class_index = int(class_index)
-    if not (0 <= class_index < width - 1):
-        raise ValueError(
-            f"class index {class_index} invalid: known classes are 0..{width - 2} "
-            "(the unknown slot is reserved for synthetic samples)"
-        )
-    target = _one_hot(class_index, width)
-    if isinstance(logits, ad.Tensor):
-        return ad.soft_cross_entropy(logits, target)
-    return gss_loss(np.asarray(logits, dtype=np.float64), target)
-
-
-def high_saliency_loss(bound, part_points, class_index):
-    """Classification loss of a high-saliency part as a same-class instance.
-
-    `bound` is a tape-bound model; the part is renormalized like any other
-    input cloud. Returns (loss, part feature) so margin terms can reuse the
-    encoding.
-    """
-    cloud = normalize_cloud(part_points)
-    _, f = bound.encode(cloud)
-    logits = bound.logits(f)
-    return cls_loss(logits, class_index), f
-
-
-def total_loss(l_cls, l_h, l_s, l_m, alpha, beta, gamma):
-    """Weighted sum of the four loss terms (Tensor or float, by l_cls)."""
-    if isinstance(l_cls, ad.Tensor):
-        out = l_cls
-        for term, weight in ((l_h, alpha), (l_s, beta), (l_m, gamma)):
-            if weight != 0.0:
-                out = ad.add(out, ad.scale(term, weight))
-        return out
-    return float(l_cls + alpha * l_h + beta * l_s + gamma * l_m)
-
-
-# ----------------------------------------------------------------------
 # cached decomposition inputs
 
 
@@ -249,8 +201,7 @@ class DecompCaches:
 
 def build_saliency_cache(model: Model, records) -> SaliencyCache:
     """Saliency scores for every record, from one frozen model."""
-    checksum = model.checksum()
-    cache = SaliencyCache(checksum)
+    cache = SaliencyCache(model.checksum())
     records = list(records)
     for start in range(0, len(records), 128):
         chunk = records[start : start + 128]
@@ -258,7 +209,7 @@ def build_saliency_cache(model: Model, records) -> SaliencyCache:
             model, [r.points for r in chunk], [r.class_index for r in chunk]
         )
         for rec, smap in zip(chunk, maps):
-            cache.put(rec.object_id, smap.raw, checksum)
+            cache.put(rec.object_id, smap.raw)
     return cache
 
 
@@ -271,7 +222,7 @@ def build_views(records, cache: SaliencyCache, config: TrainConfig):
     views: dict[str, list[PartialView]] = {}
     for pos, rec in enumerate(records):
         rng = stream_rng(config.seed, STREAM_VIEWS, pos)
-        normalized = normalize_scores(cache.get(rec.object_id, cache.model_checksum))
+        normalized = normalize_scores(cache.get(rec.object_id))
         views[rec.object_id] = partial_views(
             rec.points, normalized, config.views_per_object, rng, config.view_radius
         )
@@ -320,41 +271,6 @@ def _batches(records, batch_size, rng):
         yield [records[i] for i in order[start : start + batch_size]]
 
 
-def _cls_batch_loss(bound, batch, num_known):
-    clouds = [r.points for r in batch]
-    labels = [r.class_index for r in batch]
-    _, feats = bound.encode_batch(clouds)
-    logits = bound.logits(feats)
-    targets = np.zeros((len(batch), num_known + 1))
-    targets[np.arange(len(batch)), labels] = 1.0
-    return ad.mean_all(ad.soft_cross_entropy(logits, targets)), feats, logits
-
-
-def _pretrain_epoch(state, dataset, config, val_records):
-    model = state.model
-    lr = cosine_lr(config.learning_rate, state.epoch, state.total_epochs)
-    rng = stream_rng(config.seed, STREAM_SHUFFLE, state.epoch)
-    cls_total, n_batches = 0.0, 0
-    for batch in _batches(dataset.train_known, config.batch_size, rng):
-        tape = ad.Tape()
-        bound = model.bind(tape)
-        loss, _, _ = _cls_batch_loss(bound, batch, model.num_known)
-        value = loss.item()
-        if not np.isfinite(value):
-            raise TrainingDiverged(state.epoch, value)
-        tape.backward(loss)
-        state.opt.step(model.params, bound.param_grads(), lr)
-        cls_total += value
-        n_batches += 1
-    mean_cls = cls_total / max(1, n_batches)
-    val_acc, _ = evaluate_closed_set(model, val_records) if val_records else (float("nan"),) * 2
-    state.rows.append({
-        "epoch": state.epoch, "l_cls": mean_cls, "l_h": 0.0, "l_s": 0.0,
-        "l_m": 0.0, "total": mean_cls, "val_acc": val_acc,
-    })
-    state.epoch += 1
-
-
 def _decompose_batch(model, batch, config, caches, rng_tsd):
     """Per-sample (high, low) parts for one batch.
 
@@ -383,7 +299,7 @@ def _decompose_batch(model, batch, config, caches, rng_tsd):
                     rng_tsd, config.view_radius,
                 )
             else:
-                raw = caches.saliency.get(rec.object_id, caches.saliency.model_checksum)
+                raw = caches.saliency.get(rec.object_id)
                 smap = SaliencyMap(raw=raw, normalized=normalize_scores(raw))
                 views = caches.views[rec.object_id]
             high, low = tunable_decompose(
@@ -396,62 +312,56 @@ def _decompose_batch(model, batch, config, caches, rng_tsd):
     return highs, lows
 
 
-def _combined_epoch(state, dataset, config, caches, run_std, val_records):
-    model = state.model
-    num_known = model.num_known
-    lr = cosine_lr(config.learning_rate, state.epoch, state.total_epochs)
-    rng_shuffle = stream_rng(config.seed, STREAM_SHUFFLE, state.epoch)
-    rng_tsd = stream_rng(config.seed, STREAM_TSD, state.epoch)
-    rng_gss = stream_rng(config.seed, STREAM_GSS, state.epoch)
-    rng_sms = stream_rng(config.seed, STREAM_SMS, state.epoch)
-    gss_on, sms_on = config.gss_active(), config.sms_active()
-    need_high = config.alpha > 0 or sms_on
-    sums = {"l_cls": 0.0, "l_h": 0.0, "l_s": 0.0, "l_m": 0.0, "total": 0.0}
-    n_batches = 0
-    for batch in _batches(dataset.train_known, config.batch_size, rng_shuffle):
-        tape = ad.Tape()
-        bound = model.bind(tape)
-        labels = [r.class_index for r in batch]
-        l_cls, feats, _ = _cls_batch_loss(bound, batch, num_known)
-        l_h = l_s = l_m = None
-        if config.needs_parts():
-            highs, lows = _decompose_batch(model, batch, config, caches, rng_tsd)
-            if need_high:
-                high_clouds = [normalize_cloud(p.points) for p in highs]
-                _, high_feats = bound.encode_batch(high_clouds)
-                high_logits = bound.logits(high_feats)
-                targets = np.zeros((len(batch), num_known + 1))
-                targets[np.arange(len(batch)), labels] = 1.0
-                l_h = ad.mean_all(ad.soft_cross_entropy(high_logits, targets))
-            if gss_on:
-                l_s = _synthesis_loss(bound, batch, lows, config, num_known, rng_gss)
-            if sms_on:
-                l_m = _margin_term(bound, model, batch, feats, high_feats, config,
-                                   run_std, rng_sms)
-        loss = l_cls
-        for term, weight in ((l_h, config.alpha), (l_s, config.beta), (l_m, config.gamma)):
-            if term is not None and weight > 0:
-                loss = ad.add(loss, ad.scale(term, weight))
-        value = loss.item()
-        if not np.isfinite(value):
-            raise TrainingDiverged(state.epoch, value)
-        tape.backward(loss)
-        state.opt.step(model.params, bound.param_grads(), lr)
+def _class_targets(batch, num_known):
+    """One-hot (B, C+1) targets of real known-class samples."""
+    labels = np.array([r.class_index for r in batch])
+    bad = labels[(labels < 0) | (labels >= num_known)]
+    if bad.size:
+        raise ValueError(
+            f"class index {int(bad[0])} invalid: known classes are 0..{num_known - 1} "
+            "(the unknown slot is reserved for synthetic samples)"
+        )
+    targets = np.zeros((len(batch), num_known + 1))
+    targets[np.arange(len(batch)), labels] = 1.0
+    return targets
+
+
+def batch_loss(bound, batch, highs, lows, config, rngs, run_std):
+    """The training objective of one batch, recorded on `bound`'s tape:
+
+        total = cls + alpha * high_part + beta * synthesis + gamma * margin.
+
+    `highs`/`lows` are the batch's decomposed parts; None for both gives
+    the phase-1 loss, the classification term alone. `rngs` is the
+    (synthesis, margin) generator pair, drawn from in that order. With the
+    margin term on, `run_std` feeds the pseudo-feature noise scale and then
+    takes the batch's features. Returns (total, (l_cls, l_h, l_s, l_m)); a
+    term that did not run is None and adds nothing to the total.
+    """
+    num_known = bound.model.num_known
+    targets = _class_targets(batch, num_known)
+    _, feats = bound.encode_batch([r.points for r in batch])
+    l_cls = ad.mean_all(ad.soft_cross_entropy(bound.logits(feats), targets))
+    l_h = l_s = l_m = None
+    if highs is not None:
+        rng_gss, rng_sms = rngs
+        sms_on = config.sms_active()
+        if config.alpha > 0 or sms_on:
+            _, high_feats = bound.encode_batch([normalize_cloud(p.points) for p in highs])
+            l_h = ad.mean_all(ad.soft_cross_entropy(bound.logits(high_feats), targets))
+        if config.gss_active():
+            l_s = _synthesis_loss(bound, batch, lows, config, rng_gss)
         if sms_on:
+            l_m = _margin_term(bound, batch, feats, high_feats, config, run_std, rng_sms)
             run_std.update(feats.data)
-        sums["l_cls"] += l_cls.item()
-        sums["l_h"] += l_h.item() if l_h is not None else 0.0
-        sums["l_s"] += l_s.item() if l_s is not None else 0.0
-        sums["l_m"] += l_m.item() if l_m is not None else 0.0
-        sums["total"] += value
-        n_batches += 1
-    means = {k: v / max(1, n_batches) for k, v in sums.items()}
-    val_acc, _ = evaluate_closed_set(model, val_records) if val_records else (float("nan"),) * 2
-    state.rows.append({"epoch": state.epoch, **means, "val_acc": val_acc})
-    state.epoch += 1
+    total = l_cls
+    for term, weight in ((l_h, config.alpha), (l_s, config.beta), (l_m, config.gamma)):
+        if term is not None and weight > 0:
+            total = ad.add(total, ad.scale(term, weight))
+    return total, (l_cls, l_h, l_s, l_m)
 
 
-def _synthesis_loss(bound, batch, lows, config, num_known, rng_gss):
+def _synthesis_loss(bound, batch, lows, config, rng_gss):
     n_points = len(batch[0].points)
     n_synth = int(round(len(batch) * config.synth_ratio))
     samples = []
@@ -460,7 +370,7 @@ def _synthesis_loss(bound, batch, lows, config, num_known, rng_gss):
             break
         picks = rng_gss.choice(len(batch), size=config.mix_count, replace=False)
         samples.append(mix(
-            [lows[i] for i in picks], n_points, num_known,
+            [lows[i] for i in picks], n_points, bound.model.num_known,
             config.eps, config.eps_known, rng_gss,
         ))
     if not samples:
@@ -471,7 +381,7 @@ def _synthesis_loss(bound, batch, lows, config, num_known, rng_gss):
     return ad.mean_all(ad.soft_cross_entropy(synth_logits, targets))
 
 
-def _margin_term(bound, model, batch, feats, high_feats, config, run_std, rng_sms):
+def _margin_term(bound, batch, feats, high_feats, config, run_std, rng_sms):
     """Mean hinge triplet loss over the batch's real known-class anchors."""
     labels = np.array([r.class_index for r in batch])
     losses = []
@@ -481,7 +391,7 @@ def _margin_term(bound, model, batch, feats, high_feats, config, run_std, rng_sm
             continue  # no different-class negative available: skip this anchor
         j = int(others[rng_sms.integers(others.size)])
         pseudo = pseudo_features(
-            feats.data[b], config.noise_weights, model, labels[b], rng_sms,
+            feats.data[b], config.noise_weights, bound.model, labels[b], rng_sms,
             run_std.value,
         )
         triplet = build_triplet(
@@ -498,6 +408,39 @@ def _margin_term(bound, model, batch, feats, high_feats, config, run_std, rng_sm
     for extra in losses[1:]:
         acc = ad.add(acc, extra)
     return ad.scale(acc, 1.0 / len(losses))
+
+
+def _epoch(state, dataset, config, caches, run_std, parts):
+    """One pass over the known training split; parts=False is a phase-1 epoch."""
+    model = state.model
+    lr = cosine_lr(config.learning_rate, state.epoch, state.total_epochs)
+    rng_shuffle = stream_rng(config.seed, STREAM_SHUFFLE, state.epoch)
+    rng_tsd = stream_rng(config.seed, STREAM_TSD, state.epoch)
+    rngs = (stream_rng(config.seed, STREAM_GSS, state.epoch),
+            stream_rng(config.seed, STREAM_SMS, state.epoch))
+    sums = {"l_cls": 0.0, "l_h": 0.0, "l_s": 0.0, "l_m": 0.0, "total": 0.0}
+    n_batches = 0
+    for batch in _batches(dataset.train_known, config.batch_size, rng_shuffle):
+        highs = lows = None
+        if parts:
+            highs, lows = _decompose_batch(model, batch, config, caches, rng_tsd)
+        tape = ad.Tape()
+        bound = model.bind(tape)
+        loss, terms = batch_loss(bound, batch, highs, lows, config, rngs, run_std)
+        value = loss.item()
+        if not np.isfinite(value):
+            raise TrainingDiverged(state.epoch, value)
+        tape.backward(loss)
+        state.opt.step(model.params, bound.param_grads(), lr)
+        for key, term in zip(("l_cls", "l_h", "l_s", "l_m"), terms):
+            sums[key] += term.item() if term is not None else 0.0
+        sums["total"] += value
+        n_batches += 1
+    means = {k: v / max(1, n_batches) for k, v in sums.items()}
+    val = dataset.val_known
+    val_acc, _ = evaluate_closed_set(model, val) if val else (float("nan"),) * 2
+    state.rows.append({"epoch": state.epoch, **means, "val_acc": val_acc})
+    state.epoch += 1
 
 
 # ----------------------------------------------------------------------
@@ -526,7 +469,7 @@ def init_state(dataset: ToyDataset, config: TrainConfig) -> TrainState:
 def run_pretrain(state: TrainState, dataset: ToyDataset, config: TrainConfig,
                  epochs: int, progress=None) -> TrainState:
     for _ in range(epochs):
-        _pretrain_epoch(state, dataset, config, dataset.val_known)
+        _epoch(state, dataset, config, None, None, parts=False)
         if progress is not None:
             progress(state.rows[-1])
     return state
@@ -534,12 +477,14 @@ def run_pretrain(state: TrainState, dataset: ToyDataset, config: TrainConfig,
 
 def run_combined(state: TrainState, dataset: ToyDataset, config: TrainConfig,
               epochs: int, caches: DecompCaches | None, progress=None) -> TrainState:
-    if (epochs > 0 and config.needs_parts() and config.use_tsd
-            and config.saliency_mode == "cached" and caches is None):
-        raise ConfigError("cached saliency mode needs decomposition caches")
+    if epochs > 0 and config.needs_cache():
+        if caches is None:
+            raise ConfigError("cached saliency mode needs decomposition caches")
+        caches.saliency.check(state.model.checksum())
     run_std = RunningStd(config.feat_dim)
+    parts = config.needs_parts()
     for _ in range(epochs):
-        _combined_epoch(state, dataset, config, caches, run_std, dataset.val_known)
+        _epoch(state, dataset, config, caches, run_std, parts)
         if progress is not None:
             progress(state.rows[-1])
     return state
@@ -552,8 +497,7 @@ def train(dataset: ToyDataset, config: TrainConfig, progress=None) -> TrainResul
     run_pretrain(state, dataset, config, config.phase1_epochs, progress)
     phase1_model = state.model.copy()
     caches = None
-    if (config.phase2_epochs > 0 and config.needs_parts()
-            and config.use_tsd and config.saliency_mode == "cached"):
+    if config.phase2_epochs > 0 and config.needs_cache():
         caches = build_decomposition_caches(state.model, dataset.train_known, config)
     run_combined(state, dataset, config, config.phase2_epochs, caches, progress)
     return TrainResult(model=state.model, phase1_model=phase1_model,

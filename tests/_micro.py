@@ -1,22 +1,29 @@
 """Frozen micro-setup for whole-pipeline gradient checks.
 
-Builds one fixed, deterministic composite-loss evaluation (classification +
-high-part + synthesis + margin terms) over a tiny model, exposed as a pure
-function of the flattened parameter vector so central finite differences
-can be taken safely. All stochastic choices (decompositions, the synthetic
-sample, the triplet) are frozen at construction; seeds are screened so no
-relu/max-pool/hinge kink sits within finite-difference reach.
+Differentiates the trainer's own objective, `training.batch_loss`, over a
+tiny model: a batch of two clouds with frozen high/low parts, and the
+synthesis and margin generators reseeded on every evaluation, so the loss
+is a pure function of the flattened parameter vector and central finite
+differences can be taken safely. The configuration runs all four terms.
+Seeds are screened so no relu kink (the margin hinge is one) sits within
+finite-difference reach and no triplet distance is near zero.
 """
 
 import numpy as np
 
 from openset3d import autodiff as ad
+from openset3d.data import CloudRecord
 from openset3d.encoder import Model, normalize_cloud
-from openset3d.saliency import split_by_saliency
-from openset3d.synthesis import pseudo_label
+from openset3d.margins import RunningStd
+from openset3d.saliency import Part, split_by_saliency
+from openset3d.training import TrainConfig, batch_loss
 
-ALPHA, BETA, GAMMA = 0.1, 0.01, 0.3
-POS_W, NEG_W, MARGIN = 0.01, 1.0, 10.0
+# N=16 points, d=8, C=3, batch of 2; one synthetic sample mixes both low
+# parts; no pseudo-features, so every triplet keeps its real members
+CONFIG = TrainConfig(
+    alpha=0.1, beta=0.01, gamma=0.3, mix_count=2, synth_ratio=0.5,
+    noise_weights=(), p_replace=0.0, feat_dim=8, point_widths=(8, 8), proj_hidden=(),
+)
 
 
 def _flatten(params):
@@ -37,76 +44,63 @@ def _unflatten(vec, shapes):
 
 
 class MicroSetup:
-    """N=16 points, d=8, C=3, batch of 2, all randomness frozen."""
+    """One batch_loss evaluation with every random choice frozen."""
 
     def __init__(self, seed):
         rng = np.random.default_rng(seed)
-        self.model = Model(num_known=3, feat_dim=8, point_widths=(8, 8),
-                           proj_hidden=(), seed=seed)
-        self.clouds = [normalize_cloud(rng.uniform(-1, 1, (16, 3))) for _ in range(2)]
-        self.labels = [0, 1]
-        scores = [rng.random(16) for _ in range(2)]
-        splits = [split_by_saliency(s, 3) for s in scores]
-        self.high_clouds = [
-            normalize_cloud(c[d.high_indices]) for c, d in zip(self.clouds, splits)
-        ]
-        low_union = np.vstack([c[d.low_indices] for c, d in zip(self.clouds, splits)])
-        low_union = low_union - low_union.mean(axis=0)
-        low_union /= np.linalg.norm(low_union, axis=1).max()
-        self.synth_cloud = low_union[rng.integers(len(low_union), size=16)]
-        self.synth_label = pseudo_label({0: 1, 1: 1}, 3, 0.1, 0.1, 2)
+        self.seed = seed
+        self.model = Model(num_known=3, feat_dim=CONFIG.feat_dim,
+                           point_widths=CONFIG.point_widths, proj_hidden=(), seed=seed)
+        self.batch, self.highs, self.lows = [], [], []
+        for label in (0, 1):
+            object_id = f"micro/{label}"
+            cloud = normalize_cloud(rng.uniform(-1, 1, (16, 3)))
+            self.batch.append(CloudRecord(object_id, cloud, "micro", label, True, "train"))
+            split = split_by_saliency(rng.random(16), CONFIG.mix_count)
+            for parts, idx in ((self.highs, split.high_indices),
+                               (self.lows, split.low_indices)):
+                parts.append(Part(cloud[idx], label, object_id, idx))
         self.theta0, self.shapes = _flatten(self.model.params)
+
+    def evaluate(self, theta, config=CONFIG):
+        """(bound model, total, terms) of batch_loss at theta, not yet differentiated."""
+        self.model.params = _unflatten(theta, self.shapes)
+        bound = self.model.bind(ad.Tape())
+        rngs = (np.random.default_rng([self.seed, 1]), np.random.default_rng([self.seed, 2]))
+        total, terms = batch_loss(bound, self.batch, self.highs, self.lows, config,
+                                  rngs, RunningStd(config.feat_dim))
+        return bound, total, terms
 
     def loss_and_grad(self, theta):
         """Composite total loss and its parameter gradient at theta."""
-        self.model.params = _unflatten(theta, self.shapes)
-        tape = ad.Tape()
-        bound = self.model.bind(tape)
-        _, feats = bound.encode_batch(self.clouds)
-        logits = bound.logits(feats)
-        targets = np.zeros((2, 4))
-        targets[np.arange(2), self.labels] = 1.0
-        l_cls = ad.mean_all(ad.soft_cross_entropy(logits, targets))
-        _, high_feats = bound.encode_batch(self.high_clouds)
-        l_h = ad.mean_all(ad.soft_cross_entropy(bound.logits(high_feats), targets))
-        _, synth_feats = bound.encode_batch([self.synth_cloud])
-        l_s = ad.soft_cross_entropy(ad.take_row(bound.logits(synth_feats), 0),
-                                    self.synth_label)
-        d_pos = ad.euclidean(ad.take_row(feats, 0), ad.take_row(high_feats, 0))
-        d_neg = ad.euclidean(ad.take_row(feats, 0), ad.take_row(feats, 1))
-        l_m = ad.relu(ad.add_const(
-            ad.add(ad.scale(d_pos, POS_W), ad.scale(d_neg, -NEG_W)), MARGIN))
-        loss = ad.add(l_cls, ad.add(ad.scale(l_h, ALPHA),
-                                    ad.add(ad.scale(l_s, BETA), ad.scale(l_m, GAMMA))))
-        tape.backward(loss)
+        bound, total, terms = self.evaluate(theta)
+        bound.tape.backward(total)
         grads = bound.param_grads()
         grad_vec = np.concatenate([grads[n].ravel() for n, _ in self.shapes])
-        self._kink_margins = self._measure_margins(bound, feats, high_feats,
-                                                   d_pos, d_neg, l_m)
-        return loss.item(), grad_vec
+        self.terms = tuple(t.item() for t in terms)
+        self._kink_margins = self._measure_margins(bound.tape)
+        return total.item(), grad_vec
 
-    def _measure_margins(self, bound, feats, high_feats, d_pos, d_neg, l_m):
-        gaps = []
-        for tensor in bound.tape._nodes:
-            if tensor.name == "relu" and tensor.parents:
-                gaps.append(np.abs(tensor.parents[0].data).min())
-        pre_hinge = POS_W * d_pos.data - NEG_W * d_neg.data + MARGIN
+    @staticmethod
+    def _measure_margins(tape):
+        relu_gaps = [np.abs(t.parents[0].data).min() for t in tape._nodes
+                     if t.name == "relu" and t.parents]
+        distances = [float(t.data) for t in tape._nodes if t.name == "euclidean"]
         return {
-            "relu": min(gaps) if gaps else np.inf,
-            "hinge": abs(float(pre_hinge)),
-            "distances": min(float(d_pos.data), float(d_neg.data)),
+            "relu": min(relu_gaps, default=np.inf),
+            "distances": min(distances, default=np.inf),
         }
 
     def is_kink_safe(self, h):
-        """True when no relu/hinge boundary sits within ~100x the FD step."""
+        """True when no relu boundary sits within ~100x the FD step."""
         self.loss_and_grad(self.theta0)
         m = self._kink_margins
-        return m["relu"] > 100 * h and m["hinge"] > 100 * h and m["distances"] > 1e-3
+        return m["relu"] > 100 * h and m["distances"] > 1e-3
 
 
 def make_micro_setup(h=1e-5):
     """First kink-safe micro setup from a fixed seed list."""
-    for seed in (11, 23, 37, 51, 73):
+    for seed in (14, 58, 101):
         setup = MicroSetup(seed)
         if setup.is_kink_safe(h):
             return setup

@@ -74,7 +74,7 @@ def test_criterion_1_gradient_correctness():
     def pool_f(theta):
         tape = ad.Tape()
         x = tape.leaf(theta.reshape(6, 4))
-        loss = ad.sum_all(ad.mul_const(ad.max_pool_points(x), read[0]))
+        loss = ad.sum_all(ad.mul_const(ad.max_pool_groups(x, [6]), read[0]))
         tape.backward(loss)
         return loss.item(), x.grad.ravel()
 
@@ -105,10 +105,11 @@ def test_criterion_1_gradient_correctness():
     check(dist_f, a0)
     assert per_op_worst <= 1e-4
 
-    # composite loss on the N=16, d=8, C=3, batch-2 micro model (1e-3)
+    # the trainer's batch_loss on the N=16, d=8, C=3, batch-2 micro model (1e-3)
     setup = make_micro_setup(h=1e-5)
     composite_worst = ad.grad_check(setup.loss_and_grad, setup.theta0, h=1e-5)
     assert composite_worst <= 1e-3
+    assert all(term > 0.0 for term in setup.terms)  # l_cls, l_h, l_s and l_m all ran
     elapsed = time.time() - start
     assert elapsed < 60.0
     announce(1, f"per-op max err {per_op_worst:.2e} <= 1e-4, "

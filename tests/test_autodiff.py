@@ -125,27 +125,27 @@ def test_relu_gradient_routing():
 
 def test_max_pool_values():
     tape = ad.Tape()
-    out = ad.max_pool_points(tape.leaf([[1.0, 5.0], [3.0, 2.0]]))
-    assert np.array_equal(out.data, [3.0, 5.0])
+    out = ad.max_pool_groups(tape.leaf([[1.0, 5.0], [3.0, 2.0]]), [2])
+    assert np.array_equal(out.data, [[3.0, 5.0]])
 
 
 def test_max_pool_single_row_identity():
     tape = ad.Tape()
     row = np.array([[0.3, -0.7, 2.0]])
-    assert np.array_equal(ad.max_pool_points(tape.leaf(row)).data, row[0])
+    assert np.array_equal(ad.max_pool_groups(tape.leaf(row), [1]).data, row)
 
 
 def test_max_pool_empty_rejected():
     tape = ad.Tape()
-    with pytest.raises(ValueError, match="empty"):
-        ad.max_pool_points(tape.leaf(np.zeros((0, 3))))
+    with pytest.raises(ValueError, match="at least one row"):
+        ad.max_pool_groups(tape.leaf(np.zeros((0, 3))), [0])
 
 
 def test_max_pool_tie_routes_to_lowest_index():
     tied = np.array([[1.0, 4.0], [1.0, 2.0], [0.5, 4.0]])
     tape = ad.Tape()
     x = tape.leaf(tied)
-    loss = ad.sum_all(ad.mul_const(ad.max_pool_points(x), [1.0, 1.0]))
+    loss = ad.sum_all(ad.mul_const(ad.max_pool_groups(x, [3]), [1.0, 1.0]))
     tape.backward(loss)
     # column 0 ties rows 0 and 1; column 1 ties rows 0 and 2: row 0 wins both
     assert np.array_equal(x.grad, [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
@@ -810,7 +810,7 @@ def _read_side(model, records):
     logits = model.infer_batch([r.points for r in records])
     scores = [(s.confidence, s.predicted_class) for s in score_records(model, records)]
     cache = build_saliency_cache(model, records)
-    return logits, scores, [cache.get(r.object_id, cache.model_checksum) for r in records]
+    return logits, scores, [cache.get(r.object_id) for r in records]
 
 
 def test_scores_and_saliency_equal_the_dense_reference(monkeypatch):

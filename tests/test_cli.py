@@ -7,7 +7,9 @@ import pytest
 
 from openset3d.cli import main
 from openset3d.data import SaliencyCache, format_manifest, load_dataset, read_cloud, tiny_manifest
-from openset3d.synthesis import TransformParams, invert_transform
+from openset3d.synthesis import TransformParams
+
+from test_synthesis import invert_transform
 
 TRAIN_OVERRIDES = [
     "train.feat_dim=16",
@@ -102,7 +104,7 @@ def test_saliency_covers_every_training_object(tiny_dataset_dir, saliency_cache)
     dataset = load_dataset(tiny_dataset_dir)
     assert len(cache) == len(dataset.train_known)
     for record in dataset.train_known:
-        scores = cache.get(record.object_id, cache.model_checksum)
+        scores = cache.get(record.object_id)
         assert scores.shape == (64,)
 
 
@@ -137,6 +139,22 @@ def test_train_requires_cache_in_cached_mode(tiny_dataset_dir, pretrained, tmp_p
     ])
     assert code == 2
     assert "nope.cache" in capsys.readouterr().err
+
+
+def test_train_rejects_a_cache_from_another_checkpoint(tiny_dataset_dir, pretrained,
+                                                        saliency_cache, tmp_path, capsys):
+    stale = SaliencyCache.load(saliency_cache)
+    stale.model_checksum = "0" * 64
+    stale.save(tmp_path / "stale.cache")
+    out = tmp_path / "t"
+    code = main([
+        "train", "--dataset", str(tiny_dataset_dir), "--out", str(out),
+        "--epochs", "1", "--checkpoint", str(pretrained),
+        "--saliency", str(tmp_path / "stale.cache"), *TRAIN_OVERRIDES,
+    ])
+    assert code == 2
+    assert "saliency cache was built from model 000000000000" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_full_phase2_runs(tiny_dataset_dir, pretrained, saliency_cache, tmp_path):

@@ -1,5 +1,7 @@
 """Toy benchmark generation, cloud file IO, and the saliency cache."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,14 @@ from openset3d.data import (
 )
 from openset3d.encoder import normalize_cloud
 from openset3d.shapes import SHAPE_NAMES, random_instance, sample_shape
+from openset3d.training import (
+    DecompCaches,
+    TrainConfig,
+    build_decomposition_caches,
+    build_saliency_cache,
+    init_state,
+    run_combined,
+)
 
 
 # ----------------------------------------------------------------------
@@ -220,28 +230,57 @@ def test_non_finite_coordinate_names_its_line(tmp_path, bad):
 def test_cache_round_trip(tmp_path):
     cache = SaliencyCache("abc123")
     scores = np.linspace(0, 1, 32)
-    cache.put("cone/cone_0001", scores, "abc123")
-    assert np.array_equal(cache.get("cone/cone_0001", "abc123"), scores)
+    cache.put("cone/cone_0001", scores)
+    assert np.array_equal(cache.get("cone/cone_0001"), scores)
     path = tmp_path / "sal.cache"
     cache.save(path)
     loaded = SaliencyCache.load(path)
     assert loaded.model_checksum == "abc123"
-    assert np.array_equal(loaded.get("cone/cone_0001", "abc123"), scores)
+    assert np.array_equal(loaded.get("cone/cone_0001"), scores)
+
+
+def test_cache_loads_a_header_that_names_a_normalization(tmp_path):
+    # files written before the header lost its unread "normalization" key
+    scores = np.linspace(0, 1, 8)
+    path = tmp_path / "old.cache"
+    path.write_bytes(
+        b"OS3DSAL1\n"
+        + b'{"model_checksum": "abc123", "normalization": "raw"}\n'
+        + b'{"id": "cone/cone_0001", "n": 8}\n'
+        + scores.astype("<f8").tobytes()
+    )
+    loaded = SaliencyCache.load(path)
+    assert loaded.model_checksum == "abc123"
+    assert np.array_equal(loaded.get("cone/cone_0001"), scores)
+    loaded.save(tmp_path / "new.cache")
+    assert b"normalization" not in (tmp_path / "new.cache").read_bytes()
 
 
 def test_cache_miss_before_put():
     cache = SaliencyCache("abc123")
     with pytest.raises(CacheMissError):
-        cache.get("missing/object", "abc123")
+        cache.get("missing/object")
 
 
 def test_cache_rejects_stale_checksum():
     cache = SaliencyCache("abc123")
-    cache.put("x/y", np.ones(4), "abc123")
+    cache.check("abc123")
     with pytest.raises(StaleCacheError, match="retrain"):
-        cache.get("x/y", "def456")
-    with pytest.raises(StaleCacheError):
-        cache.put("x/z", np.ones(4), "def456")
+        cache.check("def456")
+    # phase 2 refuses scores from another model before it trains a step
+    dataset = generate_dataset(tiny_manifest(seed=3, instances_per_class=20,
+                                             points_per_cloud=48))
+    config = TrainConfig(phase1_epochs=1, phase2_epochs=1, batch_size=8, feat_dim=16,
+                         point_widths=(12, 16), views_per_object=2)
+    state = init_state(dataset, config)
+    other = init_state(dataset, dataclasses.replace(config, seed=1)).model
+    stale = DecompCaches(build_saliency_cache(other, dataset.train_known), views={})
+    with pytest.raises(StaleCacheError, match="rebuild"):
+        run_combined(state, dataset, config, 1, stale)
+    assert state.epoch == 0 and state.rows == []
+    own = build_decomposition_caches(state.model, dataset.train_known, config)
+    run_combined(state, dataset, config, 1, own)
+    assert state.epoch == 1
 
 
 def test_cache_rejects_foreign_file(tmp_path):

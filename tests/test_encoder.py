@@ -18,15 +18,21 @@ def random_cloud(rng, n=10):
     return rng.uniform(-1, 1, (n, 3))
 
 
+def encode_one(bound, points):
+    """Per-point features (N, d_pre) and the (d,) feature of one cloud."""
+    a_all, f = bound.encode_batch([points])
+    return a_all, ad.take_row(f, 0)
+
+
 def test_encode_deterministic():
     model = small_model()
     rng = np.random.default_rng(0)
     cloud = random_cloud(rng)
     tape = ad.Tape()
     bound = model.bind(tape)
-    a1, f1 = bound.encode(cloud)
+    a1, f1 = encode_one(bound, cloud)
     tape2 = ad.Tape()
-    a2, f2 = model.bind(tape2).encode(cloud)
+    a2, f2 = encode_one(model.bind(tape2), cloud)
     assert np.array_equal(a1.data, a2.data)
     assert np.array_equal(f1.data, f2.data)
 
@@ -37,9 +43,9 @@ def test_encode_permutation_equivariance():
     cloud = random_cloud(rng, 32)
     perm = rng.permutation(32)
     tape = ad.Tape()
-    a, f = model.bind(tape).encode(cloud)
+    a, f = encode_one(model.bind(tape), cloud)
     tape2 = ad.Tape()
-    a_p, f_p = model.bind(tape2).encode(cloud[perm])
+    a_p, f_p = encode_one(model.bind(tape2), cloud[perm])
     assert np.array_equal(f.data, f_p.data)  # pooling is symmetric: exact
     assert np.array_equal(a.data[perm], a_p.data)  # rows permute identically
 
@@ -53,7 +59,7 @@ def test_cosine_logits_permutation_invariant_exactly():
     def logits_of(points):
         tape = ad.Tape()
         bound = model.bind(tape)
-        _, f = bound.encode(points)
+        _, f = encode_one(bound, points)
         return bound.logits(f).data
 
     assert np.array_equal(logits_of(cloud), logits_of(cloud[perm]))
@@ -65,7 +71,7 @@ def test_encode_matches_straight_line_recomputation():
     rng = np.random.default_rng(3)
     cloud = random_cloud(rng, 4)
     tape = ad.Tape()
-    a, f = model.bind(tape).encode(cloud)
+    a, f = encode_one(model.bind(tape), cloud)
     p = model.params
     h = np.maximum(cloud @ p["point0.w"] + p["point0.b"], 0.0)
     h = np.maximum(h @ p["point1.w"] + p["point1.b"], 0.0)
@@ -84,7 +90,7 @@ def test_encode_batch_matches_per_cloud():
     offset = 0
     for i, cloud in enumerate(clouds):
         tape_i = ad.Tape()
-        a_i, f_i = model.bind(tape_i).encode(cloud)
+        a_i, f_i = encode_one(model.bind(tape_i), cloud)
         assert np.allclose(a_all.data[offset : offset + len(cloud)], a_i.data,
                            rtol=0, atol=1e-12)
         assert np.allclose(feats.data[i], f_i.data, rtol=0, atol=1e-12)
@@ -95,7 +101,7 @@ def test_encode_rejects_empty_cloud():
     model = small_model()
     tape = ad.Tape()
     with pytest.raises(ValueError, match="nonempty"):
-        model.bind(tape).encode(np.zeros((0, 3)))
+        encode_one(model.bind(tape), np.zeros((0, 3)))
 
 
 def test_cosine_self_similarity_is_one():
@@ -142,7 +148,7 @@ def test_logits_bounded():
     model = small_model()
     rng = np.random.default_rng(6)
     for _ in range(20):
-        logits = model.infer(random_cloud(rng, 12))
+        logits = model.infer_batch([random_cloud(rng, 12)])[0]
         assert np.all(logits >= -1.0) and np.all(logits <= 1.0)
 
 
@@ -256,7 +262,7 @@ def test_model_grads_cover_all_parameters():
     rng = np.random.default_rng(12)
     tape = ad.Tape()
     bound = model.bind(tape)
-    _, f = bound.encode(random_cloud(rng, 6))
+    _, f = encode_one(bound, random_cloud(rng, 6))
     loss = ad.sum_all(bound.logits(f))
     tape.backward(loss)
     grads = bound.param_grads()

@@ -109,31 +109,33 @@ def test_build_triplet_replacement_split_is_binomial():
 # margin loss
 
 
+def hinge(anchor, positive, negative, pos_w=POS_W, neg_w=NEG_W, margin=MARGIN):
+    """margin_loss of a triplet whose anchor is a tape leaf; the array
+    members become constant leaves, as a pseudo-feature does in training."""
+    tape = ad.Tape()
+    triplet = Triplet(tape.leaf(anchor), positive, negative, "none")
+    return margin_loss(triplet, pos_w, neg_w, margin).item()
+
+
 def test_margin_loss_paper_weighted_example():
     # d(a,p) = 2, d(a,n) = 5 -> 0.01*2 - 1.0*5 + 10 = 5.02
-    t = Triplet(anchor=np.zeros(1), positive=np.array([2.0]),
-                negative=np.array([5.0]), replacement="none")
-    assert margin_loss(t, POS_W, NEG_W, MARGIN) == pytest.approx(5.02, abs=1e-12)
+    assert hinge(np.zeros(1), np.array([2.0]), np.array([5.0])) == pytest.approx(
+        5.02, abs=1e-12)
 
 
 def test_margin_loss_clamps_at_zero():
-    t = Triplet(anchor=np.zeros(1), positive=np.array([1.0]),
-                negative=np.array([1000.0]), replacement="none")
-    assert margin_loss(t, POS_W, NEG_W, MARGIN) == 0.0
+    assert hinge(np.zeros(1), np.array([1.0]), np.array([1000.0])) == 0.0
 
 
 def test_margin_loss_degenerate_triplet_equals_margin():
     a = np.array([0.3, -0.4])
-    t = Triplet(anchor=a, positive=a.copy(), negative=a.copy(), replacement="none")
-    assert margin_loss(t, POS_W, NEG_W, MARGIN) == pytest.approx(MARGIN)
+    assert hinge(a, a.copy(), a.copy()) == pytest.approx(MARGIN)
 
 
 def test_margin_loss_nonnegative_random():
     rng = np.random.default_rng(7)
     for _ in range(200):
-        t = Triplet(anchor=rng.normal(size=6), positive=rng.normal(size=6),
-                    negative=rng.normal(size=6), replacement="none")
-        assert margin_loss(t, POS_W, NEG_W, MARGIN) >= 0.0
+        assert hinge(rng.normal(size=6), rng.normal(size=6), rng.normal(size=6)) >= 0.0
 
 
 def test_margin_loss_monotonicity():
@@ -143,17 +145,13 @@ def test_margin_loss_monotonicity():
     direction /= np.linalg.norm(direction)
     negative = anchor + 2.0 * direction
     # moving the positive farther from the anchor never lowers the loss
-    values = []
-    for dist in (0.1, 0.5, 1.0, 2.0, 4.0):
-        t = Triplet(anchor, anchor + dist * direction, negative, "none")
-        values.append(margin_loss(t, 0.5, 1.0, 2.0))
+    values = [hinge(anchor, anchor + dist * direction, negative, 0.5, 1.0, 2.0)
+              for dist in (0.1, 0.5, 1.0, 2.0, 4.0)]
     assert all(a <= b for a, b in zip(values, values[1:]))
     # moving the negative farther never raises it
     positive = anchor + 0.5 * direction
-    values = []
-    for dist in (0.1, 0.5, 1.0, 2.0, 4.0):
-        t = Triplet(anchor, positive, anchor + dist * direction, "none")
-        values.append(margin_loss(t, 0.5, 1.0, 2.0))
+    values = [hinge(anchor, positive, anchor + dist * direction, 0.5, 1.0, 2.0)
+              for dist in (0.1, 0.5, 1.0, 2.0, 4.0)]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
@@ -185,7 +183,7 @@ def test_margin_loss_gradient_steps_shrink_active_hinge():
 def test_margin_loss_tensor_path_matches_float_path():
     rng = np.random.default_rng(10)
     a, p, n = rng.normal(size=4), rng.normal(size=4), rng.normal(size=4)
-    plain = margin_loss(Triplet(a, p, n, "none"), POS_W, NEG_W, MARGIN)
+    plain = max(0.0, POS_W * np.linalg.norm(a - p) - NEG_W * np.linalg.norm(a - n) + MARGIN)
     tape = ad.Tape()
     tensor = margin_loss(Triplet(tape.leaf(a), p, (tape.leaf(n)), "none"),
                          POS_W, NEG_W, MARGIN)
@@ -193,12 +191,15 @@ def test_margin_loss_tensor_path_matches_float_path():
 
 
 def test_margin_loss_validation():
-    t = Triplet(np.zeros(2), np.ones(2), np.ones(2), "none")
+    tape = ad.Tape()
+    t = Triplet(tape.leaf(np.zeros(2)), np.ones(2), np.ones(2), "none")
     with pytest.raises(ValueError, match="nonnegative"):
         margin_loss(t, -0.1, 1.0, 1.0)
-    bad = Triplet(np.array([np.nan, 0.0]), np.ones(2), np.ones(2), "none")
+    bad = Triplet(tape.leaf(np.array([np.nan, 0.0])), np.ones(2), np.ones(2), "none")
     with pytest.raises(ValueError, match="finite"):
         margin_loss(bad, 0.1, 1.0, 1.0)
+    with pytest.raises(TypeError, match="tape"):
+        margin_loss(Triplet(np.zeros(2), np.ones(2), np.ones(2), "none"), 0.1, 1.0, 1.0)
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,6 @@ from openset3d.saliency import (
     normalize_scores,
     partial_views,
     random_split,
-    saliency_map,
     saliency_maps_batch,
     split_by_saliency,
     tunable_decompose,
@@ -70,8 +69,8 @@ def test_point_feature_gradient_matches_finite_differences():
     a = tape.leaf(a0)
     pooled = ad.max_pool_groups(a, [len(a0)])  # (1, d)
     feat = ad.linear(pooled, tape.leaf(w), tape.leaf(b))
-    logits = ad.cosine_logits(ad.take_row(feat, 0), tape.leaf(bank))
-    tape.backward(ad.pick(logits, 1))
+    logits = ad.cosine_logits(feat, tape.leaf(bank))  # (1, 3)
+    tape.backward(ad.sum_all(ad.pick_rows(logits, [1])))
     numeric = np.zeros_like(a0)
     h = 1e-6
     for i in range(a0.size):
@@ -87,7 +86,7 @@ def test_saliency_map_on_model_is_nonnegative_and_sized():
     model = small_model()
     rng = np.random.default_rng(3)
     cloud = sphere_points(24, rng)
-    smap = saliency_map(model, cloud, class_index=1)
+    smap = saliency_maps_batch(model, [cloud], [1])[0]
     assert smap.raw.shape == (24,)
     assert smap.raw.min() >= 0.0
     assert smap.normalized.min() >= 0.0 and smap.normalized.max() <= 1.0
@@ -97,7 +96,17 @@ def test_saliency_map_rejects_unknown_class():
     model = small_model()
     cloud = sphere_points(10, np.random.default_rng(4))
     with pytest.raises(ValueError, match="class"):
-        saliency_map(model, cloud, class_index=3)  # 3 == unknown slot for C=3
+        saliency_maps_batch(model, [cloud], [3])  # 3 == unknown slot for C=3
+
+
+def test_saliency_batch_rejects_labels_outside_the_known_classes():
+    # -1 would wrap onto the unknown logit and C is the unknown logit itself
+    model = small_model()
+    rng = np.random.default_rng(4)
+    clouds = [sphere_points(10, rng) for _ in range(2)]
+    for bad in (-1, 3):
+        with pytest.raises(ValueError, match=f"known class indices 0..2, got {bad}"):
+            saliency_maps_batch(model, clouds, [0, bad])
 
 
 def test_saliency_permutation_equivariance():
@@ -105,8 +114,8 @@ def test_saliency_permutation_equivariance():
     rng = np.random.default_rng(5)
     cloud = sphere_points(30, rng)
     perm = rng.permutation(30)
-    base = saliency_map(model, cloud, 0)
-    permuted = saliency_map(model, cloud[perm], 0)
+    base = saliency_maps_batch(model, [cloud], [0])[0]
+    permuted = saliency_maps_batch(model, [cloud[perm]], [0])[0]
     assert np.allclose(base.raw[perm], permuted.raw, rtol=0, atol=1e-12)
 
 
@@ -117,7 +126,7 @@ def test_saliency_batch_matches_single():
     labels = [0, 1, 2]
     batch = saliency_maps_batch(model, clouds, labels)
     for cloud, label, smap in zip(clouds, labels, batch):
-        single = saliency_map(model, cloud, label)
+        single = saliency_maps_batch(model, [cloud], [label])[0]
         assert np.allclose(smap.raw, single.raw, rtol=0, atol=1e-12)
 
 

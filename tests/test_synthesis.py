@@ -6,9 +6,9 @@ import pytest
 from openset3d import autodiff as ad
 from openset3d.saliency import Part
 from openset3d.synthesis import (
+    TransformParams,
+    _yaw_matrix,
     apply_transform,
-    gss_loss,
-    invert_transform,
     mix,
     pseudo_label,
     sample_transform,
@@ -16,6 +16,19 @@ from openset3d.synthesis import (
 )
 
 IDENTITY = dict(scale_range=(1.0, 1.0), max_offset=0.0, with_jitter=False)
+
+
+def invert_transform(points, tp: TransformParams) -> np.ndarray:
+    """Undo translate/rotate/scale; jitter is additive noise and stays."""
+    pts = np.asarray(points, dtype=np.float64) - tp.offset
+    pts = pts @ _yaw_matrix(tp.angle)  # transpose of the forward rotation
+    return pts / tp.scale
+
+
+def gss_loss(logits, soft_label) -> float:
+    """The synthesis term of one sample: soft cross-entropy on a tape leaf."""
+    tape = ad.Tape()
+    return ad.soft_cross_entropy(tape.leaf(logits), soft_label).item()
 
 
 def random_part(rng, n=20, label=0, source="obj"):
@@ -254,7 +267,12 @@ def test_gss_loss_tensor_path_matches_float_path():
     logits = rng.uniform(-1, 1, 5)
     label = rng.dirichlet(np.ones(5))
     tape = ad.Tape()
-    tensor_loss = gss_loss(tape.leaf(logits), label)
-    assert isinstance(tensor_loss, ad.Tensor)
-    assert tensor_loss.item() == pytest.approx(gss_loss(logits, label), abs=1e-12)
+    leaf = tape.leaf(logits)
+    tensor_loss = ad.soft_cross_entropy(leaf, label)
+    m = logits.max()
+    lse = np.log(np.exp(logits - m).sum()) + m
+    assert tensor_loss.item() == pytest.approx(lse * label.sum() - (label * logits).sum(),
+                                               abs=1e-12)
     tape.backward(tensor_loss)  # differentiable path stays intact
+    softmax = np.exp(logits - m) / np.exp(logits - m).sum()
+    assert np.allclose(leaf.grad, softmax * label.sum() - label, atol=1e-12)

@@ -9,24 +9,22 @@ import pytest
 
 from openset3d import autodiff as ad
 from openset3d.data import ConfigError, generate_dataset, tiny_manifest
-from openset3d.encoder import Model
+from openset3d.saliency import Part
 from openset3d.training import (
     TrainConfig,
     TrainingDiverged,
-    cls_loss,
+    batch_loss,
     evaluate_closed_set,
     evaluate_open_set,
-    high_saliency_loss,
     init_state,
     predict_logits,
     report_csv_text,
     run_combined,
     run_pretrain,
-    total_loss,
     train,
 )
 
-from _micro import make_micro_setup
+from _micro import CONFIG, MicroSetup
 
 
 def tiny_dataset():
@@ -45,61 +43,90 @@ def tiny_config(**overrides):
 
 
 # ----------------------------------------------------------------------
-# loss operations
+# loss operations: the classification terms are ad.soft_cross_entropy
+# against one-hot rows, and batch_loss assembles what the trainer steps on
+
+
+def cross_entropy(logits, target):
+    tape = ad.Tape()
+    return ad.soft_cross_entropy(tape.leaf(logits), target).item()
+
+
+def mean_cls_loss(logits, records):
+    tape = ad.Tape()
+    targets = np.eye(logits.shape[1])[[r.class_index for r in records]]
+    return ad.mean_all(ad.soft_cross_entropy(tape.leaf(logits), targets)).item()
 
 
 def test_cls_loss_uniform_logits():
-    assert cls_loss(np.zeros(5), 2) == pytest.approx(np.log(5.0), abs=1e-12)
+    assert cross_entropy(np.zeros(5), np.eye(5)[2]) == pytest.approx(np.log(5.0), abs=1e-12)
 
 
 def test_cls_loss_frozen_oracle_value():
     # direct evaluation of -log(e^1 / (e^1 + 4 e^-1))
     logits = np.array([1.0, -1.0, -1.0, -1.0, -1.0])
     expected = -np.log(np.e / (np.e + 4.0 / np.e))
-    assert cls_loss(logits, 0) == pytest.approx(expected, abs=1e-12)
-    assert cls_loss(logits, 0) == pytest.approx(0.4326529029917916, abs=1e-12)
+    assert cross_entropy(logits, np.eye(5)[0]) == pytest.approx(expected, abs=1e-12)
+    assert cross_entropy(logits, np.eye(5)[0]) == pytest.approx(0.4326529029917916, abs=1e-12)
 
 
 def test_cls_loss_shift_invariance():
     rng = np.random.default_rng(0)
     logits = rng.uniform(-1, 1, 6)
-    base = cls_loss(logits, 3)
+    base = cross_entropy(logits, np.eye(6)[3])
     for shift in (-5.0, 0.3, 11.0):
-        assert cls_loss(logits + shift, 3) == pytest.approx(base, abs=1e-12)
+        assert cross_entropy(logits + shift, np.eye(6)[3]) == pytest.approx(base, abs=1e-12)
 
 
 def test_cls_loss_rejects_unknown_label():
-    with pytest.raises(ValueError, match="reserved"):
-        cls_loss(np.zeros(5), 4)  # index 4 is the unknown slot for C=4
-    with pytest.raises(ValueError):
-        cls_loss(np.zeros(5), -1)
+    setup = MicroSetup(14)
+    for bad in (3, -1):  # 3 is the unknown slot for C=3; -1 would wrap onto it
+        batch = [dataclasses.replace(setup.batch[0], class_index=bad), setup.batch[1]]
+        with pytest.raises(ValueError, match="reserved"):
+            batch_loss(setup.model.bind(ad.Tape()), batch, None, None, CONFIG, None, None)
 
 
 def test_high_saliency_loss_full_object_equals_cls_loss():
-    model = Model(num_known=3, feat_dim=8, point_widths=(6, 8), proj_hidden=(), seed=1)
-    rng = np.random.default_rng(1)
-    cloud = rng.uniform(-1, 1, (20, 3))
-    from openset3d.encoder import normalize_cloud
-    cloud = normalize_cloud(cloud)
-    tape = ad.Tape()
-    bound = model.bind(tape)
-    _, f = bound.encode(cloud)
-    direct = cls_loss(bound.logits(f), 1)
-    via_part, _ = high_saliency_loss(bound, cloud, 1)
-    assert via_part.item() == pytest.approx(direct.item(), abs=1e-12)
+    # a high part that is the whole (normalized) object is classified like it
+    setup = MicroSetup(14)
+    setup.highs = [Part(r.points, r.class_index, r.object_id) for r in setup.batch]
+    _, _, (l_cls, l_h, _, _) = setup.evaluate(setup.theta0)
+    assert l_h.item() == pytest.approx(l_cls.item(), abs=1e-12)
 
 
 def test_total_loss_weighted_sum():
-    assert total_loss(1.0, 0.5, 0.7, 2.0, 0.1, 0.01, 0.3) == pytest.approx(1.657)
-    assert total_loss(1.3, 9.0, 9.0, 9.0, 0.0, 0.0, 0.0) == 1.3
-    assert total_loss(0.0, 0.0, 0.0, 0.0, 0.1, 0.01, 0.3) == 0.0
+    setup = MicroSetup(14)
+    config = dataclasses.replace(CONFIG, alpha=0.7, beta=0.2, gamma=0.05)
+    _, total, terms = setup.evaluate(setup.theta0, config)
+    l_cls, l_h, l_s, l_m = (t.item() for t in terms)
+    assert min(l_cls, l_h, l_s, l_m) > 0.0
+    assert total.item() == pytest.approx(l_cls + 0.7 * l_h + 0.2 * l_s + 0.05 * l_m,
+                                         rel=1e-14)
+    # a zero weight drops its term; no parts leave the classification term alone
+    _, total, terms = setup.evaluate(setup.theta0, dataclasses.replace(config, alpha=0.0))
+    l_cls, l_h, l_s, l_m = (t.item() for t in terms)
+    assert total.item() == pytest.approx(l_cls + 0.2 * l_s + 0.05 * l_m, rel=1e-14)
+    bound = setup.model.bind(ad.Tape())
+    total, terms = batch_loss(bound, setup.batch, None, None, config, None, None)
+    assert terms[1:] == (None, None, None)
+    assert total is terms[0]
 
 
 def test_total_loss_tensor_path():
-    tape = ad.Tape()
-    terms = [tape.leaf(np.asarray(v)) for v in (1.0, 0.5, 0.7, 2.0)]
-    out = total_loss(*terms, 0.1, 0.01, 0.3)
-    assert out.item() == pytest.approx(1.657)
+    # the total's parameter gradient is the weighted sum of the terms' gradients
+    setup = MicroSetup(14)
+    weights = (1.0, CONFIG.alpha, CONFIG.beta, CONFIG.gamma)
+
+    def grads_of(pick):
+        bound, total, terms = setup.evaluate(setup.theta0)
+        bound.tape.backward(pick(total, terms))
+        return bound.param_grads()
+
+    whole = grads_of(lambda total, terms: total)
+    parts = [grads_of(lambda total, terms, i=i: terms[i]) for i in range(4)]
+    for name, g in whole.items():
+        expected = sum(w * part[name] for w, part in zip(weights, parts))
+        assert np.allclose(g, expected, rtol=1e-10, atol=1e-13)
 
 
 # ----------------------------------------------------------------------
@@ -116,16 +143,6 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError, match="mix_count"):
         TrainConfig(mix_count=1).validate()
     TrainConfig().validate()  # defaults are valid
-
-
-# ----------------------------------------------------------------------
-# whole-pipeline gradient check (micro model)
-
-
-def test_full_pipeline_gradient_check_micro():
-    setup = make_micro_setup(h=1e-5)
-    worst = ad.grad_check(setup.loss_and_grad, setup.theta0, h=1e-5)
-    assert worst <= 1e-3
 
 
 # ----------------------------------------------------------------------
@@ -146,12 +163,10 @@ def test_validation_loss_decreases_from_initialization():
     config = tiny_config(phase1_epochs=6, phase2_epochs=0)
     state = init_state(dataset, config)
     logits0 = predict_logits(state.model, dataset.val_known)
-    before = np.mean([cls_loss(row, r.class_index)
-                      for row, r in zip(logits0, dataset.val_known)])
+    before = mean_cls_loss(logits0, dataset.val_known)
     result = train(dataset, config)
     logits1 = predict_logits(result.model, dataset.val_known)
-    after = np.mean([cls_loss(row, r.class_index)
-                     for row, r in zip(logits1, dataset.val_known)])
+    after = mean_cls_loss(logits1, dataset.val_known)
     assert after < before
 
 

@@ -11,6 +11,7 @@ import numpy as np
 
 from openset3d.data import generate_dataset, tiny_manifest
 from openset3d.saliency import (
+    normalize_scores,
     partial_views,
     saliency_maps_batch,
     split_by_saliency,
@@ -28,21 +29,21 @@ print(f"closed-set pretraining done (final val acc "
       f"{result.rows[-1]['val_acc']:.2f})")
 
 record = dataset.test_known[0]
-smap = saliency_maps_batch(model, [record.points], [record.class_index])[0]
+scores = saliency_maps_batch(model, [record.points], [record.class_index])[0]
 print(f"\nsaliency for {record.object_id}:")
-print(f"  raw range [{smap.raw.min():.4f}, {smap.raw.max():.4f}], "
-      f"{(smap.raw > 0).sum()} of {len(smap.raw)} points positive")
+print(f"  raw range [{scores.min():.4f}, {scores.max():.4f}], "
+      f"{(scores > 0).sum()} of {len(scores)} points positive")
 
 # --- sorted split: floor(N/M) lowest scores form the low part ---------------
-decomp = split_by_saliency(smap.raw, mix_count=3)
+decomp = split_by_saliency(scores, mix_count=3)
 print(f"\nsplit with mix_count=3: low part {len(decomp.low_indices)} points, "
       f"high part {len(decomp.high_indices)} points")
-print(f"  max low score {smap.raw[decomp.low_indices].max():.4f} <= "
-      f"min high score {smap.raw[decomp.high_indices].min():.4f}")
+print(f"  max low score {scores[decomp.low_indices].max():.4f} <= "
+      f"min high score {scores[decomp.high_indices].min():.4f}")
 
 # --- partial views via hidden-point removal --------------------------------
 rng = np.random.default_rng(5)
-views = partial_views(record.points, smap.normalized, count=6, rng=rng)
+views = partial_views(record.points, normalize_scores(scores), count=6, rng=rng)
 print("\npartial views (visible fraction, mean saliency):")
 for i, view in enumerate(views):
     print(f"  view {i}: {len(view.indices) / len(record.points):.2f} visible, "
@@ -50,11 +51,11 @@ for i, view in enumerate(views):
           + ("  [plane-crop fallback]" if view.used_fallback else ""))
 
 # --- thresholds tune the semantic/geometric balance -------------------------
-high, low = tunable_decompose(record.points, smap, 3, 0.99, 0.01, views, rng,
+high, low = tunable_decompose(record.points, scores, 3, 0.99, 0.01, views, rng,
                               label=record.class_index, source_id=record.object_id)
 print(f"\nstrict thresholds (0.99/0.01): parts match the pure split "
       f"({len(high.points)}/{len(low.points)} points)")
-high, low = tunable_decompose(record.points, smap, 3, 0.4, 0.6, views, rng,
+high, low = tunable_decompose(record.points, scores, 3, 0.4, 0.6, views, rng,
                               label=record.class_index, source_id=record.object_id)
 print(f"loose thresholds (0.40/0.60): parts may come from views "
       f"({len(high.points)}/{len(low.points)} points)")

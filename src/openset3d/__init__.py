@@ -38,7 +38,6 @@ from .metrics import (
 from .saliency import (
     Part,
     PartialView,
-    SaliencyMap,
     hidden_point_removal,
     normalize_scores,
     partial_views,

@@ -31,7 +31,7 @@ from .data import (
     write_dataset,
 )
 from .metrics import write_metrics_csv, write_scores_csv
-from .saliency import SaliencyMap, normalize_scores, tunable_decompose
+from .saliency import tunable_decompose
 from .synthesis import mix
 from .training import (
     Adam,
@@ -115,6 +115,7 @@ def _gather_config(args) -> TrainConfig:
     config = apply_overrides(config, updates)
     if getattr(args, "seed", None) is not None:
         config = dataclasses.replace(config, seed=args.seed)
+    config.validate()
     return config
 
 
@@ -161,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--epochs", type=int, help="phase-2 epoch count override")
     p.add_argument("--checkpoint", required=True, help="pretrain checkpoint")
-    p.add_argument("--saliency", help="saliency cache file (required in cached mode)")
+    p.add_argument("--saliency", help="saliency cache file (required when TSD runs)")
 
     p = sub.add_parser("eval", help="open-set metrics for a checkpoint")
     common(p)
@@ -239,7 +240,7 @@ def cmd_train(args) -> int:
     caches = None
     if config.needs_cache():
         if not args.saliency:
-            raise ConfigError("cached saliency mode requires --saliency <cache file>")
+            raise ConfigError("TSD requires --saliency <cache file>")
         if not Path(args.saliency).exists():
             raise ConfigError(f"saliency cache not found: {args.saliency}")
         cache = SaliencyCache.load(args.saliency)
@@ -300,11 +301,9 @@ def cmd_synth_demo(args) -> int:
         parts = []
         for pick in picks:
             rec = train_records[int(pick)]
-            raw = cache.get(rec.object_id)
-            smap = SaliencyMap(raw=raw, normalized=normalize_scores(raw))
             # pure saliency split: thresholds (1, 0) disqualify every view
             _, low = tunable_decompose(
-                rec.points, smap, config.mix_count, 1.0, 0.0, [], rng,
+                rec.points, cache.get(rec.object_id), config.mix_count, 1.0, 0.0, [], rng,
                 label=rec.class_index, source_id=rec.object_id,
             )
             parts.append(low)

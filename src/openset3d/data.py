@@ -9,6 +9,7 @@ formatting.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -133,6 +134,10 @@ def _parse_value(text: str):
         return text
 
 
+_MANIFEST_KEYS = ("seed", "points", "instances_per_class", "noise", "scale_jitter",
+                  "tilt", "known", "unknown")
+
+
 def parse_manifest(text: str) -> Manifest:
     """Parse the flat key-value manifest format (see format_manifest)."""
     fields: dict = {}
@@ -158,8 +163,10 @@ def parse_manifest(text: str) -> Manifest:
                 pk, pv = tok.split("=", 1)
                 params[pk] = _parse_value(pv)
             class_defs[name] = ClassSpec(name, tokens[0], params)
-        else:
+        elif key in _MANIFEST_KEYS:
             fields[key] = value
+        else:
+            raise ConfigError(f"manifest line {lineno}: unknown key {key!r}")
 
     def lookup(name):
         return class_defs.get(name, ClassSpec(name, name))
@@ -426,19 +433,47 @@ class SaliencyCache:
 
     @classmethod
     def load(cls, path) -> "SaliencyCache":
+        """Read a cache file; malformed input raises ValueError naming the
+        path and the header or record (1-based), plus the record's id."""
         with open(path, "rb") as fh:
             magic = fh.read(len(_CACHE_MAGIC))
             if magic != _CACHE_MAGIC:
                 raise ValueError(f"{path}: not a saliency cache file")
-            header = json.loads(fh.readline().decode())
-            cache = cls(header["model_checksum"])  # other header keys are ignored
+            size = os.fstat(fh.fileno()).st_size
+            header = _json_line(fh.readline(), f"{path}: header")
+            checksum = header.get("model_checksum") if isinstance(header, dict) else None
+            if not isinstance(checksum, str):
+                raise ValueError(f"{path}: header: expected an object with a string "
+                                 "model_checksum")
+            cache = cls(checksum)  # other header keys are ignored
+            record = 0
             while True:
                 line = fh.readline()
                 if not line:
                     break
-                meta = json.loads(line.decode())
-                raw = fh.read(8 * meta["n"])
-                if len(raw) != 8 * meta["n"]:
-                    raise ValueError(f"{path}: truncated record for {meta['id']!r}")
-                cache._scores[meta["id"]] = np.frombuffer(raw, dtype="<f8").copy()
+                record += 1
+                where = f"{path}: record {record}"
+                meta = _json_line(line, where)
+                object_id = meta.get("id") if isinstance(meta, dict) else None
+                if not isinstance(object_id, str):
+                    raise ValueError(f"{where}: expected an object with a string id")
+                where = f"{where} ({object_id!r})"
+                n = meta.get("n")
+                if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+                    raise ValueError(f"{where}: n must be a nonnegative integer, got {n!r}")
+                if object_id in cache:
+                    raise ValueError(f"{where}: duplicate id")
+                if 8 * n > size - fh.tell():  # checked before a huge n allocates
+                    raise ValueError(f"{where}: truncated record")
+                scores = np.frombuffer(fh.read(8 * n), dtype="<f8").copy()
+                if not np.isfinite(scores).all():
+                    raise ValueError(f"{where}: non-finite score")
+                cache._scores[object_id] = scores
         return cache
+
+
+def _json_line(line: bytes, where: str):
+    try:
+        return json.loads(line)
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise ValueError(f"{where}: {exc}") from exc

@@ -52,15 +52,15 @@ class SeedOutcome:
 def ablation_grid(config: TrainConfig) -> dict[str, TrainConfig]:
     """The full system and its single-module-removed variants.
 
-    Removing a module means: TSD -> random splits without views; GSS ->
-    no synthesis term; SMS -> no margin term. The no-module baseline
-    zeroes every extra weight, i.e. continued closed-set training.
+    Removing a module: TSD -> random splits without views; GSS -> beta=0
+    (no synthesis term); SMS -> gamma=0 (no margin term). The no-module
+    baseline zeroes every extra weight, i.e. continued closed-set training.
     """
     return {
         "full": config,
         "no_tsd": dataclasses.replace(config, use_tsd=False),
-        "no_gss": dataclasses.replace(config, use_gss=False),
-        "no_sms": dataclasses.replace(config, use_sms=False),
+        "no_gss": dataclasses.replace(config, beta=0.0),
+        "no_sms": dataclasses.replace(config, gamma=0.0),
         "none": dataclasses.replace(config, alpha=0.0, beta=0.0, gamma=0.0),
     }
 

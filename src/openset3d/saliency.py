@@ -3,9 +3,10 @@
 Per-point importance comes from channel-weighted gradients of the true
 class logit: each feature channel is weighted by its gradient averaged
 over points, the weighted channels are summed per point, and the result
-is clamped at zero. Objects split into a low-saliency part (the floor(N/M)
-lowest-scoring points) and its complement; either part may be swapped for
-a partial view whose mean saliency clears a threshold, which tunes the
+is clamped at zero; a saliency map is the plain (N,) array of these raw
+scores. Objects split into a low-saliency part (the floor(N/M) lowest
+scores) and its complement; either part may be swapped for a partial view
+whose mean min-max normalized saliency clears a threshold, which tunes the
 decomposition between semantically and geometrically focused.
 """
 
@@ -20,7 +21,6 @@ from . import autodiff as ad
 from .encoder import Model
 
 __all__ = [
-    "SaliencyMap",
     "Decomposition",
     "PartialView",
     "Part",
@@ -33,12 +33,6 @@ __all__ = [
     "partial_views",
     "tunable_decompose",
 ]
-
-
-@dataclass
-class SaliencyMap:
-    raw: np.ndarray  # (N,) nonnegative scores, used for the sorted split
-    normalized: np.ndarray  # (N,) min-max rescaled to [0, 1], used for thresholds
 
 
 @dataclass
@@ -87,8 +81,8 @@ def gradcam_scores(activations: np.ndarray, gradients: np.ndarray) -> np.ndarray
     return np.maximum(acts @ weights, 0.0)
 
 
-def saliency_maps_batch(model: Model, clouds, labels) -> list[SaliencyMap]:
-    """Per-point importance of each cloud for its ground-truth known class.
+def saliency_maps_batch(model: Model, clouds, labels) -> list[np.ndarray]:
+    """(N,) raw importance scores of each cloud for its ground-truth known class.
 
     One forward/backward pass covers the whole list. The backward target is
     the sum of each sample's true-class logit; samples are independent, so
@@ -115,9 +109,8 @@ def saliency_maps_batch(model: Model, clouds, labels) -> list[SaliencyMap]:
     offset = 0
     for cloud in clouds:
         n = len(cloud)
-        raw = gradcam_scores(a_all.data[offset : offset + n],
-                             a_all.grad[offset : offset + n])
-        maps.append(SaliencyMap(raw=raw, normalized=normalize_scores(raw)))
+        maps.append(gradcam_scores(a_all.data[offset : offset + n],
+                                   a_all.grad[offset : offset + n]))
         offset += n
     return maps
 
@@ -218,13 +211,13 @@ def partial_views(points, normalized_saliency, count, rng, radius_range=(1.5, 4.
     return views
 
 
-def tunable_decompose(points, saliency: SaliencyMap, mix_count, view_high_thresh,
+def tunable_decompose(points, scores, mix_count, view_high_thresh,
                       view_low_thresh, views, rng, label=-1, source_id=""):
     """Split a cloud into (high, low) parts, optionally swapping in views.
 
-    Starts from the sorted saliency split. If any view's overall score
-    exceeds view_high_thresh, the high part is replaced by one such view
-    chosen uniformly; symmetrically, a view scoring below view_low_thresh
+    Starts from the sorted split of the raw saliency `scores`. If any view's
+    overall score exceeds view_high_thresh, the high part is replaced by one
+    such view chosen uniformly; symmetrically, a view scoring below view_low_thresh
     may replace the low part. Absent qualifying views, the pure split
     stands, so thresholds (1, 0) always reproduce it; thresholds near
     (0, 1) swap both parts for views whenever any exist.
@@ -232,7 +225,7 @@ def tunable_decompose(points, saliency: SaliencyMap, mix_count, view_high_thresh
     if not (0.0 <= view_low_thresh <= 1.0 and 0.0 <= view_high_thresh <= 1.0):
         raise ValueError("view thresholds must lie in [0, 1]")
     pts = np.asarray(points, dtype=np.float64)
-    base = split_by_saliency(saliency.raw, mix_count)
+    base = split_by_saliency(scores, mix_count)
     high_idx, low_idx = base.high_indices, base.low_indices
     views = list(views) if views else []
     high_pool = [v for v in views if v.overall_score > view_high_thresh]

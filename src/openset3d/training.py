@@ -31,7 +31,6 @@ from .metrics import ScoredSample, acc_macc, auroc, fpr95, mls_score, msp_score
 from .saliency import (
     Part,
     PartialView,
-    SaliencyMap,
     normalize_scores,
     partial_views,
     random_split,
@@ -107,7 +106,6 @@ class TrainConfig:
     view_low_thresh: float = 0.4
     views_per_object: int = 8
     view_radius: tuple = (1.5, 4.0)
-    saliency_mode: str = "cached"  # cached | online
     # margin separation
     noise_weights: tuple = (0.01, 0.05, 0.1, 0.2)
     pos_weight: float = 0.01
@@ -118,19 +116,26 @@ class TrainConfig:
     feat_dim: int = 256
     point_widths: tuple = (64, 128, 256)
     proj_hidden: tuple = ()
-    # module toggles (ablation)
+    # ablation: use_tsd=False gives random splits; beta=0 / gamma=0 drop GSS / SMS
     use_tsd: bool = True
-    use_gss: bool = True
-    use_sms: bool = True
     synth_ratio: float = 1.0
 
     def validate(self) -> None:
         if min(self.alpha, self.beta, self.gamma) < 0:
             raise ConfigError("loss weights must be nonnegative")
-        if not (self.pos_weight < self.neg_weight):
-            raise ConfigError("triplet weights must satisfy pos_weight < neg_weight")
+        if not (0.0 <= self.pos_weight < self.neg_weight):
+            raise ConfigError("triplet weights must satisfy 0 <= pos_weight < neg_weight")
+        if not self.margin >= 0:
+            raise ConfigError("margin must be nonnegative")
+        if not (0.0 <= self.p_replace <= 1.0):
+            raise ConfigError("p_replace must lie in [0, 1]")
         if not (0.0 <= self.view_low_thresh < self.view_high_thresh <= 1.0):
             raise ConfigError("view thresholds must satisfy 0 <= low < high <= 1")
+        if self.views_per_object < 1:
+            raise ConfigError("views_per_object must be at least 1")
+        radius = tuple(self.view_radius)
+        if len(radius) != 2 or not (0.0 < radius[0] <= radius[1]):
+            raise ConfigError("view_radius must be two values with 0 < low <= high")
         if self.eps < 0 or self.eps_known < 0 or self.eps + self.eps_known >= 1:
             raise ConfigError("smoothing weights must satisfy eps + eps_known < 1")
         if self.learning_rate <= 0:
@@ -139,23 +144,21 @@ class TrainConfig:
             raise ConfigError("epoch and batch counts must be nonnegative/positive")
         if self.mix_count < 2:
             raise ConfigError("mix_count must be at least 2")
-        if self.saliency_mode not in ("cached", "online"):
-            raise ConfigError("saliency_mode must be 'cached' or 'online'")
         if self.synth_ratio < 0:
             raise ConfigError("synth_ratio must be nonnegative")
 
     def gss_active(self) -> bool:
-        return self.use_gss and self.beta > 0 and self.synth_ratio > 0
+        return self.beta > 0 and self.synth_ratio > 0
 
     def sms_active(self) -> bool:
-        return self.use_sms and self.gamma > 0
+        return self.gamma > 0
 
     def needs_parts(self) -> bool:
         return self.alpha > 0 or self.gss_active() or self.sms_active()
 
     def needs_cache(self) -> bool:
-        """True when phase 2 reads decomposition caches (TSD in cached mode)."""
-        return self.needs_parts() and self.use_tsd and self.saliency_mode == "cached"
+        """True when phase 2 reads decomposition caches (TSD splits)."""
+        return self.needs_parts() and self.use_tsd
 
 
 class Adam:
@@ -208,8 +211,8 @@ def build_saliency_cache(model: Model, records) -> SaliencyCache:
         maps = saliency_maps_batch(
             model, [r.points for r in chunk], [r.class_index for r in chunk]
         )
-        for rec, smap in zip(chunk, maps):
-            cache.put(rec.object_id, smap.raw)
+        for rec, scores in zip(chunk, maps):
+            cache.put(rec.object_id, scores)
     return cache
 
 
@@ -271,41 +274,27 @@ def _batches(records, batch_size, rng):
         yield [records[i] for i in order[start : start + batch_size]]
 
 
-def _decompose_batch(model, batch, config, caches, rng_tsd):
+def _decompose_batch(batch, config, caches, rng_tsd):
     """Per-sample (high, low) parts for one batch.
 
-    With TSD on, parts come from the saliency split with optional partial
-    view substitution; with TSD off, a uniformly random split of the same
-    sizes stands in, isolating the value of the saliency signal.
+    With TSD on, parts come from the cached saliency split with optional
+    partial view substitution; with TSD off, a uniformly random split of the
+    same sizes stands in, isolating the value of the saliency signal.
     """
     highs, lows = [], []
-    if config.use_tsd and config.saliency_mode == "online":
-        online_maps = saliency_maps_batch(
-            model, [r.points for r in batch], [r.class_index for r in batch]
-        )
-    for pos, rec in enumerate(batch):
-        n = len(rec.points)
+    for rec in batch:
         if not config.use_tsd:
-            decomp = random_split(n, config.mix_count, rng_tsd)
+            decomp = random_split(len(rec.points), config.mix_count, rng_tsd)
             high = Part(rec.points[decomp.high_indices], rec.class_index,
                         rec.object_id, decomp.high_indices)
             low = Part(rec.points[decomp.low_indices], rec.class_index,
                        rec.object_id, decomp.low_indices)
         else:
-            if config.saliency_mode == "online":
-                smap = online_maps[pos]
-                views = partial_views(
-                    rec.points, smap.normalized, config.views_per_object,
-                    rng_tsd, config.view_radius,
-                )
-            else:
-                raw = caches.saliency.get(rec.object_id)
-                smap = SaliencyMap(raw=raw, normalized=normalize_scores(raw))
-                views = caches.views[rec.object_id]
             high, low = tunable_decompose(
-                rec.points, smap, config.mix_count,
+                rec.points, caches.saliency.get(rec.object_id), config.mix_count,
                 config.view_high_thresh, config.view_low_thresh,
-                views, rng_tsd, label=rec.class_index, source_id=rec.object_id,
+                caches.views[rec.object_id], rng_tsd,
+                label=rec.class_index, source_id=rec.object_id,
             )
         highs.append(high)
         lows.append(low)
@@ -423,7 +412,7 @@ def _epoch(state, dataset, config, caches, run_std, parts):
     for batch in _batches(dataset.train_known, config.batch_size, rng_shuffle):
         highs = lows = None
         if parts:
-            highs, lows = _decompose_batch(model, batch, config, caches, rng_tsd)
+            highs, lows = _decompose_batch(batch, config, caches, rng_tsd)
         tape = ad.Tape()
         bound = model.bind(tape)
         loss, terms = batch_loss(bound, batch, highs, lows, config, rngs, run_std)
@@ -479,7 +468,7 @@ def run_combined(state: TrainState, dataset: ToyDataset, config: TrainConfig,
               epochs: int, caches: DecompCaches | None, progress=None) -> TrainState:
     if epochs > 0 and config.needs_cache():
         if caches is None:
-            raise ConfigError("cached saliency mode needs decomposition caches")
+            raise ConfigError("TSD needs decomposition caches built from a saliency cache")
         caches.saliency.check(state.model.checksum())
     run_std = RunningStd(config.feat_dim)
     parts = config.needs_parts()

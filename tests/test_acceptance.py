@@ -17,7 +17,7 @@ from openset3d.data import default_manifest, generate_dataset, tiny_manifest
 from openset3d.experiments import mean_acc, mean_auroc, run_experiment
 from openset3d.metrics import auroc, fpr95
 from openset3d.saliency import hidden_point_removal, split_by_saliency, tunable_decompose
-from openset3d.saliency import SaliencyMap, normalize_scores
+from openset3d.saliency import normalize_scores
 from openset3d.synthesis import pseudo_label
 from openset3d.training import TrainConfig, report_csv_text, train
 
@@ -178,10 +178,9 @@ def test_criterion_4_partition_invariants():
     # limit behavior: thresholds (1, 0) reproduce the pure split under views
     pts = rng.uniform(-1, 1, (60, 3))
     raw = rng.random(60)
-    smap = SaliencyMap(raw=raw, normalized=normalize_scores(raw))
     from openset3d.saliency import partial_views
-    views = partial_views(pts, smap.normalized, 6, rng)
-    high, low = tunable_decompose(pts, smap, 3, 1.0, 0.0, views, rng)
+    views = partial_views(pts, normalize_scores(raw), 6, rng)
+    high, low = tunable_decompose(pts, raw, 3, 1.0, 0.0, views, rng)
     base = split_by_saliency(raw, 3)
     assert np.array_equal(low.source_indices, base.low_indices)
     assert np.array_equal(high.source_indices, base.high_indices)

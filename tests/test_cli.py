@@ -157,6 +157,25 @@ def test_train_rejects_a_cache_from_another_checkpoint(tiny_dataset_dir, pretrai
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override", [
+    # keys that no longer exist: ablations are zero weights plus use_tsd
+    "train.saliency_mode=online", "train.use_gss=false", "train.use_sms=false",
+    # a value TrainConfig.validate() rejects
+    "train.views_per_object=0",
+])
+def test_invalid_config_exits_2_before_any_work(tiny_dataset_dir, pretrained,
+                                                saliency_cache, tmp_path, capsys, override):
+    out = tmp_path / "t"
+    code = main([
+        "train", "--dataset", str(tiny_dataset_dir), "--out", str(out),
+        "--epochs", "1", "--checkpoint", str(pretrained),
+        "--saliency", str(saliency_cache), *TRAIN_OVERRIDES, override,
+    ])
+    assert code == 2
+    assert override.split("=")[0].removeprefix("train.") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_full_phase2_runs(tiny_dataset_dir, pretrained, saliency_cache, tmp_path):
     out = tmp_path / "full"
     code = main([

@@ -1,6 +1,7 @@
 """Toy benchmark generation, cloud file IO, and the saliency cache."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,15 @@ def test_manifest_rejects_overlapping_classes():
     )
     with pytest.raises(ConfigError, match="unique"):
         manifest.validate()
+
+
+def test_manifest_rejects_unknown_key():
+    text = format_manifest(tiny_manifest()).replace("instances_per_class",
+                                                    "instance_per_class")
+    lineno = text.splitlines().index("instance_per_class = 24") + 1
+    with pytest.raises(ConfigError,
+                       match=f"manifest line {lineno}: unknown key 'instance_per_class'"):
+        parse_manifest(text)
 
 
 def test_manifest_rejects_malformed_line():
@@ -281,6 +291,59 @@ def test_cache_rejects_stale_checksum():
     own = build_decomposition_caches(state.model, dataset.train_known, config)
     run_combined(state, dataset, config, 1, own)
     assert state.epoch == 1
+
+
+def cache_file(tmp_path, header, *records):
+    """A cache file from a raw header line and (meta line, scores) records."""
+    path = tmp_path / "hand.cache"
+    body = b"OS3DSAL1\n" + header + b"\n"
+    for meta, scores in records:
+        body += meta + b"\n" + np.asarray(scores, dtype="<f8").tobytes()
+    path.write_bytes(body)
+    return path
+
+
+GOOD_HEADER = b'{"model_checksum": "abc123"}'
+
+
+@pytest.mark.parametrize("header", [
+    b'["abc123"]', b'{"model_checksum": 7}', b'{"checksum": "abc123"}', b"{not json",
+], ids=["list", "checksum-number", "checksum-missing", "bad-json"])
+def test_cache_rejects_a_malformed_header(tmp_path, header):
+    path = cache_file(tmp_path, header, (b'{"id": "a/a_0000", "n": 2}', [0.1, 0.2]))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: header")):
+        SaliencyCache.load(path)
+
+
+@pytest.mark.parametrize("meta, scores, message", [
+    pytest.param(b'{"id": "b/b_0000", "n": "3"}', [0.1, 0.2, 0.3],
+                 r"record 2 \('b/b_0000'\): n must", id="n-string"),
+    pytest.param(b'{"id": "b/b_0000", "n": -1}', [],
+                 r"record 2 \('b/b_0000'\): n must", id="n-negative"),
+    pytest.param(b'{"id": "b/b_0000", "n": true}', [0.1],
+                 r"record 2 \('b/b_0000'\): n must", id="n-bool"),
+    pytest.param(b'{"n": 2}', [0.1, 0.2],
+                 "record 2: expected an object with a string id", id="id-missing"),
+    pytest.param(b'{"id": 5, "n": 2}', [0.1, 0.2],
+                 "record 2: expected an object with a string id", id="id-number"),
+    pytest.param(b"[1, 2]", [0.1, 0.2],
+                 "record 2: expected an object with a string id", id="meta-list"),
+    pytest.param(b'{"id": "b/b_0000"', [0.1, 0.2], "record 2: ", id="meta-bad-json"),
+    pytest.param(b'{"id": "a/a_0000", "n": 2}', [0.3, 0.4],
+                 r"record 2 \('a/a_0000'\): duplicate id", id="duplicate-id"),
+    pytest.param(b'{"id": "b/b_0000", "n": 2}', [0.1, np.nan],
+                 r"record 2 \('b/b_0000'\): non-finite", id="nan"),
+    pytest.param(b'{"id": "b/b_0000", "n": 2}', [np.inf, 0.1],
+                 r"record 2 \('b/b_0000'\): non-finite", id="inf"),
+    pytest.param(b'{"id": "b/b_0000", "n": 3}', [0.1, 0.2],
+                 r"record 2 \('b/b_0000'\): truncated", id="truncated"),
+])
+def test_cache_rejects_a_malformed_record_with_its_location(tmp_path, meta, scores,
+                                                            message):
+    path = cache_file(tmp_path, GOOD_HEADER,
+                      (b'{"id": "a/a_0000", "n": 2}', [0.1, 0.2]), (meta, scores))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ") + message):
+        SaliencyCache.load(path)
 
 
 def test_cache_rejects_foreign_file(tmp_path):

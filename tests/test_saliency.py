@@ -7,7 +7,6 @@ from openset3d import autodiff as ad
 from openset3d.encoder import Model
 from openset3d.saliency import (
     PartialView,
-    SaliencyMap,
     gradcam_scores,
     hidden_point_removal,
     normalize_scores,
@@ -86,10 +85,11 @@ def test_saliency_map_on_model_is_nonnegative_and_sized():
     model = small_model()
     rng = np.random.default_rng(3)
     cloud = sphere_points(24, rng)
-    smap = saliency_maps_batch(model, [cloud], [1])[0]
-    assert smap.raw.shape == (24,)
-    assert smap.raw.min() >= 0.0
-    assert smap.normalized.min() >= 0.0 and smap.normalized.max() <= 1.0
+    scores = saliency_maps_batch(model, [cloud], [1])[0]
+    assert scores.shape == (24,)
+    assert scores.min() >= 0.0
+    normalized = normalize_scores(scores)
+    assert normalized.min() >= 0.0 and normalized.max() <= 1.0
 
 
 def test_saliency_map_rejects_unknown_class():
@@ -116,7 +116,7 @@ def test_saliency_permutation_equivariance():
     perm = rng.permutation(30)
     base = saliency_maps_batch(model, [cloud], [0])[0]
     permuted = saliency_maps_batch(model, [cloud[perm]], [0])[0]
-    assert np.allclose(base.raw[perm], permuted.raw, rtol=0, atol=1e-12)
+    assert np.allclose(base[perm], permuted, rtol=0, atol=1e-12)
 
 
 def test_saliency_batch_matches_single():
@@ -125,9 +125,9 @@ def test_saliency_batch_matches_single():
     clouds = [sphere_points(n, rng) for n in (8, 12, 5)]
     labels = [0, 1, 2]
     batch = saliency_maps_batch(model, clouds, labels)
-    for cloud, label, smap in zip(clouds, labels, batch):
+    for cloud, label, scores in zip(clouds, labels, batch):
         single = saliency_maps_batch(model, [cloud], [label])[0]
-        assert np.allclose(smap.raw, single.raw, rtol=0, atol=1e-12)
+        assert np.allclose(scores, single, rtol=0, atol=1e-12)
 
 
 def test_normalize_scores_constant_collapses_to_zero():
@@ -254,9 +254,8 @@ def test_tunable_decompose_limits_reproduce_pure_split():
     rng = np.random.default_rng(15)
     cloud = sphere_points(30, rng)
     raw = rng.random(30)
-    smap = SaliencyMap(raw=raw, normalized=normalize_scores(raw))
     views = make_views([0.1, 0.5, 0.9])
-    high, low = tunable_decompose(cloud, smap, 3, 1.0, 0.0, views, rng,
+    high, low = tunable_decompose(cloud, raw, 3, 1.0, 0.0, views, rng,
                                   label=2, source_id="obj")
     base = split_by_saliency(raw, 3)
     assert np.array_equal(low.source_indices, base.low_indices)
@@ -269,9 +268,8 @@ def test_tunable_decompose_replaces_both_parts():
     rng = np.random.default_rng(16)
     cloud = sphere_points(20, rng)
     raw = rng.random(20)
-    smap = SaliencyMap(raw=raw, normalized=normalize_scores(raw))
     views = make_views([0.2, 0.9])
-    high, low = tunable_decompose(cloud, smap, 4, 0.8, 0.3, views, rng)
+    high, low = tunable_decompose(cloud, raw, 4, 0.8, 0.3, views, rng)
     assert len(high.points) == len(views[1].indices)  # 0.9 > 0.8: high <- that view
     assert len(low.points) == len(views[0].indices)  # 0.2 < 0.3: low <- that view
     assert np.array_equal(high.source_indices, views[1].indices)
@@ -282,10 +280,9 @@ def test_tunable_decompose_near_limit_thresholds_replace_everything():
     rng = np.random.default_rng(17)
     cloud = sphere_points(20, rng)
     raw = rng.random(20)
-    smap = SaliencyMap(raw=raw, normalized=normalize_scores(raw))
     views = make_views([0.4, 0.6])
     eps = 1e-9
-    high, low = tunable_decompose(cloud, smap, 4, 0.0 + eps, 1.0 - eps, views, rng)
+    high, low = tunable_decompose(cloud, raw, 4, 0.0 + eps, 1.0 - eps, views, rng)
     lengths = {len(v.indices) for v in views}
     assert len(high.points) in lengths and len(low.points) in lengths
 
@@ -293,8 +290,8 @@ def test_tunable_decompose_near_limit_thresholds_replace_everything():
 def test_tunable_decompose_validates_thresholds():
     rng = np.random.default_rng(18)
     cloud = sphere_points(12, rng)
-    smap = SaliencyMap(raw=np.ones(12), normalized=np.zeros(12))
+    raw = np.ones(12)
     with pytest.raises(ValueError, match="threshold"):
-        tunable_decompose(cloud, smap, 3, 1.3, 0.6, [], rng)
+        tunable_decompose(cloud, raw, 3, 1.3, 0.6, [], rng)
     with pytest.raises(ValueError, match="threshold"):
-        tunable_decompose(cloud, smap, 3, 0.8, -0.1, [], rng)
+        tunable_decompose(cloud, raw, 3, 0.8, -0.1, [], rng)

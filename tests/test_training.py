@@ -9,6 +9,7 @@ import pytest
 
 from openset3d import autodiff as ad
 from openset3d.data import ConfigError, generate_dataset, tiny_manifest
+from openset3d.experiments import VARIANT_ORDER, ablation_grid
 from openset3d.saliency import Part
 from openset3d.training import (
     TrainConfig,
@@ -145,6 +146,27 @@ def test_config_validation_errors():
     TrainConfig().validate()  # defaults are valid
 
 
+@pytest.mark.parametrize("bad, message", [
+    (dict(margin=-1.0), "margin"),
+    (dict(margin=float("nan")), "margin"),
+    (dict(pos_weight=-0.5), "pos_weight"),
+    (dict(views_per_object=0), "views_per_object"),
+    (dict(view_radius=(0.0, -1.0)), "view_radius"),
+    (dict(view_radius=(2.0, 1.0)), "view_radius"),
+    (dict(view_radius=(1.5,)), "view_radius"),
+    (dict(p_replace=3.0), "p_replace"),
+    (dict(p_replace=-0.1), "p_replace"),
+])
+def test_config_validation_rejects_before_phase_1(bad, message):
+    config = tiny_config(**bad)
+    with pytest.raises(ConfigError, match=message):
+        config.validate()
+    epochs = []
+    with pytest.raises(ConfigError, match=message):
+        train(tiny_dataset(), config, progress=epochs.append)
+    assert epochs == []  # rejected before the first pretrain epoch
+
+
 # ----------------------------------------------------------------------
 # training behavior
 
@@ -260,28 +282,38 @@ def test_full_combined_phase_runs_and_reports_all_terms():
                for v in result.caches.views.values())
 
 
-def test_online_saliency_mode_runs():
-    dataset = tiny_dataset()
-    config = tiny_config(phase1_epochs=1, phase2_epochs=1, saliency_mode="online",
-                         views_per_object=2)
-    result = train(dataset, config)
-    assert result.caches is None  # nothing cached in online mode
-    assert np.isfinite(result.rows[-1]["total"])
-
-
 def test_ablation_variants_run():
     dataset = tiny_dataset()
     base = tiny_config(phase1_epochs=1, phase2_epochs=1)
     for variant in (
         dataclasses.replace(base, use_tsd=False),
-        dataclasses.replace(base, use_gss=False),
-        dataclasses.replace(base, use_sms=False),
+        dataclasses.replace(base, beta=0.0),
+        dataclasses.replace(base, gamma=0.0),
         dataclasses.replace(base, alpha=0.0, beta=0.0, gamma=0.0),
     ):
         result = train(dataset, variant)
         assert np.isfinite(result.rows[-1]["total"])
-    no_gss = train(dataset, dataclasses.replace(base, use_gss=False))
-    assert no_gss.rows[-1]["l_s"] == 0.0
+
+
+def test_ablation_grid_variants_change_only_their_own_fields():
+    base = tiny_config(phase1_epochs=1, phase2_epochs=1)
+    grid = ablation_grid(base)
+    assert tuple(grid) == VARIANT_ORDER
+    expected = {
+        "full": {},
+        "no_tsd": {"use_tsd": False},
+        "no_gss": {"beta": 0.0},
+        "no_sms": {"gamma": 0.0},
+        "none": {"alpha": 0.0, "beta": 0.0, "gamma": 0.0},
+    }
+    for name, variant in grid.items():
+        changed = {f.name: getattr(variant, f.name) for f in dataclasses.fields(base)
+                   if getattr(variant, f.name) != getattr(base, f.name)}
+        assert changed == expected[name], name
+    # a zero beta drops the synthesis term and leaves the margin term running
+    row = train(tiny_dataset(), grid["no_gss"]).rows[-1]
+    assert row["l_s"] == 0.0
+    assert row["l_m"] > 0.0
 
 
 def test_evaluate_open_set_row_schema():

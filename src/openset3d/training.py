@@ -121,7 +121,8 @@ class TrainConfig:
     synth_ratio: float = 1.0
 
     def validate(self) -> None:
-        if min(self.alpha, self.beta, self.gamma) < 0:
+        # comparisons are written so that a NaN fails them
+        if not all(w >= 0 for w in (self.alpha, self.beta, self.gamma)):
             raise ConfigError("loss weights must be nonnegative")
         if not (0.0 <= self.pos_weight < self.neg_weight):
             raise ConfigError("triplet weights must satisfy 0 <= pos_weight < neg_weight")
@@ -136,15 +137,15 @@ class TrainConfig:
         radius = tuple(self.view_radius)
         if len(radius) != 2 or not (0.0 < radius[0] <= radius[1]):
             raise ConfigError("view_radius must be two values with 0 < low <= high")
-        if self.eps < 0 or self.eps_known < 0 or self.eps + self.eps_known >= 1:
+        if not (self.eps >= 0 and self.eps_known >= 0 and self.eps + self.eps_known < 1):
             raise ConfigError("smoothing weights must satisfy eps + eps_known < 1")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ConfigError("learning rate must be positive")
         if self.phase1_epochs < 0 or self.phase2_epochs < 0 or self.batch_size < 1:
             raise ConfigError("epoch and batch counts must be nonnegative/positive")
         if self.mix_count < 2:
             raise ConfigError("mix_count must be at least 2")
-        if self.synth_ratio < 0:
+        if not self.synth_ratio >= 0:
             raise ConfigError("synth_ratio must be nonnegative")
 
     def gss_active(self) -> bool:

@@ -156,6 +156,10 @@ def test_config_validation_errors():
     (dict(view_radius=(1.5,)), "view_radius"),
     (dict(p_replace=3.0), "p_replace"),
     (dict(p_replace=-0.1), "p_replace"),
+    (dict(beta=float("nan")), "loss weights"),
+    (dict(learning_rate=float("nan")), "learning rate"),
+    (dict(eps=float("nan")), "smoothing"),
+    (dict(synth_ratio=float("nan")), "synth_ratio"),
 ])
 def test_config_validation_rejects_before_phase_1(bad, message):
     config = tiny_config(**bad)

@@ -52,7 +52,6 @@ from .synthesis import (
     mix,
     pseudo_label,
     sample_transform,
-    standard_transforms,
 )
 from .training import (
     Adam,

@@ -45,7 +45,17 @@ Numeric contract of that path:
   non-finite value in a row outside the critical set no longer reaches
   dW through a 0 * inf or 0 * nan product.
 
-Everything is float64 and eager; there is no fusion or graph rewriting.
+Fused relu. linear(x, w, b, relu=True) records relu(linear(x, w, b)) as one
+"linear_relu" node: the affine result is clamped in place, and backward
+masks the adjoint with out > 0 (on the row-sparse path, only its rows)
+before the linear formulas. These are the float operations of the two
+separate ops in the same order, so values and adjoints are byte-identical
+to them. The node's .data is the post-relu output; the pre-activation is
+not kept. The encoder's point MLP and hidden projection layers use it, and
+relu() remains for other callers such as the margin hinge.
+
+Everything is float64 and eager; apart from that one fused node there is
+no fusion or graph rewriting.
 """
 
 from __future__ import annotations
@@ -205,8 +215,14 @@ def _tape_of(*tensors: Tensor) -> Tape:
     return tensors[0].tape
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map: out[i, j] = sum_k x[i, k] * w[k, j] + b[j]."""
+def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """Affine map: out[i, j] = sum_k x[i, k] * w[k, j] + b[j].
+
+    With relu=True the node is relu(linear(x, w, b)), named "linear_relu":
+    the relu is applied in place to the affine result, and backward masks
+    the adjoint with out > 0 before the linear formulas. Values and
+    adjoints are byte-equal to the two separate ops.
+    """
     tape = _tape_of(x, w, b)
     if x.ndim != 2 or w.ndim != 2 or b.ndim != 1:
         raise ValueError("linear expects x (N,in), w (in,out), b (out,)")
@@ -216,15 +232,22 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         )
     out = x.data @ w.data
     out += b.data
+    if relu:
+        np.maximum(out, 0.0, out=out)
 
     def grad_fn(g):
         if type(g) is RowSparse:
             v = g.values
+            if relu:
+                v = v * (out[g.rows] > 0.0)
             return (RowSparse(g.rows, v @ w.data.T, x.shape),
                     x.data[g.rows].T @ v, v.sum(axis=0))
+        if relu:
+            g = g * (out > 0.0)
         return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
 
-    return Tensor(tape, out, (x, w, b), grad_fn, "linear", takes_rows=True)
+    name = "linear_relu" if relu else "linear"
+    return Tensor(tape, out, (x, w, b), grad_fn, name, takes_rows=True)
 
 
 def relu(x: Tensor) -> Tensor:

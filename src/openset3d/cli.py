@@ -197,6 +197,19 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _load_saliency(path, model, records) -> SaliencyCache:
+    """The cache file at `path`, checked against the model and the records
+    it will be read for; a mismatch names the file."""
+    if not Path(path).exists():
+        raise ConfigError(f"saliency cache not found: {path}")
+    cache = SaliencyCache.load(path)
+    try:
+        cache.check(model.checksum(), records)
+    except StaleCacheError as exc:
+        raise StaleCacheError(f"{path}: {exc}") from None
+    return cache
+
+
 def cmd_pretrain(args) -> int:
     config = _gather_config(args)
     if args.epochs is not None:
@@ -241,10 +254,8 @@ def cmd_train(args) -> int:
     if config.needs_cache():
         if not args.saliency:
             raise ConfigError("TSD requires --saliency <cache file>")
-        if not Path(args.saliency).exists():
-            raise ConfigError(f"saliency cache not found: {args.saliency}")
-        cache = SaliencyCache.load(args.saliency)
-        cache.check(model.checksum())  # before the views are built from it
+        # checked before the views are built from it
+        cache = _load_saliency(args.saliency, model, dataset.train_known)
         caches = DecompCaches(cache, build_views(dataset.train_known, cache, config))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -287,10 +298,7 @@ def cmd_synth_demo(args) -> int:
     dataset = load_dataset(args.dataset)
     model = load_checkpoint(args.checkpoint)
     _require_class_match(model, dataset)
-    if not Path(args.saliency).exists():
-        raise ConfigError(f"saliency cache not found: {args.saliency}")
-    cache = SaliencyCache.load(args.saliency)
-    cache.check(model.checksum())
+    cache = _load_saliency(args.saliency, model, dataset.train_known)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rng = stream_rng(config.seed, 99)

@@ -48,7 +48,7 @@ class CacheMissError(KeyError):
 
 
 class StaleCacheError(RuntimeError):
-    """Cache was built from a different model checkpoint."""
+    """Cache was built from a different model checkpoint or dataset."""
 
 
 @dataclass
@@ -403,14 +403,24 @@ class SaliencyCache:
     def __contains__(self, object_id):
         return object_id in self._scores
 
-    def check(self, model_checksum: str) -> None:
-        """Raise StaleCacheError unless the scores came from this model."""
+    def check(self, model_checksum: str, records) -> None:
+        """Raise StaleCacheError unless the scores came from this model and
+        hold one score per point of every record (the training split)."""
         if model_checksum != self.model_checksum:
             raise StaleCacheError(
                 f"saliency cache was built from model {self.model_checksum[:12]}..., "
                 f"not {model_checksum[:12]}...; rebuild it from this model (retrain "
                 "or rerun the saliency command)"
             )
+        for rec in records:
+            scores = self._scores.get(rec.object_id)
+            if scores is None or len(scores) != len(rec.points):
+                held = "no scores" if scores is None else f"{len(scores)} scores"
+                raise StaleCacheError(
+                    f"saliency cache holds {held} for training object {rec.object_id!r}, "
+                    f"whose cloud has {len(rec.points)} points; rebuild it for this "
+                    "dataset (rerun the saliency command)"
+                )
 
     def put(self, object_id: str, scores: np.ndarray) -> None:
         self._scores[object_id] = np.asarray(scores, dtype=np.float64).copy()

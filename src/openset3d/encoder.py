@@ -171,17 +171,16 @@ class TapedModel:
         h = x
         n_point = len(self.model.point_widths)
         for i in range(n_point):
-            h = ad.linear(h, self.leaves[f"point{i}.w"], self.leaves[f"point{i}.b"])
-            h = ad.relu(h)
+            h = ad.linear(h, self.leaves[f"point{i}.w"], self.leaves[f"point{i}.b"],
+                          relu=True)
         # nonnegative post-relu activations: the layer saliency reads
         # gradients from, and what the pooling consumes
         a_all = h  # (sum N_i, d_pre)
         pooled = ad.max_pool_groups(a_all, sizes)
         f = pooled
         for i in range(self.model._num_proj):
-            f = ad.linear(f, self.leaves[f"proj{i}.w"], self.leaves[f"proj{i}.b"])
-            if i < self.model._num_proj - 1:
-                f = ad.relu(f)
+            f = ad.linear(f, self.leaves[f"proj{i}.w"], self.leaves[f"proj{i}.b"],
+                          relu=i < self.model._num_proj - 1)
         return a_all, f
 
     def logits(self, f: ad.Tensor) -> ad.Tensor:

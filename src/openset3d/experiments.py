@@ -27,8 +27,7 @@ __all__ = [
     "ablation_grid",
     "run_seed",
     "run_experiment",
-    "mean_auroc",
-    "mean_acc",
+    "mean_metric",
 ]
 
 VARIANT_ORDER = ("full", "no_tsd", "no_gss", "no_sms", "none")
@@ -103,13 +102,8 @@ def run_experiment(dataset: ToyDataset, config: TrainConfig, seeds,
     return outcomes
 
 
-def mean_auroc(outcomes, name) -> float:
-    if name == "baseline":
-        return sum(o.baseline.auroc for o in outcomes) / len(outcomes)
-    return sum(o.variants[name].auroc for o in outcomes) / len(outcomes)
-
-
-def mean_acc(outcomes, name) -> float:
-    if name == "baseline":
-        return sum(o.baseline.acc for o in outcomes) / len(outcomes)
-    return sum(o.variants[name].acc for o in outcomes) / len(outcomes)
+def mean_metric(outcomes, name, metric) -> float:
+    """Mean over seeds of one VariantMetrics field of variant `name`
+    ("baseline" reads the phase-1 model)."""
+    return sum(getattr(o.baseline if name == "baseline" else o.variants[name], metric)
+               for o in outcomes) / len(outcomes)

@@ -31,8 +31,6 @@ class Triplet:
     positive: object
     negative: object
     replacement: str  # "none" | "positive" | "negative"
-    anchor_class: int = -1
-    negative_class: int = -1
 
 
 class RunningStd:
@@ -102,8 +100,6 @@ def build_triplet(anchor, positive, negative, pseudo, p_replace, rng) -> Triplet
         positive=pos,
         negative=neg,
         replacement=replacement,
-        anchor_class=int(anchor_class),
-        negative_class=int(negative_class),
     )
 
 

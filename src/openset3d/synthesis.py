@@ -19,7 +19,6 @@ __all__ = [
     "TransformParams",
     "sample_transform",
     "apply_transform",
-    "standard_transforms",
     "pseudo_label",
     "SyntheticSample",
     "mix",
@@ -62,14 +61,6 @@ def apply_transform(points, tp: TransformParams) -> np.ndarray:
     if tp.jitter is not None:
         pts = pts + tp.jitter
     return pts
-
-
-def standard_transforms(points, rng, **kwargs) -> np.ndarray:
-    """Apply one random draw of the standard augmentation chain."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.size == 0:
-        raise ValueError("cannot transform an empty part")
-    return apply_transform(pts, sample_transform(len(pts), rng, **kwargs))
 
 
 def pseudo_label(counts, num_known, eps, eps_known, mix_count) -> np.ndarray:

@@ -470,7 +470,7 @@ def run_combined(state: TrainState, dataset: ToyDataset, config: TrainConfig,
     if epochs > 0 and config.needs_cache():
         if caches is None:
             raise ConfigError("TSD needs decomposition caches built from a saliency cache")
-        caches.saliency.check(state.model.checksum())
+        caches.saliency.check(state.model.checksum(), dataset.train_known)
     run_std = RunningStd(config.feat_dim)
     parts = config.needs_parts()
     for _ in range(epochs):

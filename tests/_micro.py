@@ -5,8 +5,9 @@ tiny model: a batch of two clouds with frozen high/low parts, and the
 synthesis and margin generators reseeded on every evaluation, so the loss
 is a pure function of the flattened parameter vector and central finite
 differences can be taken safely. The configuration runs all four terms.
-Seeds are screened so no relu kink (the margin hinge is one) sits within
-finite-difference reach and no triplet distance is near zero.
+Seeds are screened so no relu kink (the encoder's fused linear_relu
+layers and the margin hinge) sits within finite-difference reach and no
+triplet distance is near zero.
 """
 
 import numpy as np
@@ -82,9 +83,21 @@ class MicroSetup:
         return total.item(), grad_vec
 
     @staticmethod
-    def _measure_margins(tape):
-        relu_gaps = [np.abs(t.parents[0].data).min() for t in tape._nodes
-                     if t.name == "relu" and t.parents]
+    def _pre_activation(node):
+        """The value a relu node clamps: its parent's data for a plain relu;
+        for a fused linear_relu, x @ w + b recomputed from its parents with
+        the ops ad.linear runs before it clamps in place."""
+        if node.name == "relu":
+            return node.parents[0].data
+        x, w, b = (p.data for p in node.parents)
+        pre = x @ w
+        pre += b
+        return pre
+
+    @classmethod
+    def _measure_margins(cls, tape):
+        relu_gaps = [np.abs(cls._pre_activation(t)).min() for t in tape._nodes
+                     if t.name in ("relu", "linear_relu")]
         distances = [float(t.data) for t in tape._nodes if t.name == "euclidean"]
         return {
             "relu": min(relu_gaps, default=np.inf),

@@ -14,7 +14,7 @@ import pytest
 from openset3d import autodiff as ad
 from openset3d.checkpoint import save_checkpoint
 from openset3d.data import default_manifest, generate_dataset, tiny_manifest
-from openset3d.experiments import mean_acc, mean_auroc, run_experiment
+from openset3d.experiments import mean_metric, run_experiment
 from openset3d.metrics import auroc, fpr95
 from openset3d.saliency import hidden_point_removal, split_by_saliency, tunable_decompose
 from openset3d.saliency import normalize_scores
@@ -67,6 +67,23 @@ def test_criterion_1_gradient_correctness():
         return loss.item(), x.grad
 
     check(relu_f, relu_in)
+
+    # the fused layer, over x, w and b: [x | 1] @ [w; b] is solved to put
+    # every pre-activation 0.2 to 1.0 away from the kink
+    fused_rng = np.random.default_rng(10)
+    fx0 = fused_rng.uniform(-1, 1, (4, 3))
+    pre0 = fused_rng.uniform(0.2, 1.0, (4, 4)) * fused_rng.choice([-1.0, 1.0], (4, 4))
+    wb0 = np.linalg.solve(np.hstack([fx0, np.ones((4, 1))]), pre0)
+
+    def linear_relu_f(theta):
+        tape = ad.Tape()
+        x, w, b = (tape.leaf(v) for v in (theta[:12].reshape(4, 3),
+                                          theta[12:24].reshape(3, 4), theta[24:]))
+        loss = ad.sum_all(ad.mul_const(ad.linear(x, w, b, relu=True), read[:4]))
+        tape.backward(loss)
+        return loss.item(), np.concatenate([x.grad.ravel(), w.grad.ravel(), b.grad])
+
+    check(linear_relu_f, np.concatenate([fx0.ravel(), wb0.ravel()]))
 
     pool_in = rng.uniform(-1, 1, (6, 4))
     pool_in += np.arange(6)[:, None] * 0.01  # break ties
@@ -257,9 +274,9 @@ def experiment():
 @pytest.mark.slow
 def test_criterion_6_desk_scale_open_set(experiment):
     outcomes, elapsed = experiment
-    full_acc = mean_acc(outcomes, "full")
-    full_auroc = mean_auroc(outcomes, "full")
-    base_auroc = mean_auroc(outcomes, "baseline")
+    full_acc = mean_metric(outcomes, "full", "acc")
+    full_auroc = mean_metric(outcomes, "full", "auroc")
+    base_auroc = mean_metric(outcomes, "baseline", "auroc")
     assert full_acc >= 0.90
     assert full_auroc - base_auroc >= 0.02
     assert elapsed <= 30 * 60
@@ -271,9 +288,10 @@ def test_criterion_6_desk_scale_open_set(experiment):
 @pytest.mark.slow
 def test_criterion_7_ablation_direction(experiment):
     outcomes, _ = experiment
-    full = mean_auroc(outcomes, "full")
-    parts = {name: mean_auroc(outcomes, name) for name in ("no_tsd", "no_gss", "no_sms")}
-    none = mean_auroc(outcomes, "none")
+    full = mean_metric(outcomes, "full", "auroc")
+    parts = {name: mean_metric(outcomes, name, "auroc")
+             for name in ("no_tsd", "no_gss", "no_sms")}
+    none = mean_metric(outcomes, "none", "auroc")
     for name, value in parts.items():
         assert full >= value - 0.01, f"full {full:.4f} vs {name} {value:.4f}"
     assert full > none

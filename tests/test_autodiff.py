@@ -699,6 +699,55 @@ def test_row_sparse_backward_matches_the_dense_formulas(case):
     _sum_order_close(lb0.grad, ref_dz0.sum(axis=0), np.abs(ref_dz0).sum(axis=0))
 
 
+# ----------------------------------------------------------------------
+# linear(..., relu=True) against the unfused pair relu(linear(...))
+
+_LINEAR = ad.linear
+
+
+def _unfused_linear(x, w, b, relu=False):
+    out = _LINEAR(x, w, b)
+    return ad.relu(out) if relu else out
+
+
+@st.composite
+def _fused_case(draw):
+    """x, w, b with signed zeros, exact zeros and NaN; a dense adjoint for
+    the layer output and a pooled one on equal or ragged groups."""
+    g_dense, sizes, g_pool = draw(_grouped())
+    n, d = g_dense.shape
+    k = draw(st.integers(1, 4))
+    values = st.one_of(_TIE_VALUES, st.just(np.nan))
+    x = draw(hnp.arrays(np.float64, (n, k), elements=values))
+    w = draw(hnp.arrays(np.float64, (k, d), elements=values))
+    b = draw(hnp.arrays(np.float64, (d,), elements=values))
+    return x, w, b, g_dense, sizes, g_pool
+
+
+@_PROP
+@given(_fused_case())
+@example((np.array([[-0.0], [0.0], [np.nan], [1.0]]), np.array([[1.0, -1.0]]),
+          np.array([0.0, -0.0]), np.array([[1.0, -0.0], [0.0, 2.0], [3.0, 1.0], [-1.0, 1.0]]),
+          [1, 3], np.array([[1.0, -0.0], [2.0, 1.0]])))
+def test_fused_linear_relu_is_byte_equal_to_relu_of_linear(case):
+    x, w, b, g_dense, sizes, g_pool = case
+
+    def run(layer, pooled):
+        tape = ad.Tape()
+        leaves = [tape.leaf(v) for v in (x, w, b)]
+        out = layer(*leaves, relu=True)
+        head, g = (ad.max_pool_groups(out, sizes), g_pool) if pooled else (out, g_dense)
+        tape.backward(ad.sum_all(ad.mul_const(head, g)))
+        sparse = type(out._grad) is ad.RowSparse  # before .grad densifies it
+        return sparse, [out.data, head.data, out.grad] + [leaf.grad for leaf in leaves]
+
+    for pooled in (False, True):
+        (sparse, got), (ref_sparse, ref) = run(ad.linear, pooled), run(_unfused_linear, pooled)
+        assert sparse == ref_sparse == pooled
+        for a, r in zip(got, ref):
+            assert _bits_equal(a, r)
+
+
 def _mlp_pool_grads(build_pool_input, pts, params, sizes, g, pool=ad.max_pool_groups):
     tape = ad.Tape()
     x = tape.leaf(pts)
@@ -813,22 +862,53 @@ def _read_side(model, records):
     return logits, scores, [cache.get(r.object_id) for r in records]
 
 
-def test_scores_and_saliency_equal_the_dense_reference(monkeypatch):
+def _pretrained_tiny(proj_hidden=()):
     from openset3d.data import generate_dataset, tiny_manifest
     from openset3d.training import TrainConfig, init_state, run_pretrain
 
     dataset = generate_dataset(tiny_manifest(seed=3, instances_per_class=20, points_per_cloud=48))
     config = TrainConfig(batch_size=8, seed=0, feat_dim=16, point_widths=(12, 16),
-                         proj_hidden=(), learning_rate=0.002)
+                         proj_hidden=proj_hidden, learning_rate=0.002)
     state = run_pretrain(init_state(dataset, config), dataset, config, epochs=1)
-    records = dataset.train_known[:40]
-    logits, scores, maps = _read_side(state.model, records)
-    monkeypatch.setattr(ad, "max_pool_groups", _dense_pool)
-    ref_logits, ref_scores, ref_maps = _read_side(state.model, records)
+    return state.model, dataset.train_known[:40]
+
+
+def _assert_read_side_equal(model, records, monkeypatch, op, reference):
+    logits, scores, maps = _read_side(model, records)
+    monkeypatch.setattr(ad, op, reference)
+    ref_logits, ref_scores, ref_maps = _read_side(model, records)
     assert _bits_equal(logits, ref_logits)
     assert scores == ref_scores
     assert len(maps) == len(ref_maps) == len(records)
     assert all(_bits_equal(got, ref) for got, ref in zip(maps, ref_maps))
+
+
+def test_scores_and_saliency_equal_the_dense_reference(monkeypatch):
+    model, records = _pretrained_tiny()
+    _assert_read_side_equal(model, records, monkeypatch, "max_pool_groups", _dense_pool)
+
+
+def test_scores_and_saliency_equal_the_unfused_reference(monkeypatch):
+    # a hidden projection layer, so both the point MLP and the head are fused
+    model, records = _pretrained_tiny(proj_hidden=(16,))
+    _assert_read_side_equal(model, records, monkeypatch, "linear", _unfused_linear)
+
+
+def test_micro_kink_screen_reads_the_fused_encoder_layers(monkeypatch):
+    # criterion 1's screen measures the same gap from linear_relu nodes as
+    # from the relu nodes of the unfused pair, not just the margin hinge's
+    from _micro import MicroSetup
+
+    def gap(setup):
+        setup.loss_and_grad(setup.theta0)
+        return setup._kink_margins["relu"]
+
+    for seed in (14, 58, 101):
+        fused = gap(MicroSetup(seed))
+        with monkeypatch.context() as patch:
+            patch.setattr(ad, "linear", _unfused_linear)
+            unfused = gap(MicroSetup(seed))
+        assert fused == unfused < 1.0
 
 
 def test_grad_reads_as_a_dense_array():

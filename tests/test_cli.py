@@ -157,6 +157,37 @@ def test_train_rejects_a_cache_from_another_checkpoint(tiny_dataset_dir, pretrai
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "synth-demo"])
+@pytest.mark.parametrize("mismatch", ["missing", "short"])
+def test_a_cache_of_another_split_exits_2_naming_the_file(tiny_dataset_dir, pretrained,
+                                                          saliency_cache, tmp_path, capsys,
+                                                          command, mismatch):
+    # the same model's scores, but one training object is absent or one point short
+    cache = SaliencyCache.load(saliency_cache)
+    records = load_dataset(tiny_dataset_dir).train_known
+    other = SaliencyCache(cache.model_checksum)
+    for rec in records[1:]:
+        other.put(rec.object_id, cache.get(rec.object_id))
+    first = records[0]
+    if mismatch == "short":
+        other.put(first.object_id, cache.get(first.object_id)[:-1])
+    path = tmp_path / "other.cache"
+    other.save(path)
+    out = tmp_path / "t"
+    extra = ["--epochs", "1"] if command == "train" else ["--count", "1"]
+    code = main([
+        command, "--dataset", str(tiny_dataset_dir), "--out", str(out),
+        "--checkpoint", str(pretrained), "--saliency", str(path), *extra, *TRAIN_OVERRIDES,
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(path) in err and repr(first.object_id) in err
+    n = len(first.points)
+    held = "no scores" if mismatch == "missing" else f"{n - 1} scores"
+    assert f"holds {held}" in err and f"has {n} points" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("override", [
     # keys that no longer exist: ablations are zero weights plus use_tsd
     "train.saliency_mode=online", "train.use_gss=false", "train.use_sms=false",

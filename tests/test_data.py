@@ -274,9 +274,9 @@ def test_cache_miss_before_put():
 
 def test_cache_rejects_stale_checksum():
     cache = SaliencyCache("abc123")
-    cache.check("abc123")
+    cache.check("abc123", [])
     with pytest.raises(StaleCacheError, match="retrain"):
-        cache.check("def456")
+        cache.check("def456", [])
     # phase 2 refuses scores from another model before it trains a step
     dataset = generate_dataset(tiny_manifest(seed=3, instances_per_class=20,
                                              points_per_cloud=48))
@@ -291,6 +291,31 @@ def test_cache_rejects_stale_checksum():
     own = build_decomposition_caches(state.model, dataset.train_known, config)
     run_combined(state, dataset, config, 1, own)
     assert state.epoch == 1
+
+
+def test_cache_check_binds_to_the_training_split():
+    dataset = generate_dataset(tiny_manifest(seed=3, instances_per_class=20,
+                                             points_per_cloud=48))
+    config = TrainConfig(phase1_epochs=1, phase2_epochs=1, batch_size=8, feat_dim=16,
+                         point_widths=(12, 16), views_per_object=2)
+    state = init_state(dataset, config)
+    records = dataset.train_known
+    full = build_saliency_cache(state.model, records)
+    full.check(state.model.checksum(), records)
+    first = records[0]
+    for held, scores in (("no scores", None), ("47 scores", full.get(first.object_id)[:-1])):
+        cache = SaliencyCache(full.model_checksum)
+        for rec in records[1:]:
+            cache.put(rec.object_id, full.get(rec.object_id))
+        if scores is not None:
+            cache.put(first.object_id, scores)
+        message = f"holds {held} for training object {first.object_id!r}, whose cloud has 48"
+        with pytest.raises(StaleCacheError, match=re.escape(message)):
+            cache.check(state.model.checksum(), records)
+        # phase 2 refuses it before it trains a step
+        with pytest.raises(StaleCacheError, match=re.escape(message)):
+            run_combined(state, dataset, config, 1, DecompCaches(cache, views={}))
+        assert state.epoch == 0 and state.rows == []
 
 
 def cache_file(tmp_path, header, *records):

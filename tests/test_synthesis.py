@@ -12,7 +12,6 @@ from openset3d.synthesis import (
     mix,
     pseudo_label,
     sample_transform,
-    standard_transforms,
 )
 
 IDENTITY = dict(scale_range=(1.0, 1.0), max_offset=0.0, with_jitter=False)
@@ -42,14 +41,14 @@ def random_part(rng, n=20, label=0, source="obj"):
 
 def test_transform_seeded_reproducible():
     pts = np.random.default_rng(0).uniform(-1, 1, (15, 3))
-    a = standard_transforms(pts, np.random.default_rng(42))
-    b = standard_transforms(pts, np.random.default_rng(42))
+    a = apply_transform(pts, sample_transform(15, np.random.default_rng(42)))
+    b = apply_transform(pts, sample_transform(15, np.random.default_rng(42)))
     assert np.array_equal(a, b)
 
 
 def test_transform_identity_configuration():
     pts = np.random.default_rng(1).uniform(-1, 1, (10, 3))
-    out = standard_transforms(pts, np.random.default_rng(0), **IDENTITY)
+    out = apply_transform(pts, sample_transform(10, np.random.default_rng(0), **IDENTITY))
     # rotation angle is still random; force it to zero via a fixed draw
     tp = sample_transform(10, np.random.default_rng(0), **IDENTITY)
     tp.angle = 0.0
@@ -89,11 +88,6 @@ def test_transform_inverse_round_trip():
     pts = rng.uniform(-1, 1, (9, 3))
     tp = sample_transform(9, rng, with_jitter=False)
     assert np.allclose(invert_transform(apply_transform(pts, tp), tp), pts, atol=1e-12)
-
-
-def test_transform_rejects_empty():
-    with pytest.raises(ValueError, match="empty"):
-        standard_transforms(np.zeros((0, 3)), np.random.default_rng(0))
 
 
 # ----------------------------------------------------------------------
@@ -218,6 +212,14 @@ def test_mix_rejects_single_part():
     rng = np.random.default_rng(12)
     with pytest.raises(ValueError, match="two parts"):
         mix([random_part(rng)], 10, num_known=3, eps=0.1, eps_known=0.1, rng=rng)
+
+
+def test_mix_rejects_an_empty_part():
+    rng = np.random.default_rng(5)
+    empty = Part(points=np.zeros((0, 3)), label=1, source_id="empty",
+                 source_indices=np.arange(0))
+    with pytest.raises(ValueError, match="empty part"):
+        mix([random_part(rng), empty], 16, num_known=3, eps=0.1, eps_known=0.1, rng=rng)
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 
 from openset3d import autodiff as ad
 from openset3d.encoder import Model
-from openset3d.margins import Triplet, build_triplet, margin_loss, pseudo_features
+from openset3d.margins import build_triplet, margin_loss, pseudo_features
 
 rng = np.random.default_rng(4)
 
@@ -31,24 +31,34 @@ for weights in ([0.0], [0.05], [2.0, 4.0]):
 positive = anchor + rng.normal(0, 0.1, 6)  # the high-saliency part's feature
 negative = bank[2] * 2.0 + rng.normal(0, 0.02, 6)  # some class-2 feature
 pseudo = pseudo_features(anchor, [0.05], model, 1, np.random.default_rng(2))
-tape = ad.Tape()  # the anchor is a tape leaf; array members join its tape
-triplet = build_triplet((tape.leaf(anchor), 1), positive, (negative, 2), pseudo,
+triplet = build_triplet((anchor, 1), positive, (negative, 2), pseudo,
                         p_replace=0.5, rng=np.random.default_rng(3))
 print(f"\ntriplet built, replacement: {triplet.replacement}")
 
-loss = margin_loss(triplet, pos_weight=0.01, neg_weight=1.0, margin=10.0).item()
+# margin_loss takes (B, d) tape tensors: one triplet is a batch of one
+tape = ad.Tape()
+members = [tape.leaf(m[None]) for m in (triplet.anchor, triplet.positive, triplet.negative)]
+loss = margin_loss(*members, pos_weight=0.01, neg_weight=1.0, margin=10.0).item()
 print(f"weighted hinge loss: {loss:.4f} "
       "(0.01*d(a,p) - 1.0*d(a,n) + 10, clamped at 0)")
+
+# a batch of triplets is still one scalar: the mean of the per-triplet hinges
+far = negative * 6.0  # a negative far enough to switch its hinge off
+tape = ad.Tape()
+batch = margin_loss(tape.leaf(np.stack([anchor, anchor])),
+                    tape.leaf(np.stack([positive, positive])),
+                    tape.leaf(np.stack([negative, far])), 0.01, 1.0, 10.0)
+print(f"two triplets, the second hinge inactive: mean loss {batch.item():.4f}")
 
 # --- gradient descent on the anchor opens the margin -------------------------
 current = anchor.copy()
 print("\ndescending on the anchor:")
 for step in range(5):
     tape = ad.Tape()
-    leaf = tape.leaf(current)
-    t = Triplet(leaf, tape.leaf(positive), tape.leaf(negative), "none")
-    value = margin_loss(t, 0.01, 1.0, 10.0)
+    leaf = tape.leaf(current[None])
+    value = margin_loss(leaf, tape.leaf(positive[None]), tape.leaf(negative[None]),
+                        0.01, 1.0, 10.0)
     tape.backward(value)
     d_neg = np.linalg.norm(current - negative)
     print(f"  step {step}: loss={value.item():.4f} d(anchor, negative)={d_neg:.3f}")
-    current -= 0.5 * leaf.grad
+    current -= 0.5 * leaf.grad[0]

@@ -75,6 +75,7 @@ __all__ = [
     "soft_cross_entropy",
     "pick_rows",
     "take_row",
+    "gather_rows",
     "sum_all",
     "mean_all",
     "add",
@@ -423,6 +424,34 @@ def take_row(x: Tensor, index: int) -> Tensor:
     return Tensor(x.tape, x.data[index], (x,), grad_fn, "take_row")
 
 
+def gather_rows(sources, index) -> Tensor:
+    """Rows `index` of the row-wise concatenation of the 2-D `sources`.
+
+    The output is (len(index), d). Backward scatter-adds each output row's
+    adjoint into the row it was taken from, so a row gathered more than once
+    collects the sum of its adjoints; a source none of whose rows is
+    gathered gets no adjoint.
+    """
+    sources = tuple(sources)
+    tape = _tape_of(*sources)
+    if any(s.ndim != 2 for s in sources) or len({s.shape[1] for s in sources}) != 1:
+        raise ValueError("gather_rows expects 2-D sources of equal width")
+    idx = np.asarray(index, dtype=np.intp)
+    offsets = np.cumsum([0] + [s.shape[0] for s in sources])
+    if idx.ndim != 1 or idx.min(initial=0) < 0 or idx.max(initial=0) >= offsets[-1]:
+        raise ValueError(f"gather_rows index must be 1-D within 0..{offsets[-1] - 1}")
+    table = np.concatenate([s.data for s in sources])
+    spans = list(zip(offsets[:-1], offsets[1:]))
+
+    def grad_fn(g):
+        z = np.zeros_like(table)
+        np.add.at(z, idx, g)
+        return tuple(z[lo:hi] if ((idx >= lo) & (idx < hi)).any() else None
+                     for lo, hi in spans)
+
+    return Tensor(tape, table[idx], sources, grad_fn, "gather_rows")
+
+
 def sum_all(x: Tensor) -> Tensor:
     def grad_fn(g):
         return (np.full_like(x.data, float(g)),)
@@ -477,20 +506,21 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def euclidean(a: Tensor, b: Tensor) -> Tensor:
-    """Euclidean distance between two 1-D tensors (subgradient 0 at a == b)."""
+    """Euclidean distance between two 1-D tensors, or row-wise between two
+    (B, d) tensors as a (B,) vector; the subgradient is 0 where a row of a
+    equals the row of b."""
     tape = _tape_of(a, b)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("euclidean expects two 1-D tensors of equal length")
+    if a.shape != b.shape or a.ndim not in (1, 2):
+        raise ValueError("euclidean expects two 1-D or two 2-D tensors of equal shape")
     if not (np.isfinite(a.data).all() and np.isfinite(b.data).all()):
         raise ValueError("euclidean rejects non-finite inputs")
     diff = a.data - b.data
-    dist = float(np.sqrt((diff * diff).sum()))
+    dist = np.sqrt((diff * diff).sum(axis=-1))
+    live = dist > _NORM_EPS
 
     def grad_fn(g):
-        if dist <= _NORM_EPS:
-            z = np.zeros_like(diff)
-            return z, z
-        d = (float(g) / dist) * diff
+        coef = np.divide(g, dist, out=np.zeros_like(dist), where=live)
+        d = coef[..., None] * diff
         return d, -d
 
     return Tensor(tape, dist, (a, b), grad_fn, "euclidean")

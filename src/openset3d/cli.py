@@ -185,6 +185,20 @@ def _require_class_match(model, dataset):
         )
 
 
+def _require_architecture_match(model, config, path):
+    """The config must describe the checkpoint's encoder: a training command
+    continues the checkpoint's model, so a differing width would be ignored."""
+    for key in ("feat_dim", "point_widths", "proj_hidden"):
+        want, have = getattr(config, key), getattr(model, key)
+        if isinstance(want, tuple):
+            want = tuple(int(w) for w in want)
+        if want != have:
+            raise ConfigError(
+                f"train.{key} is {want} in the config but {have} in checkpoint {path}; "
+                f"pass train.{key} to match the checkpoint"
+            )
+
+
 def cmd_gen(args) -> int:
     manifest = load_manifest(args.manifest) if args.manifest else default_manifest()
     if args.seed is not None:
@@ -215,14 +229,18 @@ def cmd_pretrain(args) -> int:
     if args.epochs is not None:
         config = dataclasses.replace(config, phase1_epochs=args.epochs)
     dataset = load_dataset(args.dataset)
+    model = None
+    if args.checkpoint:
+        model = load_checkpoint(args.checkpoint)
+        _require_class_match(model, dataset)
+        _require_architecture_match(model, config, args.checkpoint)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     state = init_state(dataset, config)
     state.total_epochs = config.phase1_epochs  # one cosine cycle for this command
-    if args.checkpoint:
-        state.model = load_checkpoint(args.checkpoint)
-        _require_class_match(state.model, dataset)
-        state.opt = Adam(state.model.params)
+    if model is not None:
+        state.model = model
+        state.opt = Adam(model.params)
     run_pretrain(state, dataset, config, config.phase1_epochs, progress=_print_epoch)
     save_checkpoint(out / "pretrain.ckpt", state.model)
     write_report_csv(out / "pretrain_report.csv", state.rows)
@@ -250,6 +268,7 @@ def cmd_train(args) -> int:
     dataset = load_dataset(args.dataset)
     model = load_checkpoint(args.checkpoint)
     _require_class_match(model, dataset)
+    _require_architecture_match(model, config, args.checkpoint)
     caches = None
     if config.needs_cache():
         if not args.saliency:

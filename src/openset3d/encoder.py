@@ -135,13 +135,15 @@ class Model:
         return bound.logits(feats).data
 
     def feature_logits(self, feature: np.ndarray) -> np.ndarray:
-        """Cosine logits of a raw feature vector against the current bank."""
+        """Cosine logits of a raw feature vector (d,), or of each row of a
+        (K, d) array, against the current bank."""
         f = np.asarray(feature, dtype=np.float64)
         bank = self.params["prototypes"]
-        fn = np.linalg.norm(f)
-        if fn <= 1e-12:
+        fn = np.linalg.norm(f, axis=-1)
+        if fn.min(initial=np.inf) <= 1e-12:
             raise ValueError("feature norm underflow")
-        return np.clip((bank @ f) / (fn * np.linalg.norm(bank, axis=1)), -1.0, 1.0)
+        return np.clip((f @ bank.T) / (fn[..., None] * np.linalg.norm(bank, axis=1)),
+                       -1.0, 1.0)
 
 
 class TapedModel:

@@ -5,6 +5,12 @@ feature) and pushes from a negative (a different-class feature) under a
 weighted hinge triplet loss. To densify the feature pairs, Gaussian-noised
 copies of the anchor that the head still classifies correctly may replace
 either the positive or the negative - never both for one triplet.
+
+The choices are made one anchor at a time (pseudo_features, then
+build_triplet), so their draws keep a fixed per-anchor order. The loss is
+batched: margin_loss takes the anchors, positives and negatives of a whole
+batch as (B, d) tensors and records one row-wise distance per side, one
+hinge and one mean, however many triplets there are.
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ __all__ = [
 
 @dataclass
 class Triplet:
-    anchor: object  # Tensor (margin_loss) or ndarray feature
+    # whatever the caller names its members by: features, or row numbers
+    anchor: object
     positive: object
     negative: object
     replacement: str  # "none" | "positive" | "negative"
@@ -61,28 +68,32 @@ def pseudo_features(feature, noise_weights, model: Model, label, rng,
     Draws one candidate per noise weight (std = weight * running feature
     std per dimension), keeps those whose argmax cosine logit still equals
     the anchor's label, and returns a uniformly chosen survivor. An empty
-    result is a legitimate outcome.
+    result is a legitimate outcome. The K candidates are one (K, d) draw,
+    the same values as K draws of d, checked in one feature_logits call;
+    with no noise weights nothing is drawn.
     """
     f = np.asarray(feature, dtype=np.float64)
+    weights = np.asarray(noise_weights, dtype=np.float64)
+    if weights.size == 0:
+        return None
     if feature_std is None:
         feature_std = np.ones_like(f)
-    candidates = []
-    for w in noise_weights:
-        cand = f + rng.normal(size=f.shape) * (float(w) * feature_std)
-        if int(model.feature_logits(cand).argmax()) == int(label):
-            candidates.append(cand)
-    if not candidates:
+    noise = rng.normal(size=(weights.size, f.size))
+    candidates = f + noise * (weights[:, None] * feature_std)
+    survivors = np.flatnonzero(model.feature_logits(candidates).argmax(axis=1) == int(label))
+    if survivors.size == 0:
         return None
-    return candidates[int(rng.integers(len(candidates)))]
+    return candidates[survivors[int(rng.integers(survivors.size))]]
 
 
 def build_triplet(anchor, positive, negative, pseudo, p_replace, rng) -> Triplet:
     """Assemble one triplet, possibly substituting the pseudo-feature.
 
-    anchor and negative are (feature, class) pairs; positive is the
-    high-part feature. With probability p_replace, and only when a pseudo
-    feature is available, a fair coin replaces exactly one of positive or
-    negative with it.
+    anchor and negative are (member, class) pairs; positive is the
+    high-part member. Members are passed through untouched, so they may be
+    features or row numbers. With probability p_replace, and only when a
+    pseudo member is available, a fair coin replaces exactly one of
+    positive or negative with it.
     """
     anchor_feat, anchor_class = anchor
     negative_feat, negative_class = negative
@@ -103,26 +114,25 @@ def build_triplet(anchor, positive, negative, pseudo, p_replace, rng) -> Triplet
     )
 
 
-def margin_loss(triplet: Triplet, pos_weight, neg_weight, margin):
-    """Hinged weighted triplet loss, as a scalar Tensor:
+def margin_loss(anchors, positives, negatives, pos_weight, neg_weight, margin):
+    """Mean hinged weighted triplet loss over B triplets, as a scalar Tensor:
 
-        max(0, pos_weight * d(anchor, positive)
-              - neg_weight * d(anchor, negative) + margin)
+        mean_i max(0, pos_weight * d(a_i, p_i) - neg_weight * d(a_i, n_i) + margin)
 
-    with Euclidean d. The anchor is a tape Tensor; an array member (a
-    pseudo-feature) becomes a constant leaf on the anchor's tape.
-    Differentiable wherever the hinge is strictly positive.
+    with Euclidean d between matching rows of the three (B, d) tape
+    tensors; one triplet is a batch of one. Differentiable wherever no
+    hinge sits exactly at 0.
     """
     if pos_weight < 0 or neg_weight < 0 or margin < 0:
         raise ValueError("triplet weights and margin must be nonnegative")
-    if not isinstance(triplet.anchor, ad.Tensor):
-        raise TypeError("margin_loss needs the anchor on a tape (an ad.Tensor)")
-    tape = triplet.anchor.tape
-    a, p, n = (m if isinstance(m, ad.Tensor) else tape.leaf(np.asarray(m, dtype=np.float64))
-               for m in (triplet.anchor, triplet.positive, triplet.negative))
-    d_pos = ad.euclidean(a, p)
-    d_neg = ad.euclidean(a, n)
+    members = (anchors, positives, negatives)
+    if not all(isinstance(m, ad.Tensor) for m in members):
+        raise TypeError("margin_loss needs its members on a tape (ad.Tensor)")
+    if anchors.ndim != 2:
+        raise ValueError(f"margin_loss expects (B, d) members, got {anchors.shape}")
+    d_pos = ad.euclidean(anchors, positives)
+    d_neg = ad.euclidean(anchors, negatives)
     pre = ad.add_const(
         ad.add(ad.scale(d_pos, pos_weight), ad.scale(d_neg, -neg_weight)), margin
     )
-    return ad.relu(pre)
+    return ad.mean_all(ad.relu(pre))

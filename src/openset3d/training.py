@@ -372,10 +372,17 @@ def _synthesis_loss(bound, batch, lows, config, rng_gss):
 
 
 def _margin_term(bound, batch, feats, high_feats, config, run_std, rng_sms):
-    """Mean hinge triplet loss over the batch's real known-class anchors."""
+    """Mean hinge triplet loss over the batch's real known-class anchors.
+
+    The choices are made per anchor, drawing from rng_sms in a fixed order:
+    the negative, the pseudo-feature, then build_triplet's coins. Each
+    triplet names its members by row of the table [feats; high_feats;
+    pseudo rows], and one margin_loss records the batch's hinge.
+    """
     labels = np.array([r.class_index for r in batch])
-    losses = []
-    for b in range(len(batch)):
+    n = len(batch)
+    rows, pseudo_rows = [], []
+    for b in range(n):
         others = np.flatnonzero(labels != labels[b])
         if others.size == 0:
             continue  # no different-class negative available: skip this anchor
@@ -384,20 +391,20 @@ def _margin_term(bound, batch, feats, high_feats, config, run_std, rng_sms):
             feats.data[b], config.noise_weights, bound.model, labels[b], rng_sms,
             run_std.value,
         )
-        triplet = build_triplet(
-            (ad.take_row(feats, b), labels[b]),
-            ad.take_row(high_feats, b),
-            (ad.take_row(feats, j), labels[j]),
-            pseudo, config.p_replace, rng_sms,
-        )
-        losses.append(margin_loss(triplet, config.pos_weight, config.neg_weight,
-                                  config.margin))
-    if not losses:
+        slot = None if pseudo is None else 2 * n + len(pseudo_rows)
+        triplet = build_triplet((b, labels[b]), n + b, (j, labels[j]), slot,
+                                config.p_replace, rng_sms)
+        if triplet.replacement != "none":
+            pseudo_rows.append(pseudo)
+        rows.append((triplet.anchor, triplet.positive, triplet.negative))
+    if not rows:
         return None
-    acc = losses[0]
-    for extra in losses[1:]:
-        acc = ad.add(acc, extra)
-    return ad.scale(acc, 1.0 / len(losses))
+    table = (feats, high_feats)
+    if pseudo_rows:
+        table += (bound.tape.leaf(np.stack(pseudo_rows), "pseudo"),)
+    anchors, positives, negatives = (ad.gather_rows(table, idx) for idx in np.array(rows).T)
+    return margin_loss(anchors, positives, negatives, config.pos_weight,
+                       config.neg_weight, config.margin)
 
 
 def _epoch(state, dataset, config, caches, run_std, parts):
@@ -471,7 +478,7 @@ def run_combined(state: TrainState, dataset: ToyDataset, config: TrainConfig,
         if caches is None:
             raise ConfigError("TSD needs decomposition caches built from a saliency cache")
         caches.saliency.check(state.model.checksum(), dataset.train_known)
-    run_std = RunningStd(config.feat_dim)
+    run_std = RunningStd(state.model.feat_dim)
     parts = config.needs_parts()
     for _ in range(epochs):
         _epoch(state, dataset, config, caches, run_std, parts)

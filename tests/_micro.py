@@ -7,7 +7,7 @@ is a pure function of the flattened parameter vector and central finite
 differences can be taken safely. The configuration runs all four terms.
 Seeds are screened so no relu kink (the encoder's fused linear_relu
 layers and the margin hinge) sits within finite-difference reach and no
-triplet distance is near zero.
+triplet distance (any row of the batch's row-wise distance) is near zero.
 """
 
 import numpy as np
@@ -98,7 +98,7 @@ class MicroSetup:
     def _measure_margins(cls, tape):
         relu_gaps = [np.abs(cls._pre_activation(t)).min() for t in tape._nodes
                      if t.name in ("relu", "linear_relu")]
-        distances = [float(t.data) for t in tape._nodes if t.name == "euclidean"]
+        distances = [t.data.min() for t in tape._nodes if t.name == "euclidean"]
         return {
             "relu": min(relu_gaps, default=np.inf),
             "distances": min(distances, default=np.inf),

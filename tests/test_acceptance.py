@@ -120,6 +120,23 @@ def test_criterion_1_gradient_correctness():
         return loss.item(), a.grad
 
     check(dist_f, a0)
+
+    # the margin term's row-wise form: gather_rows over the parameter table
+    # and a constant one, with a repeated row, then one distance per row;
+    # table rows sit at least 0.5 per axis from the constant rows
+    table0 = rng.uniform(-1, 1, (3, 5))
+    far = rng.uniform(1.5, 2.5, (4, 5))
+    dist_read = rng.uniform(0.5, 1.5, 4)
+
+    def rows_f(theta):
+        tape = ad.Tape()
+        table = tape.leaf(theta.reshape(3, 5))
+        rows = ad.gather_rows((table, tape.leaf(far)), [2, 0, 2, 4])
+        loss = ad.sum_all(ad.mul_const(ad.euclidean(rows, tape.leaf(far)), dist_read))
+        tape.backward(loss)
+        return loss.item(), table.grad.ravel()
+
+    check(rows_f, table0.ravel())
     assert per_op_worst <= 1e-4
 
     # the trainer's batch_loss on the N=16, d=8, C=3, batch-2 micro model (1e-3)

@@ -252,6 +252,52 @@ def test_euclidean_value_and_gradient():
     assert rel_err(b.grad, numeric_grad(lambda v: np.linalg.norm(a0 - v), b0)).max() < RTOL
 
 
+def test_row_wise_euclidean_matches_one_row_at_a_time():
+    rng = np.random.default_rng(6)
+    a0, b0 = rng.uniform(-1, 1, (5, 4)), rng.uniform(-1, 1, (5, 4))
+    b0[3] = a0[3]  # a zero-distance row: subgradient 0
+    read = rng.uniform(0.5, 1.5, 5)
+    tape = ad.Tape()
+    a, b = tape.leaf(a0), tape.leaf(b0)
+    dist = ad.euclidean(a, b)
+    tape.backward(ad.sum_all(ad.mul_const(dist, read)))
+    for i in range(5):
+        one = ad.Tape()
+        ai, bi = one.leaf(a0[i]), one.leaf(b0[i])
+        di = ad.euclidean(ai, bi)
+        one.backward(ad.scale(di, read[i]))
+        assert dist.data[i] == di.item()
+        assert np.array_equal(a.grad[i], ai.grad) and np.array_equal(b.grad[i], bi.grad)
+    assert not a.grad[3].any() and not b.grad[3].any()
+    with pytest.raises(ValueError, match="equal shape"):
+        ad.euclidean(a, tape.leaf(b0[:, :3]))
+
+
+def test_gather_rows_scatter_adds_repeated_rows():
+    rng = np.random.default_rng(7)
+    x0, y0 = rng.uniform(-1, 1, (3, 2)), rng.uniform(-1, 1, (2, 2))
+    idx = [4, 0, 0, 2, 0, 3]  # rows of [x; y]: row 0 three times
+    read = rng.uniform(-1, 1, (6, 2))
+    tape = ad.Tape()
+    x, y, unused = tape.leaf(x0), tape.leaf(y0), tape.leaf(np.ones((1, 2)))
+    out = ad.gather_rows((x, y, unused), idx)
+    assert np.array_equal(out.data, np.vstack([x0, y0, np.ones((1, 2))])[idx])
+    tape.backward(ad.sum_all(ad.mul_const(out, read)))
+
+    def value(v):
+        return (np.vstack([v, y0])[idx] * read).sum()
+
+    assert rel_err(x.grad, numeric_grad(value, x0)).max() < RTOL
+    assert np.array_equal(x.grad[0], read[1] + read[2] + read[4])
+    assert np.array_equal(y.grad, read[[5, 0]])
+    assert unused.grad is None  # no row of it was gathered
+    for bad in ([6], [-1], [[0, 1]]):
+        with pytest.raises(ValueError, match="index"):
+            ad.gather_rows((x, y, unused), bad)
+    with pytest.raises(ValueError, match="equal width"):
+        ad.gather_rows((x, tape.leaf(np.ones((2, 3)))), [0])
+
+
 def test_pick_take_and_scale_ops():
     rng = np.random.default_rng(5)
     x0 = rng.uniform(-1, 1, (4, 3))

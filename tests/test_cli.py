@@ -207,6 +207,30 @@ def test_invalid_config_exits_2_before_any_work(tiny_dataset_dir, pretrained,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "pretrain"])
+@pytest.mark.parametrize("override,values", [
+    ("train.proj_hidden=16", ("(16,)", "()")),
+    ("train.feat_dim=8", ("8", "16")),
+    ("train.point_widths=12,8", ("(12, 8)", "(12, 16)")),
+])
+def test_an_architecture_unlike_the_checkpoints_exits_2_before_any_work(
+        tiny_dataset_dir, pretrained, saliency_cache, tmp_path, capsys, command, override,
+        values):
+    out = tmp_path / "t"
+    extra = ["--saliency", str(saliency_cache)] if command == "train" else []
+    code = main([
+        command, "--dataset", str(tiny_dataset_dir), "--out", str(out),
+        "--epochs", "1", "--checkpoint", str(pretrained), *extra, *TRAIN_OVERRIDES,
+        override,
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    key = override.split("=")[0]
+    assert f"{key} is {values[0]} in the config but {values[1]} in checkpoint" in err
+    assert str(pretrained) in err
+    assert not out.exists()
+
+
 def test_train_full_phase2_runs(tiny_dataset_dir, pretrained, saliency_cache, tmp_path):
     out = tmp_path / "full"
     code = main([

@@ -2,13 +2,16 @@
 every one of them back.
 
 `perfbench/tracing.py` wraps library functions by attribute name and raises
-KeyError for a name the library no longer defines; this test catches such a
-rename in the default test run.
+KeyError for a name the library no longer defines, and its counters read
+what the wrapped functions return; these tests catch a rename, or a changed
+return value, in the default test run.
 """
 
 import gc
 import importlib.util
 import inspect
+import sys
+import time
 from pathlib import Path
 
 import openset3d.autodiff as ad
@@ -18,12 +21,13 @@ import openset3d.experiments as ex
 import openset3d.saliency as sal
 import openset3d.training as tr_mod
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
     spec.loader.exec_module(module)
     return module
 
@@ -47,7 +51,7 @@ def _changed(before):
 
 
 def test_install_and_restore_leave_the_library_as_it_was():
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     before, callbacks = _snapshot(), list(gc.callbacks)
     restore = tracing.install(tracing.Tracer())
     try:
@@ -65,3 +69,22 @@ def test_install_and_restore_leave_the_library_as_it_was():
     finally:
         restore()
     assert _changed(before) == set()
+
+
+def test_a_traced_tiny_desk_seed_unit_runs_clean():
+    # every wrapper's counter runs on what the library returns (count_hinge
+    # reads margin_loss's result as a scalar); a failure inside the unit is
+    # recorded as a problem rather than raised
+    tracing, workloads = _load("tracing"), _load("workloads")
+    plan = workloads.Plan.make("desk_seed", 31, size="tiny")
+    inputs, _ = workloads.setup(plan)
+    tr = tracing.Tracer()
+    restore = tracing.install(tr, ex.ablation_grid(inputs.config))
+    try:
+        unit = workloads.run_unit(plan, inputs, time.perf_counter, tracer=tr)
+    finally:
+        restore()
+    assert unit.problems == [] and unit.failed == 0
+    metrics = tracing.layer_metrics(tr, 0)
+    assert metrics["margins.triplets"] > 0
+    assert metrics["margins.pseudo_features_calls"] == metrics["margins.triplets"]

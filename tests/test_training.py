@@ -271,6 +271,22 @@ def test_combined_phase_without_caches_rejected():
         run_combined(state, dataset, config, 1, caches=None)
 
 
+def test_combined_phase_sizes_the_noise_scale_from_the_model():
+    # a model whose feat_dim differs from the config's: the margin term's
+    # running std follows the model, so the run equals one with a matching config
+    dataset = tiny_dataset()
+    config = tiny_config(use_tsd=False)
+    state = init_state(dataset, config)
+    run_pretrain(state, dataset, config, 1)
+    runs = []
+    for feat_dim in (config.feat_dim, 256):
+        branch = state.copy()
+        run_combined(branch, dataset, dataclasses.replace(config, feat_dim=feat_dim), 1,
+                     caches=None)
+        runs.append((branch.model.checksum(), report_csv_text(branch.rows)))
+    assert runs[0] == runs[1]
+
+
 def test_full_combined_phase_runs_and_reports_all_terms():
     dataset = tiny_dataset()
     config = tiny_config(phase1_epochs=2, phase2_epochs=2)

@@ -35,11 +35,11 @@ print(f"  raw range [{scores.min():.4f}, {scores.max():.4f}], "
       f"{(scores > 0).sum()} of {len(scores)} points positive")
 
 # --- sorted split: floor(N/M) lowest scores form the low part ---------------
-decomp = split_by_saliency(scores, mix_count=3)
-print(f"\nsplit with mix_count=3: low part {len(decomp.low_indices)} points, "
-      f"high part {len(decomp.high_indices)} points")
-print(f"  max low score {scores[decomp.low_indices].max():.4f} <= "
-      f"min high score {scores[decomp.high_indices].min():.4f}")
+low_idx, high_idx = split_by_saliency(scores, mix_count=3)
+print(f"\nsplit with mix_count=3: low part {len(low_idx)} points, "
+      f"high part {len(high_idx)} points")
+print(f"  max low score {scores[low_idx].max():.4f} <= "
+      f"min high score {scores[high_idx].min():.4f}")
 
 # --- partial views via hidden-point removal --------------------------------
 rng = np.random.default_rng(5)

@@ -7,22 +7,20 @@ import numpy as np
 
 from openset3d import autodiff as ad
 from openset3d.data import generate_dataset, tiny_manifest
-from openset3d.saliency import Part, random_split
+from openset3d.saliency import tunable_decompose
 from openset3d.synthesis import mix, pseudo_label
 
 dataset = generate_dataset(tiny_manifest(seed=3, instances_per_class=10, points_per_cloud=64))
 rng = np.random.default_rng(11)
 
-# take the (here: random) low part of three distinct training objects
+# take the low part of three distinct training objects, ranked at random as
+# in the no-TSD ablation: no views, so the split alone makes the parts
 parts = []
 for record in dataset.train_known[:3]:
-    decomp = random_split(len(record.points), 3, rng)
-    parts.append(Part(
-        points=record.points[decomp.low_indices],
-        label=record.class_index,
-        source_id=record.object_id,
-        source_indices=decomp.low_indices,
-    ))
+    ranks = np.argsort(rng.permutation(len(record.points)))
+    _, low = tunable_decompose(record.points, ranks, 3, 1.0, 0.0, (), rng,
+                               label=record.class_index, source_id=record.object_id)
+    parts.append(low)
 print("mixing parts from:", [p.source_id for p in parts])
 
 sample = mix(parts, n_out=64, num_known=2, eps=0.1, eps_known=0.1, rng=rng)

@@ -41,7 +41,6 @@ from .saliency import (
     hidden_point_removal,
     normalize_scores,
     partial_views,
-    random_split,
     saliency_maps_batch,
     split_by_saliency,
     tunable_decompose,

@@ -354,8 +354,7 @@ def cmd_synth_demo(args) -> int:
                         "scale": prov.transform.scale,
                         "angle": prov.transform.angle,
                         "offset": [float(v) for v in prov.transform.offset],
-                        "jitter": (None if prov.transform.jitter is None
-                                   else prov.transform.jitter.tolist()),
+                        "jitter": prov.transform.jitter.tolist(),
                     },
                 }
                 for prov in sample.provenance

@@ -87,10 +87,6 @@ class Model:
         self.params[f"{name}.w"] = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out))
         self.params[f"{name}.b"] = np.zeros(fan_out)
 
-    @property
-    def point_feature_dim(self) -> int:
-        return self.point_widths[-1]
-
     def hyperparams(self) -> dict:
         return {
             "num_known": self.num_known,

@@ -21,24 +21,16 @@ from . import autodiff as ad
 from .encoder import Model
 
 __all__ = [
-    "Decomposition",
     "PartialView",
     "Part",
     "normalize_scores",
     "gradcam_scores",
     "saliency_maps_batch",
     "split_by_saliency",
-    "random_split",
     "hidden_point_removal",
     "partial_views",
     "tunable_decompose",
 ]
-
-
-@dataclass
-class Decomposition:
-    low_indices: np.ndarray
-    high_indices: np.ndarray
 
 
 @dataclass
@@ -115,8 +107,9 @@ def saliency_maps_batch(model: Model, clouds, labels) -> list[np.ndarray]:
     return maps
 
 
-def split_by_saliency(scores: np.ndarray, mix_count: int) -> Decomposition:
-    """Sorted split: the floor(N / mix_count) lowest scores form the low part.
+def split_by_saliency(scores: np.ndarray, mix_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted split: (low, high) point indices, the floor(N / mix_count)
+    lowest scores forming the low part.
 
     Ordering is by (score, index) ascending, so ties resolve to the lowest
     point index deterministically.
@@ -129,22 +122,7 @@ def split_by_saliency(scores: np.ndarray, mix_count: int) -> Decomposition:
         raise ValueError(f"cloud of {n} points cannot be split with mix_count={mix_count}")
     order = np.argsort(raw, kind="stable")
     cut = n // mix_count
-    return Decomposition(
-        low_indices=np.sort(order[:cut]),
-        high_indices=np.sort(order[cut:]),
-    )
-
-
-def random_split(n: int, mix_count: int, rng: np.random.Generator) -> Decomposition:
-    """Saliency-free fallback: a uniformly random floor(N/M)-point low part."""
-    if mix_count < 2 or n < mix_count:
-        raise ValueError("need n >= mix_count >= 2")
-    perm = rng.permutation(n)
-    cut = n // mix_count
-    return Decomposition(
-        low_indices=np.sort(perm[:cut]),
-        high_indices=np.sort(perm[cut:]),
-    )
+    return np.sort(order[:cut]), np.sort(order[cut:])
 
 
 def hidden_point_removal(points: np.ndarray, camera: np.ndarray) -> np.ndarray:
@@ -220,13 +198,13 @@ def tunable_decompose(points, scores, mix_count, view_high_thresh,
     such view chosen uniformly; symmetrically, a view scoring below view_low_thresh
     may replace the low part. Absent qualifying views, the pure split
     stands, so thresholds (1, 0) always reproduce it; thresholds near
-    (0, 1) swap both parts for views whenever any exist.
+    (0, 1) swap both parts for views whenever any exist. With no views,
+    nothing is drawn from `rng`.
     """
     if not (0.0 <= view_low_thresh <= 1.0 and 0.0 <= view_high_thresh <= 1.0):
         raise ValueError("view thresholds must lie in [0, 1]")
     pts = np.asarray(points, dtype=np.float64)
-    base = split_by_saliency(scores, mix_count)
-    high_idx, low_idx = base.high_indices, base.low_indices
+    low_idx, high_idx = split_by_saliency(scores, mix_count)
     views = list(views) if views else []
     high_pool = [v for v in views if v.overall_score > view_high_thresh]
     low_pool = [v for v in views if v.overall_score < view_low_thresh]

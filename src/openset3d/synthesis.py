@@ -25,26 +25,29 @@ __all__ = [
 ]
 
 
+# ranges of the per-part transform
+SCALE_RANGE = (0.8, 1.2)
+MAX_OFFSET = 0.2
+JITTER_SIGMA = 0.01
+JITTER_CLIP = 0.05
+
+
 @dataclass
 class TransformParams:
     scale: float
     angle: float  # yaw about the z (up) axis
     offset: np.ndarray  # (3,)
-    jitter: np.ndarray | None  # (N, 3) clipped Gaussian noise, or None
+    jitter: np.ndarray  # (N, 3) clipped Gaussian noise
 
 
-def sample_transform(n_points, rng, scale_range=(0.8, 1.2), max_offset=0.2,
-                     jitter_sigma=0.01, jitter_clip=0.05, with_jitter=True):
-    """Draw one set of transform parameters (a fixed draw order keeps runs
-    reproducible even when jitter is disabled)."""
-    scale = rng.uniform(*scale_range)
+def sample_transform(n_points, rng) -> TransformParams:
+    """Draw one set of transform parameters, in a fixed order: scale, yaw,
+    offset, then the per-point jitter."""
+    scale = rng.uniform(*SCALE_RANGE)
     angle = rng.uniform(0.0, 2.0 * np.pi)
-    offset = rng.uniform(-max_offset, max_offset, size=3)
-    jitter = None
-    if with_jitter and jitter_sigma > 0:
-        jitter = np.clip(
-            rng.normal(0.0, jitter_sigma, size=(n_points, 3)), -jitter_clip, jitter_clip
-        )
+    offset = rng.uniform(-MAX_OFFSET, MAX_OFFSET, size=3)
+    jitter = np.clip(rng.normal(0.0, JITTER_SIGMA, size=(n_points, 3)),
+                     -JITTER_CLIP, JITTER_CLIP)
     return TransformParams(scale=float(scale), angle=float(angle), offset=offset, jitter=jitter)
 
 
@@ -58,9 +61,7 @@ def apply_transform(points, tp: TransformParams) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64) * tp.scale
     pts = pts @ _yaw_matrix(tp.angle).T
     pts = pts + tp.offset
-    if tp.jitter is not None:
-        pts = pts + tp.jitter
-    return pts
+    return pts + tp.jitter
 
 
 def pseudo_label(counts, num_known, eps, eps_known, mix_count) -> np.ndarray:
@@ -103,7 +104,7 @@ class SyntheticSample:
     radius: float = 1.0  # scale removed during renormalization
 
 
-def mix(parts, n_out, num_known, eps, eps_known, rng, transform_kwargs=None) -> SyntheticSample:
+def mix(parts, n_out, num_known, eps, eps_known, rng) -> SyntheticSample:
     """Combine transformed parts from distinct objects into one pseudo-unknown.
 
     The union of the transformed parts is re-centered, scaled to unit max
@@ -118,7 +119,6 @@ def mix(parts, n_out, num_known, eps, eps_known, rng, transform_kwargs=None) -> 
     sources = [p.source_id for p in parts if p.source_id]
     if len(set(sources)) != len(sources):
         raise ValueError("mix requires parts from distinct source objects")
-    transform_kwargs = transform_kwargs or {}
     blocks = []
     provenance = []
     counts: dict[int, int] = {}
@@ -126,7 +126,7 @@ def mix(parts, n_out, num_known, eps, eps_known, rng, transform_kwargs=None) -> 
     for part in parts:
         if part.points.size == 0:
             raise ValueError("cannot mix an empty part")
-        tp = sample_transform(len(part.points), rng, **transform_kwargs)
+        tp = sample_transform(len(part.points), rng)
         moved = apply_transform(part.points, tp)
         blocks.append(moved)
         provenance.append(PartProvenance(

@@ -29,11 +29,9 @@ from .encoder import Model, normalize_cloud
 from .margins import RunningStd, build_triplet, margin_loss, pseudo_features
 from .metrics import ScoredSample, acc_macc, auroc, fpr95, mls_score, msp_score
 from .saliency import (
-    Part,
     PartialView,
     normalize_scores,
     partial_views,
-    random_split,
     saliency_maps_batch,
     tunable_decompose,
 )
@@ -116,9 +114,8 @@ class TrainConfig:
     feat_dim: int = 256
     point_widths: tuple = (64, 128, 256)
     proj_hidden: tuple = ()
-    # ablation: use_tsd=False gives random splits; beta=0 / gamma=0 drop GSS / SMS
+    # ablation: use_tsd=False ranks points at random; beta=0 / gamma=0 drop GSS / SMS
     use_tsd: bool = True
-    synth_ratio: float = 1.0
 
     def validate(self) -> None:
         # comparisons are written so that a NaN fails them
@@ -145,11 +142,16 @@ class TrainConfig:
             raise ConfigError("epoch and batch counts must be nonnegative/positive")
         if self.mix_count < 2:
             raise ConfigError("mix_count must be at least 2")
-        if not self.synth_ratio >= 0:
-            raise ConfigError("synth_ratio must be nonnegative")
+        for key in ("feat_dim", "point_widths", "proj_hidden"):
+            value = getattr(self, key)
+            widths = (value,) if key == "feat_dim" else tuple(value)
+            if not all(math.isfinite(w) and w >= 1 and w == int(w) for w in widths):
+                raise ConfigError(f"widths in {key} must be whole numbers >= 1, got {value}")
+        if not self.point_widths:
+            raise ConfigError("point_widths must name at least one layer")
 
     def gss_active(self) -> bool:
-        return self.beta > 0 and self.synth_ratio > 0
+        return self.beta > 0
 
     def sms_active(self) -> bool:
         return self.gamma > 0
@@ -278,25 +280,25 @@ def _batches(records, batch_size, rng):
 def _decompose_batch(batch, config, caches, rng_tsd):
     """Per-sample (high, low) parts for one batch.
 
-    With TSD on, parts come from the cached saliency split with optional
-    partial view substitution; with TSD off, a uniformly random split of the
-    same sizes stands in, isolating the value of the saliency signal.
+    Each record's points are ranked, then split and optionally swapped for
+    partial views by tunable_decompose. With TSD on, the ranking is the
+    cached saliency and the views are the record's; with TSD off, the
+    ranking is a uniformly random permutation and there are no views, which
+    isolates the value of the saliency signal.
     """
     highs, lows = [], []
     for rec in batch:
-        if not config.use_tsd:
-            decomp = random_split(len(rec.points), config.mix_count, rng_tsd)
-            high = Part(rec.points[decomp.high_indices], rec.class_index,
-                        rec.object_id, decomp.high_indices)
-            low = Part(rec.points[decomp.low_indices], rec.class_index,
-                       rec.object_id, decomp.low_indices)
+        if config.use_tsd:
+            scores, views = caches.saliency.get(rec.object_id), caches.views[rec.object_id]
         else:
-            high, low = tunable_decompose(
-                rec.points, caches.saliency.get(rec.object_id), config.mix_count,
-                config.view_high_thresh, config.view_low_thresh,
-                caches.views[rec.object_id], rng_tsd,
-                label=rec.class_index, source_id=rec.object_id,
-            )
+            # the inverse of a random permutation ranks the points in its
+            # order, so the low part is the permutation's first cut
+            scores, views = np.argsort(rng_tsd.permutation(len(rec.points))), ()
+        high, low = tunable_decompose(
+            rec.points, scores, config.mix_count,
+            config.view_high_thresh, config.view_low_thresh, views, rng_tsd,
+            label=rec.class_index, source_id=rec.object_id,
+        )
         highs.append(high)
         lows.append(low)
     return highs, lows
@@ -352,19 +354,19 @@ def batch_loss(bound, batch, highs, lows, config, rngs, run_std):
 
 
 def _synthesis_loss(bound, batch, lows, config, rng_gss):
+    """Soft cross-entropy of one synthetic sample per real sample, each
+    mixing the low parts of mix_count distinct batch members; None when the
+    batch has fewer members than that."""
+    if len(batch) < config.mix_count:
+        return None
     n_points = len(batch[0].points)
-    n_synth = int(round(len(batch) * config.synth_ratio))
     samples = []
-    for _ in range(n_synth):
-        if len(batch) < config.mix_count:
-            break
+    for _ in batch:
         picks = rng_gss.choice(len(batch), size=config.mix_count, replace=False)
         samples.append(mix(
             [lows[i] for i in picks], n_points, bound.model.num_known,
             config.eps, config.eps_known, rng_gss,
         ))
-    if not samples:
-        return None
     _, synth_feats = bound.encode_batch([s.points for s in samples])
     synth_logits = bound.logits(synth_feats)
     targets = np.stack([s.soft_label for s in samples])

@@ -19,10 +19,10 @@ from openset3d.margins import RunningStd
 from openset3d.saliency import Part, split_by_saliency
 from openset3d.training import TrainConfig, batch_loss
 
-# N=16 points, d=8, C=3, batch of 2; one synthetic sample mixes both low
-# parts; no pseudo-features, so every triplet keeps its real members
+# N=16 points, d=8, C=3, batch of 2; each of the two synthetic samples mixes
+# both low parts; no pseudo-features, so every triplet keeps its real members
 CONFIG = TrainConfig(
-    alpha=0.1, beta=0.01, gamma=0.3, mix_count=2, synth_ratio=0.5,
+    alpha=0.1, beta=0.01, gamma=0.3, mix_count=2,
     noise_weights=(), p_replace=0.0, feat_dim=8, point_widths=(8, 8), proj_hidden=(),
 )
 
@@ -57,9 +57,8 @@ class MicroSetup:
             object_id = f"micro/{label}"
             cloud = normalize_cloud(rng.uniform(-1, 1, (16, 3)))
             self.batch.append(CloudRecord(object_id, cloud, "micro", label, True, "train"))
-            split = split_by_saliency(rng.random(16), CONFIG.mix_count)
-            for parts, idx in ((self.highs, split.high_indices),
-                               (self.lows, split.low_indices)):
+            low, high = split_by_saliency(rng.random(16), CONFIG.mix_count)
+            for parts, idx in ((self.highs, high), (self.lows, low)):
                 parts.append(Part(cloud[idx], label, object_id, idx))
         self.theta0, self.shapes = _flatten(self.model.params)
 

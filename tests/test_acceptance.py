@@ -202,8 +202,7 @@ def test_criterion_4_partition_invariants():
         n = int(rng.integers(4, 300))
         mix_count = int(rng.integers(2, min(n, 9) + 1))
         scores = np.round(rng.random(n), 3)
-        decomp = split_by_saliency(scores, mix_count)
-        low, high = decomp.low_indices, decomp.high_indices
+        low, high = split_by_saliency(scores, mix_count)
         assert len(low) == n // mix_count
         assert len(np.intersect1d(low, high)) == 0
         assert len(np.union1d(low, high)) == n
@@ -215,9 +214,9 @@ def test_criterion_4_partition_invariants():
     from openset3d.saliency import partial_views
     views = partial_views(pts, normalize_scores(raw), 6, rng)
     high, low = tunable_decompose(pts, raw, 3, 1.0, 0.0, views, rng)
-    base = split_by_saliency(raw, 3)
-    assert np.array_equal(low.source_indices, base.low_indices)
-    assert np.array_equal(high.source_indices, base.high_indices)
+    base_low, base_high = split_by_saliency(raw, 3)
+    assert np.array_equal(low.source_indices, base_low)
+    assert np.array_equal(high.source_indices, base_high)
     announce(4, "1000 random splits partition exactly with floor sizes; "
                 "thresholds (1, 0) reproduce the pure split")
 

@@ -189,10 +189,14 @@ def test_a_cache_of_another_split_exits_2_naming_the_file(tiny_dataset_dir, pret
 
 
 @pytest.mark.parametrize("override", [
-    # keys that no longer exist: ablations are zero weights plus use_tsd
+    # keys that no longer exist: ablations are zero weights plus use_tsd, and
+    # there is one synthetic sample per real sample
     "train.saliency_mode=online", "train.use_gss=false", "train.use_sms=false",
-    # a value TrainConfig.validate() rejects
+    "train.synth_ratio=0.5",
+    # values TrainConfig.validate() rejects
     "train.views_per_object=0",
+    "train.proj_hidden=16.5", "train.point_widths=0 8", "train.feat_dim=0",
+    "train.point_widths=",
 ])
 def test_invalid_config_exits_2_before_any_work(tiny_dataset_dir, pretrained,
                                                 saliency_cache, tmp_path, capsys, override):
@@ -315,10 +319,9 @@ def test_synth_demo_exports_with_provenance(tiny_dataset_dir, pretrained,
                 scale=part["transform"]["scale"],
                 angle=part["transform"]["angle"],
                 offset=np.asarray(part["transform"]["offset"]),
-                jitter=None,
+                jitter=np.asarray(part["transform"]["jitter"]),
             )
-            jitter = part["transform"]["jitter"]
-            adjusted = row - (np.asarray(jitter[local]) if jitter else 0.0)
+            adjusted = row - tp.jitter[local]
             original = invert_transform(adjusted[None], tp)[0]
             source = by_id[part["source_id"]]
             assert np.allclose(original, source.points[part["source_indices"][local]],

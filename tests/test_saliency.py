@@ -11,7 +11,6 @@ from openset3d.saliency import (
     hidden_point_removal,
     normalize_scores,
     partial_views,
-    random_split,
     saliency_maps_batch,
     split_by_saliency,
     tunable_decompose,
@@ -142,20 +141,20 @@ def test_normalize_scores_constant_collapses_to_zero():
 
 def test_split_floor_sizes():
     scores = np.arange(10.0)
-    decomp = split_by_saliency(scores, 3)
-    assert len(decomp.low_indices) == 3 and len(decomp.high_indices) == 7
+    low, high = split_by_saliency(scores, 3)
+    assert len(low) == 3 and len(high) == 7
 
 
 def test_split_all_equal_takes_lowest_indices():
-    decomp = split_by_saliency(np.zeros(9), 3)
-    assert np.array_equal(decomp.low_indices, [0, 1, 2])
+    low, _ = split_by_saliency(np.zeros(9), 3)
+    assert np.array_equal(low, [0, 1, 2])
 
 
 def test_split_hand_case():
     # scores (5,1,4,2,3,0): ascending order is indices 5,1,3,4,2,0 and
     # floor(6/3) = 2, so the low part holds indices {1, 5} (scores 1, 0)
-    decomp = split_by_saliency(np.array([5.0, 1.0, 4.0, 2.0, 3.0, 0.0]), 3)
-    assert set(decomp.low_indices.tolist()) == {1, 5}
+    low, _ = split_by_saliency(np.array([5.0, 1.0, 4.0, 2.0, 3.0, 0.0]), 3)
+    assert set(low.tolist()) == {1, 5}
 
 
 def test_split_rejects_small_clouds():
@@ -171,20 +170,12 @@ def test_split_partition_properties_random():
         n = int(rng.integers(4, 200))
         mix_count = int(rng.integers(2, min(n, 8) + 1))
         scores = np.round(rng.random(n), 2)  # rounding forces ties
-        decomp = split_by_saliency(scores, mix_count)
-        low, high = decomp.low_indices, decomp.high_indices
+        low, high = split_by_saliency(scores, mix_count)
         assert len(low) == n // mix_count
         assert len(np.intersect1d(low, high)) == 0
         assert len(np.union1d(low, high)) == n
         if len(low):
             assert scores[low].max() <= scores[high].min()
-
-
-def test_random_split_is_partition():
-    rng = np.random.default_rng(8)
-    decomp = random_split(50, 3, rng)
-    assert len(decomp.low_indices) == 16
-    assert len(np.union1d(decomp.low_indices, decomp.high_indices)) == 50
 
 
 # ----------------------------------------------------------------------
@@ -257,10 +248,10 @@ def test_tunable_decompose_limits_reproduce_pure_split():
     views = make_views([0.1, 0.5, 0.9])
     high, low = tunable_decompose(cloud, raw, 3, 1.0, 0.0, views, rng,
                                   label=2, source_id="obj")
-    base = split_by_saliency(raw, 3)
-    assert np.array_equal(low.source_indices, base.low_indices)
-    assert np.array_equal(high.source_indices, base.high_indices)
-    assert np.array_equal(low.points, cloud[base.low_indices])
+    base_low, base_high = split_by_saliency(raw, 3)
+    assert np.array_equal(low.source_indices, base_low)
+    assert np.array_equal(high.source_indices, base_high)
+    assert np.array_equal(low.points, cloud[base_low])
     assert low.label == 2 and low.source_id == "obj"
 
 

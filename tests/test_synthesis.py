@@ -14,9 +14,6 @@ from openset3d.synthesis import (
     sample_transform,
 )
 
-IDENTITY = dict(scale_range=(1.0, 1.0), max_offset=0.0, with_jitter=False)
-
-
 def invert_transform(points, tp: TransformParams) -> np.ndarray:
     """Undo translate/rotate/scale; jitter is additive noise and stays."""
     pts = np.asarray(points, dtype=np.float64) - tp.offset
@@ -48,20 +45,17 @@ def test_transform_seeded_reproducible():
 
 def test_transform_identity_configuration():
     pts = np.random.default_rng(1).uniform(-1, 1, (10, 3))
-    out = apply_transform(pts, sample_transform(10, np.random.default_rng(0), **IDENTITY))
-    # rotation angle is still random; force it to zero via a fixed draw
-    tp = sample_transform(10, np.random.default_rng(0), **IDENTITY)
-    tp.angle = 0.0
+    tp = TransformParams(scale=1.0, angle=0.0, offset=np.zeros(3), jitter=np.zeros((10, 3)))
     assert np.allclose(apply_transform(pts, tp), pts, atol=1e-15)
+    out = apply_transform(pts, sample_transform(10, np.random.default_rng(0)))
     assert out.shape == pts.shape
 
 
 def test_transform_scaling_scales_distance_matrix():
     rng = np.random.default_rng(2)
     pts = rng.uniform(-1, 1, (12, 3))
-    tp = sample_transform(12, rng, scale_range=(0.8, 1.2), max_offset=0.0,
-                          with_jitter=False)
-    tp.angle = 0.0
+    tp = TransformParams(scale=float(rng.uniform(0.8, 1.2)), angle=0.0,
+                         offset=np.zeros(3), jitter=np.zeros((12, 3)))
     moved = apply_transform(pts, tp)
 
     def dists(p):
@@ -73,8 +67,8 @@ def test_transform_scaling_scales_distance_matrix():
 def test_transform_rotation_preserves_distance_matrix():
     rng = np.random.default_rng(3)
     pts = rng.uniform(-1, 1, (12, 3))
-    tp = sample_transform(12, rng, scale_range=(1.0, 1.0), max_offset=0.2,
-                          with_jitter=False)
+    tp = TransformParams(scale=1.0, angle=float(rng.uniform(0.0, 2.0 * np.pi)),
+                         offset=rng.uniform(-0.2, 0.2, size=3), jitter=np.zeros((12, 3)))
     moved = apply_transform(pts, tp)
 
     def dists(p):
@@ -86,8 +80,9 @@ def test_transform_rotation_preserves_distance_matrix():
 def test_transform_inverse_round_trip():
     rng = np.random.default_rng(4)
     pts = rng.uniform(-1, 1, (9, 3))
-    tp = sample_transform(9, rng, with_jitter=False)
-    assert np.allclose(invert_transform(apply_transform(pts, tp), tp), pts, atol=1e-12)
+    tp = sample_transform(9, rng)
+    moved = apply_transform(pts, tp) - tp.jitter
+    assert np.allclose(invert_transform(moved, tp), pts, atol=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -179,8 +174,7 @@ def test_mix_points_come_from_transformed_union():
 def test_mix_inverse_transform_recovers_source_points():
     rng = np.random.default_rng(9)
     parts = [random_part(rng, 30, 0, "a"), random_part(rng, 30, 1, "b")]
-    sample = mix(parts, 45, num_known=3, eps=0.1, eps_known=0.1, rng=rng,
-                 transform_kwargs={"with_jitter": False})
+    sample = mix(parts, 45, num_known=3, eps=0.1, eps_known=0.1, rng=rng)
     restored = sample.points * sample.radius + sample.center
     for row, union_row in zip(restored, sample.resample_indices):
         part_idx = next(
@@ -189,7 +183,8 @@ def test_mix_inverse_transform_recovers_source_points():
         )
         prov = sample.provenance[part_idx]
         local = union_row - prov.point_range[0]
-        original = invert_transform(row[None], prov.transform)[0]
+        unjittered = row - prov.transform.jitter[local]
+        original = invert_transform(unjittered[None], prov.transform)[0]
         assert np.allclose(original, parts[part_idx].points[local], atol=1e-9)
 
 

@@ -14,6 +14,7 @@ from openset3d.saliency import Part
 from openset3d.training import (
     TrainConfig,
     TrainingDiverged,
+    _decompose_batch,
     batch_loss,
     evaluate_closed_set,
     evaluate_open_set,
@@ -144,6 +145,8 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError, match="mix_count"):
         TrainConfig(mix_count=1).validate()
     TrainConfig().validate()  # defaults are valid
+    # the CLI coerces train.proj_hidden=16 to (16.0,), which Model builds as 16
+    TrainConfig(feat_dim=16.0, point_widths=(12.0, 16), proj_hidden=(16.0,)).validate()
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -159,7 +162,13 @@ def test_config_validation_errors():
     (dict(beta=float("nan")), "loss weights"),
     (dict(learning_rate=float("nan")), "learning rate"),
     (dict(eps=float("nan")), "smoothing"),
-    (dict(synth_ratio=float("nan")), "synth_ratio"),
+    (dict(feat_dim=0), "feat_dim"),
+    (dict(feat_dim=float("inf")), "feat_dim"),
+    (dict(point_widths=(0, 8)), "point_widths"),
+    (dict(point_widths=()), "point_widths"),
+    (dict(point_widths=(12, float("nan"))), "point_widths"),
+    (dict(proj_hidden=(16.5,)), "proj_hidden"),
+    (dict(proj_hidden=(float("inf"),)), "proj_hidden"),
 ])
 def test_config_validation_rejects_before_phase_1(bad, message):
     config = tiny_config(**bad)
@@ -300,6 +309,26 @@ def test_full_combined_phase_runs_and_reports_all_terms():
     assert len(result.caches.saliency) == len(dataset.train_known)
     assert all(len(v) == config.views_per_object
                for v in result.caches.views.values())
+
+
+def test_no_tsd_parts_are_a_random_split():
+    # use_tsd=False: each record's low part is the first floor(n / mix_count)
+    # points of a uniform permutation drawn from the TSD generator, and
+    # nothing else is drawn from it
+    dataset = tiny_dataset()
+    config = tiny_config(use_tsd=False)
+    batch = dataset.train_known[:5]
+    rng, ref = np.random.default_rng(21), np.random.default_rng(21)
+    highs, lows = _decompose_batch(batch, config, None, rng)
+    for rec, high, low in zip(batch, highs, lows):
+        n = len(rec.points)
+        perm = ref.permutation(n)
+        cut = n // config.mix_count
+        for part, idx in ((low, np.sort(perm[:cut])), (high, np.sort(perm[cut:]))):
+            assert np.array_equal(part.source_indices, idx)
+            assert np.array_equal(part.points, rec.points[idx])
+            assert (part.label, part.source_id) == (rec.class_index, rec.object_id)
+    assert rng.random() == ref.random()
 
 
 def test_ablation_variants_run():

@@ -43,9 +43,9 @@ print(f"\ngrad_check max relative error: {err:.2e} (tolerance 1e-4)")
 
 # --- the cosine head behaves like a similarity, not a magnitude ------------
 tape = ad.Tape()
-feature = tape.leaf(np.array([2.0, 1.0, 0.0, -1.0]))
+feature = tape.leaf(np.array([[2.0, 1.0, 0.0, -1.0]]))  # a batch of one feature row
 bank = tape.leaf(rng.normal(0, 0.5, (3, 4)))
 logits = ad.cosine_logits(feature, bank)
 scaled = ad.cosine_logits(tape.leaf(feature.data * 37.0), bank)
-print("\ncosine logits:", np.round(logits.data, 4))
+print("\ncosine logits:", np.round(logits.data[0], 4))
 print("scaled input, same logits:", np.allclose(logits.data, scaled.data, atol=1e-12))

@@ -38,8 +38,8 @@ print("\nworked example (C=4, parts 2x class0 + 1x class1):", np.round(worked, 6
 
 # --- the synthesis loss is a plain soft-label cross-entropy -----------------
 def synthesis_loss(logits, soft_label):
-    tape = ad.Tape()
-    return ad.soft_cross_entropy(tape.leaf(logits), soft_label).item()
+    tape = ad.Tape()  # one sample is a batch of one row
+    return ad.soft_cross_entropy(tape.leaf(logits[None]), soft_label[None]).data[0]
 
 
 logits = rng.uniform(-1, 1, 3)

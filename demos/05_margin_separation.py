@@ -19,7 +19,7 @@ for i in range(4):
 model.params["prototypes"] = bank
 
 anchor = bank[1] * 2.0 + rng.normal(0, 0.02, 6)  # a confident class-1 feature
-print("anchor classified as:", int(model.feature_logits(anchor).argmax()))
+print("anchor classified as:", int(model.feature_logits(anchor[None])[0].argmax()))
 
 # --- noisy copies that survive the head's filter become pseudo-features -----
 for weights in ([0.0], [0.05], [2.0, 4.0]):

@@ -337,17 +337,17 @@ def max_pool_groups(a: Tensor, sizes) -> Tensor:
 
 
 def cosine_logits(f: Tensor, bank: Tensor) -> Tensor:
-    """Cosine similarity of feature rows against every bank row.
+    """Cosine similarity of each feature row against every bank row.
 
-    f is (d,) or (B, d); bank is (K, d). The result is clipped into
-    [-1, 1] to absorb rounding above Cauchy-Schwarz; the clip is treated
-    as identity in backward (it only binds on exactly parallel vectors).
+    f is (B, d) and bank is (K, d); the result is (B, K). A single feature
+    is a batch of one row. The result is clipped into [-1, 1] to absorb
+    rounding above Cauchy-Schwarz; the clip is treated as identity in
+    backward (it only binds on exactly parallel vectors).
     """
     tape = _tape_of(f, bank)
-    single = f.ndim == 1
-    fd = f.data[None, :] if single else f.data
-    if bank.ndim != 2 or fd.shape[1] != bank.shape[1]:
-        raise ValueError(f"cosine_logits shape mismatch: f {f.shape}, bank {bank.shape}")
+    if f.ndim != 2 or bank.ndim != 2 or f.shape[1] != bank.shape[1]:
+        raise ValueError(f"cosine_logits expects (B, d) and (K, d): {f.shape}, {bank.shape}")
+    fd = f.data
     fn = np.linalg.norm(fd, axis=1)  # (B,)
     mn = np.linalg.norm(bank.data, axis=1)  # (K,)
     if fn.min(initial=np.inf) <= _NORM_EPS:
@@ -358,41 +358,36 @@ def cosine_logits(f: Tensor, bank: Tensor) -> Tensor:
     z = np.clip(z, -1.0, 1.0)
 
     def grad_fn(g):
-        g2 = g[None, :] if single else g
-        df = (g2 / mn[None, :]) @ bank.data / fn[:, None] \
-            - ((g2 * z).sum(axis=1))[:, None] * fd / (fn**2)[:, None]
-        dbank = (g2 / fn[:, None]).T @ fd / mn[:, None] \
-            - ((g2 * z).sum(axis=0))[:, None] * bank.data / (mn**2)[:, None]
-        return (df[0] if single else df), dbank
+        df = (g / mn[None, :]) @ bank.data / fn[:, None] \
+            - ((g * z).sum(axis=1))[:, None] * fd / (fn**2)[:, None]
+        dbank = (g / fn[:, None]).T @ fd / mn[:, None] \
+            - ((g * z).sum(axis=0))[:, None] * bank.data / (mn**2)[:, None]
+        return df, dbank
 
-    return Tensor(tape, z[0] if single else z, (f, bank), grad_fn, "cosine_logits")
+    return Tensor(tape, z, (f, bank), grad_fn, "cosine_logits")
 
 
 def soft_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Cross-entropy of log-softmax(logits) against a fixed target row.
+    """Per-row cross-entropy of log-softmax(logits) against fixed targets.
 
-    targets is a constant probability vector (or matrix matching a batch of
-    logit rows). Returns a scalar for 1-D logits and a per-row vector for
-    2-D logits. Stabilized with the usual max-shift log-sum-exp.
+    logits is (B, C) and targets a constant (B, C) array of probability
+    rows; the result is the (B,) vector of row losses. Stabilized with the
+    usual max-shift log-sum-exp.
     """
     t = np.asarray(targets, dtype=np.float64)
-    single = logits.ndim == 1
-    y = logits.data[None, :] if single else logits.data
-    t2 = t[None, :] if single else t
-    if y.shape != t2.shape:
-        raise ValueError(f"soft_cross_entropy shape mismatch: {logits.shape} vs {t.shape}")
+    y = logits.data
+    if y.ndim != 2 or y.shape != t.shape:
+        raise ValueError(f"soft_cross_entropy expects equal (B, C) shapes: {y.shape}, {t.shape}")
     m = y.max(axis=1, keepdims=True)
     ex = np.exp(y - m)
     lse = np.log(ex.sum(axis=1)) + m[:, 0]  # (B,)
-    loss = lse * t2.sum(axis=1) - (t2 * y).sum(axis=1)
+    loss = lse * t.sum(axis=1) - (t * y).sum(axis=1)
     sm = ex / ex.sum(axis=1, keepdims=True)
 
     def grad_fn(g):
-        g2 = np.asarray(g).reshape(-1, 1)
-        dy = g2 * (sm * t2.sum(axis=1, keepdims=True) - t2)
-        return (dy[0] if single else dy,)
+        return (g[:, None] * (sm * t.sum(axis=1, keepdims=True) - t),)
 
-    return Tensor(logits.tape, loss[0] if single else loss, (logits,), grad_fn, "soft_ce")
+    return Tensor(logits.tape, loss, (logits,), grad_fn, "soft_ce")
 
 
 def pick_rows(x: Tensor, indices) -> Tensor:
@@ -506,21 +501,20 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def euclidean(a: Tensor, b: Tensor) -> Tensor:
-    """Euclidean distance between two 1-D tensors, or row-wise between two
-    (B, d) tensors as a (B,) vector; the subgradient is 0 where a row of a
-    equals the row of b."""
+    """Row-wise Euclidean distance between two (B, d) tensors, as a (B,)
+    vector; the subgradient is 0 where a row of a equals the row of b."""
     tape = _tape_of(a, b)
-    if a.shape != b.shape or a.ndim not in (1, 2):
-        raise ValueError("euclidean expects two 1-D or two 2-D tensors of equal shape")
+    if a.shape != b.shape or a.ndim != 2:
+        raise ValueError(f"euclidean expects (B, d) tensors of equal shape: {a.shape}, {b.shape}")
     if not (np.isfinite(a.data).all() and np.isfinite(b.data).all()):
         raise ValueError("euclidean rejects non-finite inputs")
     diff = a.data - b.data
-    dist = np.sqrt((diff * diff).sum(axis=-1))
+    dist = np.sqrt((diff * diff).sum(axis=1))
     live = dist > _NORM_EPS
 
     def grad_fn(g):
         coef = np.divide(g, dist, out=np.zeros_like(dist), where=live)
-        d = coef[..., None] * diff
+        d = coef[:, None] * diff
         return d, -d
 
     return Tensor(tape, dist, (a, b), grad_fn, "euclidean")

@@ -9,6 +9,7 @@ formatting.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -82,8 +83,13 @@ class Manifest:
         names = [c.name for c in self.known + self.unknown]
         if len(set(names)) != len(names):
             raise ConfigError("class names must be unique across known and unknown")
-        if self.instances_per_class < 1 or self.points_per_cloud < 4:
-            raise ConfigError("instance and point counts must be positive (points >= 4)")
+        # one instance per class would leave the train split empty
+        for key, value, low in (("instances_per_class", self.instances_per_class, 2),
+                                ("points", self.points_per_cloud, 4), ("seed", self.seed, 0),
+                                ("noise", self.noise, 0), ("scale_jitter", self.scale_jitter, 0),
+                                ("tilt", self.tilt, 0)):
+            if not (math.isfinite(value) and value >= low):
+                raise ConfigError(f"manifest {key} must be finite and >= {low}, got {value}")
         for spec in self.known + self.unknown:
             spec.validate()
 

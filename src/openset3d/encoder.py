@@ -130,16 +130,11 @@ class Model:
         _, feats = bound.encode_batch(clouds)
         return bound.logits(feats).data
 
-    def feature_logits(self, feature: np.ndarray) -> np.ndarray:
-        """Cosine logits of a raw feature vector (d,), or of each row of a
-        (K, d) array, against the current bank."""
-        f = np.asarray(feature, dtype=np.float64)
-        bank = self.params["prototypes"]
-        fn = np.linalg.norm(f, axis=-1)
-        if fn.min(initial=np.inf) <= 1e-12:
-            raise ValueError("feature norm underflow")
-        return np.clip((f @ bank.T) / (fn[..., None] * np.linalg.norm(bank, axis=1)),
-                       -1.0, 1.0)
+    def feature_logits(self, features: np.ndarray) -> np.ndarray:
+        """Cosine logits (K, C+1) of raw feature rows (K, d) against the
+        current bank, on a throwaway tape."""
+        tape = ad.Tape()
+        return ad.cosine_logits(tape.leaf(features), tape.leaf(self.params["prototypes"])).data
 
 
 class TapedModel:

@@ -39,26 +39,25 @@ class ScoredSample:
 
 def _known_part(logits: np.ndarray) -> np.ndarray:
     y = np.asarray(logits, dtype=np.float64)
-    if y.ndim != 1 or y.size < 2:
-        raise ValueError("expected a 1-D logits vector over C known classes + unknown")
-    return y[:-1]
+    if y.ndim != 2 or y.shape[1] < 2:
+        raise ValueError("expected (B, C+1) logits over C known classes + unknown")
+    return y[:, :-1]
 
 
-def mls_score(logits) -> tuple[float, int]:
-    """Maximum logit over known classes and the arg class (0-based)."""
+def mls_score(logits) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: maximum logit over known classes and the arg class (0-based)."""
     known = _known_part(logits)
-    cls = int(known.argmax())
-    return float(known[cls]), cls
+    cls = known.argmax(axis=1)
+    return known[np.arange(len(cls)), cls], cls
 
 
-def msp_score(logits) -> tuple[float, int]:
-    """Maximum softmax probability among known classes (softmax over all C+1)."""
+def msp_score(logits) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: maximum softmax probability among known classes (softmax over
+    all C+1) and the arg class."""
     y = np.asarray(logits, dtype=np.float64)
-    known = _known_part(y)
-    ex = np.exp(y - y.max())
-    probs = ex / ex.sum()
-    cls = int(known.argmax())
-    return float(probs[cls]), cls
+    cls = _known_part(y).argmax(axis=1)
+    ex = np.exp(y - y.max(axis=1, keepdims=True))
+    return ex[np.arange(len(cls)), cls] / ex.sum(axis=1), cls
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:

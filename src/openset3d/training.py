@@ -129,8 +129,6 @@ class TrainConfig:
             raise ConfigError("p_replace must lie in [0, 1]")
         if not (0.0 <= self.view_low_thresh < self.view_high_thresh <= 1.0):
             raise ConfigError("view thresholds must satisfy 0 <= low < high <= 1")
-        if self.views_per_object < 1:
-            raise ConfigError("views_per_object must be at least 1")
         radius = tuple(self.view_radius)
         if len(radius) != 2 or not (0.0 < radius[0] <= radius[1]):
             raise ConfigError("view_radius must be two values with 0 < low <= high")
@@ -138,17 +136,17 @@ class TrainConfig:
             raise ConfigError("smoothing weights must satisfy eps + eps_known < 1")
         if not self.learning_rate > 0:
             raise ConfigError("learning rate must be positive")
-        if self.phase1_epochs < 0 or self.phase2_epochs < 0 or self.batch_size < 1:
-            raise ConfigError("epoch and batch counts must be nonnegative/positive")
-        if self.mix_count < 2:
-            raise ConfigError("mix_count must be at least 2")
-        for key in ("feat_dim", "point_widths", "proj_hidden"):
+        for key, low in (("phase1_epochs", 0), ("phase2_epochs", 0), ("batch_size", 1),
+                         ("mix_count", 2), ("views_per_object", 1), ("feat_dim", 1),
+                         ("point_widths", 1), ("proj_hidden", 1)):
             value = getattr(self, key)
-            widths = (value,) if key == "feat_dim" else tuple(value)
-            if not all(math.isfinite(w) and w >= 1 and w == int(w) for w in widths):
-                raise ConfigError(f"widths in {key} must be whole numbers >= 1, got {value}")
+            counts = tuple(value) if key in ("point_widths", "proj_hidden") else (value,)
+            if not all(math.isfinite(n) and n >= low and n == int(n) for n in counts):
+                raise ConfigError(f"{key} must be whole numbers >= {low}, got {value}")
         if not self.point_widths:
             raise ConfigError("point_widths must name at least one layer")
+        if not all(math.isfinite(w) and w >= 0 for w in self.noise_weights):
+            raise ConfigError(f"noise_weights must be finite and >= 0, got {self.noise_weights}")
 
     def gss_active(self) -> bool:
         return self.beta > 0
@@ -529,18 +527,11 @@ def score_records(model: Model, records, scorer: str = "mls") -> list[ScoredSamp
     if score_fn is None:
         raise ConfigError(f"unknown scorer {scorer!r}; choose mls or msp")
     records = list(records)
-    logits = predict_logits(model, records)
-    samples = []
-    for rec, row in zip(records, logits):
-        confidence, predicted = score_fn(row)
-        samples.append(ScoredSample(
-            confidence=confidence,
-            predicted_class=predicted,
-            is_known=rec.known,
-            true_class=rec.class_index if rec.known else None,
-            object_id=rec.object_id,
-        ))
-    return samples
+    confidences, classes = score_fn(predict_logits(model, records))
+    return [ScoredSample(confidence=float(q), predicted_class=int(c), is_known=rec.known,
+                         true_class=rec.class_index if rec.known else None,
+                         object_id=rec.object_id)
+            for rec, q, c in zip(records, confidences, classes)]
 
 
 def evaluate_open_set(model: Model, known_records, unknown_records,

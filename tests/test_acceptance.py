@@ -103,10 +103,11 @@ def test_criterion_1_gradient_correctness():
 
     def head_f(theta):
         tape = ad.Tape()
-        f = tape.leaf(theta)
-        loss = ad.soft_cross_entropy(ad.cosine_logits(f, tape.leaf(bank0)), target)
+        f = tape.leaf(theta[None])  # a (1, d) feature
+        loss = ad.sum_all(ad.soft_cross_entropy(ad.cosine_logits(f, tape.leaf(bank0)),
+                                                target[None]))
         tape.backward(loss)
-        return loss.item(), f.grad
+        return loss.item(), f.grad[0]
 
     check(head_f, feat0)
 
@@ -114,10 +115,10 @@ def test_criterion_1_gradient_correctness():
 
     def dist_f(theta):
         tape = ad.Tape()
-        a = tape.leaf(theta)
-        loss = ad.euclidean(a, tape.leaf(b1))
+        a = tape.leaf(theta[None])
+        loss = ad.sum_all(ad.euclidean(a, tape.leaf(b1[None])))
         tape.backward(loss)
-        return loss.item(), a.grad
+        return loss.item(), a.grad[0]
 
     check(dist_f, a0)
 

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from openset3d import autodiff as ad
+from openset3d.encoder import Model
+from openset3d.metrics import mls_score, msp_score
 
 RTOL = 1e-4
 
@@ -194,15 +196,16 @@ def test_cosine_gradients_match_finite_differences():
         return (z * weights).sum()
 
     tape = ad.Tape()
-    f = tape.leaf(f0)
+    f = tape.leaf(f0[None])  # one feature is a batch of one row
     bank = tape.leaf(bank0)
     loss = ad.sum_all(ad.mul_const(ad.cosine_logits(f, bank), weights))
     tape.backward(loss)
-    assert rel_err(f.grad, numeric_grad(lambda v: value(v, bank0), f0)).max() < RTOL
+    assert rel_err(f.grad[0], numeric_grad(lambda v: value(v, bank0), f0)).max() < RTOL
     assert rel_err(bank.grad, numeric_grad(lambda v: value(f0, v), bank0)).max() < RTOL
 
 
 def test_cosine_batched_matches_single():
+    """Row i of a batch equals that row computed as a batch of one."""
     rng = np.random.default_rng(3)
     feats = rng.uniform(-1, 1, (5, 8)) + 0.1
     bank0 = rng.uniform(-1, 1, (3, 8)) + 0.1
@@ -210,9 +213,9 @@ def test_cosine_batched_matches_single():
     batched = ad.cosine_logits(tape.leaf(feats), tape.leaf(bank0))
     for i in range(5):
         tape2 = ad.Tape()
-        single = ad.cosine_logits(tape2.leaf(feats[i]), tape2.leaf(bank0))
-        # batched/single GEMMs may differ in the last ulp
-        assert np.allclose(batched.data[i], single.data, rtol=0, atol=1e-12)
+        one = ad.cosine_logits(tape2.leaf(feats[i : i + 1]), tape2.leaf(bank0))
+        # GEMMs of 5 rows and of 1 row may differ in the last ulp
+        assert np.allclose(batched.data[i], one.data[0], rtol=0, atol=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -244,15 +247,17 @@ def test_euclidean_value_and_gradient():
     a0 = np.array([1.0, 2.0, 2.0])
     b0 = np.zeros(3)
     tape = ad.Tape()
-    a, b = tape.leaf(a0), tape.leaf(b0)
+    a, b = tape.leaf(a0[None]), tape.leaf(b0[None])  # one pair is a batch of one
     dist = ad.euclidean(a, b)
-    assert dist.item() == pytest.approx(3.0)
-    tape.backward(dist)
-    assert rel_err(a.grad, numeric_grad(lambda v: np.linalg.norm(v - b0), a0)).max() < RTOL
-    assert rel_err(b.grad, numeric_grad(lambda v: np.linalg.norm(a0 - v), b0)).max() < RTOL
+    assert dist.data[0] == pytest.approx(3.0)
+    tape.backward(ad.sum_all(dist))
+    assert rel_err(a.grad[0], numeric_grad(lambda v: np.linalg.norm(v - b0), a0)).max() < RTOL
+    assert rel_err(b.grad[0], numeric_grad(lambda v: np.linalg.norm(a0 - v), b0)).max() < RTOL
 
 
 def test_row_wise_euclidean_matches_one_row_at_a_time():
+    """Row i of a batch, value and adjoints, equals that row computed as a
+    batch of one."""
     rng = np.random.default_rng(6)
     a0, b0 = rng.uniform(-1, 1, (5, 4)), rng.uniform(-1, 1, (5, 4))
     b0[3] = a0[3]  # a zero-distance row: subgradient 0
@@ -263,11 +268,11 @@ def test_row_wise_euclidean_matches_one_row_at_a_time():
     tape.backward(ad.sum_all(ad.mul_const(dist, read)))
     for i in range(5):
         one = ad.Tape()
-        ai, bi = one.leaf(a0[i]), one.leaf(b0[i])
+        ai, bi = one.leaf(a0[i : i + 1]), one.leaf(b0[i : i + 1])
         di = ad.euclidean(ai, bi)
-        one.backward(ad.scale(di, read[i]))
-        assert dist.data[i] == di.item()
-        assert np.array_equal(a.grad[i], ai.grad) and np.array_equal(b.grad[i], bi.grad)
+        one.backward(ad.sum_all(ad.mul_const(di, read[i : i + 1])))
+        assert dist.data[i] == di.data[0]
+        assert np.array_equal(a.grad[i], ai.grad[0]) and np.array_equal(b.grad[i], bi.grad[0])
     assert not a.grad[3].any() and not b.grad[3].any()
     with pytest.raises(ValueError, match="equal shape"):
         ad.euclidean(a, tape.leaf(b0[:, :3]))
@@ -314,6 +319,27 @@ def test_pick_take_and_scale_ops():
 
     assert loss.item() == pytest.approx(value(x0))
     assert rel_err(x.grad, numeric_grad(value, x0)).max() < RTOL
+
+
+# ----------------------------------------------------------------------
+# batched-only forms: one sample is a batch of one row, and a 1-D input is
+# an error rather than a second code path
+
+ONE_D_CALLS = {
+    "cosine_logits": lambda t: ad.cosine_logits(t.leaf(np.ones(3)), t.leaf(np.ones((2, 3)))),
+    "soft_cross_entropy": lambda t: ad.soft_cross_entropy(t.leaf(np.zeros(3)), np.eye(3)[0]),
+    "euclidean": lambda t: ad.euclidean(t.leaf(np.ones(3)), t.leaf(np.zeros(3))),
+    "feature_logits": lambda t: Model(num_known=2, feat_dim=3, point_widths=(4,))
+    .feature_logits(np.ones(3)),
+    "mls_score": lambda t: mls_score(np.zeros(3)),
+    "msp_score": lambda t: msp_score(np.zeros(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_D_CALLS))
+def test_batched_forms_reject_1d_input(name):
+    with pytest.raises(ValueError, match=r"\(B, "):
+        ONE_D_CALLS[name](ad.Tape())
 
 
 # ----------------------------------------------------------------------
@@ -409,10 +435,11 @@ def test_grad_check_cosine_head_cross_entropy_composite():
 
     def f(theta):
         tape = ad.Tape()
-        feat = tape.leaf(theta)
-        loss = ad.soft_cross_entropy(ad.cosine_logits(feat, tape.leaf(bank)), target)
+        feat = tape.leaf(theta[None])  # one feature row
+        loss = ad.sum_all(ad.soft_cross_entropy(ad.cosine_logits(feat, tape.leaf(bank)),
+                                                target[None]))
         tape.backward(loss)
-        return loss.item(), feat.grad
+        return loss.item(), feat.grad[0]
 
     assert ad.grad_check(f, rng.uniform(0.2, 1.0, 6), h=1e-5) <= 1e-4
 

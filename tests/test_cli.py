@@ -90,6 +90,30 @@ def test_gen_bad_shape_name_exit_2(tmp_path, capsys):
     assert "wedge" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line,key", [
+    ("noise = inf", "noise"), ("noise = nan", "noise"), ("noise = -0.5", "noise"),
+    ("tilt = inf", "tilt"), ("tilt = nan", "tilt"), ("scale_jitter = inf", "scale_jitter"),
+    ("seed = -1", "seed"), ("instances_per_class = 1", "instances_per_class"),
+    ("--seed -1", "seed"),
+])
+def test_gen_bad_manifest_value_exits_2_before_writing(tmp_path, capsys, line, key):
+    # accepted, these would write NaN clouds, silently drop the noise or tilt,
+    # fail inside numpy with no location, or leave the training split empty
+    text = format_manifest(tiny_manifest(instances_per_class=4, points_per_cloud=32))
+    args = []
+    if line.startswith("--"):
+        args = line.split()
+    else:
+        text = "\n".join(line if raw.split(" = ")[0] == key else raw
+                         for raw in text.splitlines()) + "\n"
+    manifest = tmp_path / "bad.txt"
+    manifest.write_text(text)
+    out = tmp_path / "o"
+    assert main(["gen", "--manifest", str(manifest), "--out", str(out), *args]) == 2
+    assert f"manifest {key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pretrain_reaches_high_val_accuracy(pretrained, capsys):
     # the fixture already ran; re-check by reading its report
     report = pretrained.parent / "pretrain_report.csv"
@@ -196,7 +220,8 @@ def test_a_cache_of_another_split_exits_2_naming_the_file(tiny_dataset_dir, pret
     # values TrainConfig.validate() rejects
     "train.views_per_object=0",
     "train.proj_hidden=16.5", "train.point_widths=0 8", "train.feat_dim=0",
-    "train.point_widths=",
+    "train.point_widths=", "train.noise_weights=nan", "train.noise_weights=0.1 inf",
+    "train.noise_weights=-0.1", "train.mix_count=2.5", "train.batch_size=nan",
 ])
 def test_invalid_config_exits_2_before_any_work(tiny_dataset_dir, pretrained,
                                                 saliency_cache, tmp_path, capsys, override):

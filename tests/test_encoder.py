@@ -18,21 +18,15 @@ def random_cloud(rng, n=10):
     return rng.uniform(-1, 1, (n, 3))
 
 
-def encode_one(bound, points):
-    """Per-point features (N, d_pre) and the (d,) feature of one cloud."""
-    a_all, f = bound.encode_batch([points])
-    return a_all, ad.take_row(f, 0)
-
-
 def test_encode_deterministic():
     model = small_model()
     rng = np.random.default_rng(0)
     cloud = random_cloud(rng)
     tape = ad.Tape()
     bound = model.bind(tape)
-    a1, f1 = encode_one(bound, cloud)
+    a1, f1 = bound.encode_batch([cloud])
     tape2 = ad.Tape()
-    a2, f2 = encode_one(model.bind(tape2), cloud)
+    a2, f2 = model.bind(tape2).encode_batch([cloud])
     assert np.array_equal(a1.data, a2.data)
     assert np.array_equal(f1.data, f2.data)
 
@@ -43,9 +37,9 @@ def test_encode_permutation_equivariance():
     cloud = random_cloud(rng, 32)
     perm = rng.permutation(32)
     tape = ad.Tape()
-    a, f = encode_one(model.bind(tape), cloud)
+    a, f = model.bind(tape).encode_batch([cloud])
     tape2 = ad.Tape()
-    a_p, f_p = encode_one(model.bind(tape2), cloud[perm])
+    a_p, f_p = model.bind(tape2).encode_batch([cloud[perm]])
     assert np.array_equal(f.data, f_p.data)  # pooling is symmetric: exact
     assert np.array_equal(a.data[perm], a_p.data)  # rows permute identically
 
@@ -59,7 +53,7 @@ def test_cosine_logits_permutation_invariant_exactly():
     def logits_of(points):
         tape = ad.Tape()
         bound = model.bind(tape)
-        _, f = encode_one(bound, points)
+        _, f = bound.encode_batch([points])
         return bound.logits(f).data
 
     assert np.array_equal(logits_of(cloud), logits_of(cloud[perm]))
@@ -71,7 +65,7 @@ def test_encode_matches_straight_line_recomputation():
     rng = np.random.default_rng(3)
     cloud = random_cloud(rng, 4)
     tape = ad.Tape()
-    a, f = encode_one(model.bind(tape), cloud)
+    a, f = model.bind(tape).encode_batch([cloud])
     p = model.params
     h = np.maximum(cloud @ p["point0.w"] + p["point0.b"], 0.0)
     h = np.maximum(h @ p["point1.w"] + p["point1.b"], 0.0)
@@ -90,7 +84,7 @@ def test_encode_batch_matches_per_cloud():
     offset = 0
     for i, cloud in enumerate(clouds):
         tape_i = ad.Tape()
-        a_i, f_i = encode_one(model.bind(tape_i), cloud)
+        a_i, f_i = model.bind(tape_i).encode_batch([cloud])
         assert np.allclose(a_all.data[offset : offset + len(cloud)], a_i.data,
                            rtol=0, atol=1e-12)
         assert np.allclose(feats.data[i], f_i.data, rtol=0, atol=1e-12)
@@ -101,41 +95,41 @@ def test_encode_rejects_empty_cloud():
     model = small_model()
     tape = ad.Tape()
     with pytest.raises(ValueError, match="nonempty"):
-        encode_one(model.bind(tape), np.zeros((0, 3)))
+        model.bind(tape).encode_batch([np.zeros((0, 3))])
 
 
 def test_cosine_self_similarity_is_one():
     tape = ad.Tape()
     bank = np.array([[1.0, 2.0, -1.0], [0.5, 0.5, 0.5]])
-    f = tape.leaf(3.7 * bank[0])  # any positive scale of a prototype
+    f = tape.leaf(3.7 * bank[:1])  # any positive scale of a prototype
     out = ad.cosine_logits(f, tape.leaf(bank))
-    assert out.data[0] == pytest.approx(1.0, abs=1e-12)
+    assert out.data[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cosine_orthogonal_is_zero():
     tape = ad.Tape()
-    out = ad.cosine_logits(tape.leaf([1.0, 0.0]), tape.leaf([[0.0, 2.0]]))
-    assert out.data[0] == pytest.approx(0.0, abs=1e-12)
+    out = ad.cosine_logits(tape.leaf([[1.0, 0.0]]), tape.leaf([[0.0, 2.0]]))
+    assert out.data[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cosine_hand_value():
     tape = ad.Tape()
-    out = ad.cosine_logits(tape.leaf([1.0, 1.0]), tape.leaf([[1.0, 0.0]]))
-    assert out.data[0] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-9)
+    out = ad.cosine_logits(tape.leaf([[1.0, 1.0]]), tape.leaf([[1.0, 0.0]]))
+    assert out.data[0, 0] == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-9)
 
 
 def test_cosine_rejects_zero_norm():
     tape = ad.Tape()
     with pytest.raises(ValueError, match="underflow"):
-        ad.cosine_logits(tape.leaf([0.0, 0.0]), tape.leaf([[1.0, 0.0]]))
+        ad.cosine_logits(tape.leaf([[0.0, 0.0]]), tape.leaf([[1.0, 0.0]]))
     with pytest.raises(ValueError, match="underflow"):
-        ad.cosine_logits(tape.leaf([1.0, 0.0]), tape.leaf([[0.0, 0.0]]))
+        ad.cosine_logits(tape.leaf([[1.0, 0.0]]), tape.leaf([[0.0, 0.0]]))
 
 
 def test_cosine_scale_invariance():
     model = small_model()
     rng = np.random.default_rng(5)
-    f0 = rng.uniform(0.1, 1.0, 8)
+    f0 = rng.uniform(0.1, 1.0, (1, 8))
     for alpha in (1e-3, 0.5, 7.0, 1e3):
         tape = ad.Tape()
         bank = tape.leaf(model.params["prototypes"])
@@ -262,7 +256,7 @@ def test_model_grads_cover_all_parameters():
     rng = np.random.default_rng(12)
     tape = ad.Tape()
     bound = model.bind(tape)
-    _, f = encode_one(bound, random_cloud(rng, 6))
+    _, f = bound.encode_batch([random_cloud(rng, 6)])
     loss = ad.sum_all(bound.logits(f))
     tape.backward(loss)
     grads = bound.param_grads()

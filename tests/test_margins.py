@@ -303,7 +303,7 @@ def _loop_pseudo_features(feature, noise_weights, model, label, rng, feature_std
     candidates = []
     for w in noise_weights:
         cand = feature + rng.normal(size=feature.shape) * (float(w) * feature_std)
-        if int(model.feature_logits(cand).argmax()) == int(label):
+        if int(model.feature_logits(cand[None])[0].argmax()) == int(label):
             candidates.append(cand)
     if not candidates:
         return None
@@ -311,7 +311,7 @@ def _loop_pseudo_features(feature, noise_weights, model, label, rng, feature_std
 
 
 def _loop_margin_term(bound, labels, feats, high_feats, config, run_std, rng_sms):
-    """The per-anchor loop: take_row members, one scalar hinge per triplet,
+    """The per-anchor loop: one-row members, one scalar hinge per triplet,
     an add chain and a scale. Returns (loss or None, choices)."""
     losses, choices = [], []
     for b in range(len(labels)):
@@ -322,16 +322,16 @@ def _loop_margin_term(bound, labels, feats, high_feats, config, run_std, rng_sms
         pseudo = _loop_pseudo_features(feats.data[b], config.noise_weights, bound.model,
                                        labels[b], rng_sms, run_std.value)
         triplet = build_triplet(
-            (ad.take_row(feats, b), labels[b]), ad.take_row(high_feats, b),
-            (ad.take_row(feats, j), labels[j]), pseudo, config.p_replace, rng_sms,
+            (ad.gather_rows((feats,), [b]), labels[b]), ad.gather_rows((high_feats,), [b]),
+            (ad.gather_rows((feats,), [j]), labels[j]), pseudo, config.p_replace, rng_sms,
         )
         choices.append((j, None if pseudo is None else pseudo.tobytes(), triplet.replacement))
-        a, p, n = (m if isinstance(m, ad.Tensor) else bound.tape.leaf(m)
+        a, p, n = (m if isinstance(m, ad.Tensor) else bound.tape.leaf(m[None])
                    for m in (triplet.anchor, triplet.positive, triplet.negative))
         pre = ad.add_const(ad.add(ad.scale(ad.euclidean(a, p), config.pos_weight),
                                   ad.scale(ad.euclidean(a, n), -config.neg_weight)),
                            config.margin)
-        losses.append(ad.relu(pre))
+        losses.append(ad.sum_all(ad.relu(pre)))  # the one hinge of a batch of one
     if not losses:
         return None, choices
     acc = losses[0]

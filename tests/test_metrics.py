@@ -48,41 +48,53 @@ def sweep_fpr95(known, unknown):
 # confidence scores
 
 
+def score_row(score_fn, logits):
+    """(confidence, class) of one logits row, scored as a batch of one."""
+    confidences, classes = score_fn(np.asarray(logits, dtype=np.float64)[None])
+    return confidences[0], classes[0]
+
+
 def test_mls_known_max():
-    q, cls = mls_score([0.2, 0.9, -0.1, 0.85])  # last entry is the unknown logit
+    q, cls = score_row(mls_score, [0.2, 0.9, -0.1, 0.85])  # last entry: the unknown logit
     assert q == 0.9 and cls == 1
 
 
 def test_mls_tie_goes_to_lowest_index():
-    q, cls = mls_score([0.4, 0.4, 0.4, 0.4])
+    q, cls = score_row(mls_score, [0.4, 0.4, 0.4, 0.4])
     assert cls == 0 and q == 0.4
 
 
 def test_mls_ignores_unknown_logit():
-    base_q, base_cls = mls_score([0.2, 0.9, -0.1, -1.0])
-    bumped_q, bumped_cls = mls_score([0.2, 0.9, -0.1, 0.95])
+    base_q, base_cls = score_row(mls_score, [0.2, 0.9, -0.1, -1.0])
+    bumped_q, bumped_cls = score_row(mls_score, [0.2, 0.9, -0.1, 0.95])
     assert (base_q, base_cls) == (bumped_q, bumped_cls) == (0.9, 1)
 
 
 def test_msp_uniform_logits():
-    q, cls = msp_score(np.zeros(5))
+    q, cls = score_row(msp_score, np.zeros(5))
     assert q == pytest.approx(0.2)
     assert cls == 0
 
 
 def test_msp_dominant_known_logit():
     # recomputed from the stated formula e / (e + 4 e^-1)
-    q, _ = msp_score([1.0, -1.0, -1.0, -1.0, -1.0])
+    q, _ = score_row(msp_score, [1.0, -1.0, -1.0, -1.0, -1.0])
     expected = np.e / (np.e + 4.0 / np.e)
     assert q == pytest.approx(expected, abs=1e-12)
     assert q == pytest.approx(0.6487856442839394, abs=1e-12)
 
 
 def test_mls_msp_share_predicted_class():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        logits = rng.uniform(-1, 1, 6)
-        assert mls_score(logits)[1] == msp_score(logits)[1]
+    logits = np.random.default_rng(0).uniform(-1, 1, (50, 6))
+    assert np.array_equal(mls_score(logits)[1], msp_score(logits)[1])
+
+
+@pytest.mark.parametrize("score_fn", [mls_score, msp_score])
+def test_each_row_of_a_batch_scores_as_it_does_alone(score_fn):
+    logits = np.random.default_rng(1).uniform(-1, 1, (20, 5))
+    confidences, classes = score_fn(logits)
+    for b in range(20):
+        assert (confidences[b], classes[b]) == score_row(score_fn, logits[b])
 
 
 # ----------------------------------------------------------------------

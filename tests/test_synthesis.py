@@ -22,9 +22,12 @@ def invert_transform(points, tp: TransformParams) -> np.ndarray:
 
 
 def gss_loss(logits, soft_label) -> float:
-    """The synthesis term of one sample: soft cross-entropy on a tape leaf."""
+    """The synthesis term of one sample: soft cross-entropy on a tape leaf,
+    as a batch of one row."""
     tape = ad.Tape()
-    return ad.soft_cross_entropy(tape.leaf(logits), soft_label).item()
+    rows = ad.soft_cross_entropy(tape.leaf(np.asarray(logits)[None]),
+                                 np.asarray(soft_label)[None])
+    return float(rows.data[0])
 
 
 def random_part(rng, n=20, label=0, source="obj"):
@@ -264,12 +267,12 @@ def test_gss_loss_tensor_path_matches_float_path():
     logits = rng.uniform(-1, 1, 5)
     label = rng.dirichlet(np.ones(5))
     tape = ad.Tape()
-    leaf = tape.leaf(logits)
-    tensor_loss = ad.soft_cross_entropy(leaf, label)
+    leaf = tape.leaf(logits[None])  # one sample is a batch of one row
+    tensor_loss = ad.sum_all(ad.soft_cross_entropy(leaf, label[None]))
     m = logits.max()
     lse = np.log(np.exp(logits - m).sum()) + m
     assert tensor_loss.item() == pytest.approx(lse * label.sum() - (label * logits).sum(),
                                                abs=1e-12)
     tape.backward(tensor_loss)  # differentiable path stays intact
     softmax = np.exp(logits - m) / np.exp(logits - m).sum()
-    assert np.allclose(leaf.grad, softmax * label.sum() - label, atol=1e-12)
+    assert np.allclose(leaf.grad[0], softmax * label.sum() - label, atol=1e-12)

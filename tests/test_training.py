@@ -50,8 +50,9 @@ def tiny_config(**overrides):
 
 
 def cross_entropy(logits, target):
+    """The loss of one logits row against one target row, as a batch of one."""
     tape = ad.Tape()
-    return ad.soft_cross_entropy(tape.leaf(logits), target).item()
+    return float(ad.soft_cross_entropy(tape.leaf(logits[None]), target[None]).data[0])
 
 
 def mean_cls_loss(logits, records):
@@ -169,6 +170,19 @@ def test_config_validation_errors():
     (dict(point_widths=(12, float("nan"))), "point_widths"),
     (dict(proj_hidden=(16.5,)), "proj_hidden"),
     (dict(proj_hidden=(float("inf"),)), "proj_hidden"),
+    (dict(phase1_epochs=float("nan")), "phase1_epochs"),
+    (dict(phase1_epochs=2.5), "phase1_epochs"),
+    (dict(phase2_epochs=float("nan")), "phase2_epochs"),
+    (dict(phase2_epochs=2.5), "phase2_epochs"),
+    (dict(batch_size=float("nan")), "batch_size"),
+    (dict(batch_size=2.5), "batch_size"),
+    (dict(mix_count=float("nan")), "mix_count"),
+    (dict(mix_count=2.5), "mix_count"),
+    (dict(views_per_object=float("nan")), "views_per_object"),
+    (dict(views_per_object=2.5), "views_per_object"),
+    (dict(noise_weights=(float("nan"),)), "noise_weights"),
+    (dict(noise_weights=(0.1, float("inf"))), "noise_weights"),
+    (dict(noise_weights=(-0.1,)), "noise_weights"),
 ])
 def test_config_validation_rejects_before_phase_1(bad, message):
     config = tiny_config(**bad)

@@ -23,10 +23,12 @@ from .data import (
     ConfigError,
     SaliencyCache,
     StaleCacheError,
+    coerce,
     default_manifest,
     generate_dataset,
     load_dataset,
     load_manifest,
+    read_settings,
     write_cloud,
     write_dataset,
 )
@@ -50,29 +52,6 @@ from .training import (
 __all__ = ["main", "build_parser", "apply_overrides", "load_config_file"]
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
-
-
-def _coerce(value: str, like):
-    if isinstance(like, bool):
-        return _parse_bool(value)
-    if isinstance(like, int):
-        return int(value)
-    if isinstance(like, float):
-        return float(value)
-    if isinstance(like, tuple):
-        items = [v for v in value.replace(",", " ").split() if v]
-        element = like[0] if like else 0.0
-        return tuple(_coerce(v, element) for v in items)
-    return value
-
-
 def apply_overrides(config: TrainConfig, updates: dict[str, str]) -> TrainConfig:
     """Apply dotted-key string overrides (`train.alpha`) to a TrainConfig."""
     fields = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
@@ -82,7 +61,7 @@ def apply_overrides(config: TrainConfig, updates: dict[str, str]) -> TrainConfig
         if section != "train" or name not in fields:
             raise ConfigError(f"unknown configuration key {key!r}")
         try:
-            changes[name] = _coerce(value, fields[name])
+            changes[name] = coerce(value, fields[name])
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for {key}: {exc}") from exc
     return dataclasses.replace(config, **changes)
@@ -90,33 +69,7 @@ def apply_overrides(config: TrainConfig, updates: dict[str, str]) -> TrainConfig
 
 def load_config_file(path) -> dict[str, str]:
     """Flat `key = value` lines; '#' comments and blank lines ignored."""
-    updates = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        updates[key] = value
-    return updates
-
-
-def _gather_config(args) -> TrainConfig:
-    config = TrainConfig()
-    updates: dict[str, str] = {}
-    if getattr(args, "config", None):
-        updates.update(load_config_file(args.config))
-    for item in getattr(args, "overrides", []) or []:
-        if "=" not in item:
-            raise ConfigError(f"override must look like train.key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        updates[key.strip()] = value.strip()
-    config = apply_overrides(config, updates)
-    if getattr(args, "seed", None) is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    config.validate()
-    return config
+    return {key: value for _, key, value in read_settings(Path(path).read_text(), str(path))}
 
 
 def _print_epoch(row) -> None:
@@ -177,38 +130,66 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_class_match(model, dataset):
-    if model.num_known != len(dataset.known_classes):
-        raise ConfigError(
-            f"checkpoint expects {model.num_known} known classes but the dataset "
-            f"defines {len(dataset.known_classes)}"
-        )
-
-
-def _require_architecture_match(model, config, path):
-    """The config must describe the checkpoint's encoder: a training command
-    continues the checkpoint's model, so a differing width would be ignored."""
-    for key in ("feat_dim", "point_widths", "proj_hidden"):
-        want, have = getattr(config, key), getattr(model, key)
-        if isinstance(want, tuple):
-            want = tuple(int(w) for w in want)
-        if want != have:
-            raise ConfigError(
-                f"train.{key} is {want} in the config but {have} in checkpoint {path}; "
-                f"pass train.{key} to match the checkpoint"
-            )
-
-
 def cmd_gen(args) -> int:
     manifest = load_manifest(args.manifest) if args.manifest else default_manifest()
     if args.seed is not None:
         manifest.seed = args.seed
-    manifest.validate()
     dataset = generate_dataset(manifest)
     write_dataset(dataset, args.out)
     print(f"wrote {len(dataset.records)} clouds across "
           f"{len(manifest.class_specs)} classes to {args.out}")
     return 0
+
+
+# the TrainConfig field that each training command's --epochs sets
+_EPOCHS_FIELD = {"pretrain": "phase1_epochs", "train": "phase2_epochs"}
+
+
+def _load_inputs(args):
+    """(config, dataset, model) of a command, each checked against the others
+    before any output exists; model is None without --checkpoint.
+
+    Precedence: defaults < --config file < trailing key=value < --seed/--epochs.
+    """
+    updates = load_config_file(args.config) if args.config else {}
+    for item in args.overrides:
+        if "=" not in item:
+            raise ConfigError(f"override must look like train.key=value, got {item!r}")
+        key, value = item.split("=", 1)
+        updates[key.strip()] = value.strip()
+    config = apply_overrides(TrainConfig(), updates)
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
+    epochs_field = _EPOCHS_FIELD.get(args.command)
+    if epochs_field and args.epochs is not None:
+        config = dataclasses.replace(config, **{epochs_field: args.epochs})
+    config.validate()
+    dataset = load_dataset(args.dataset)
+    model = load_checkpoint(args.checkpoint) if args.checkpoint else None
+    if model is not None and model.num_known != len(dataset.known_classes):
+        raise ConfigError(
+            f"checkpoint expects {model.num_known} known classes but the dataset "
+            f"defines {len(dataset.known_classes)}"
+        )
+    if model is not None and epochs_field:
+        # a training command continues the checkpoint's model, so a config
+        # that describes another encoder would be silently ignored
+        for key in ("feat_dim", "point_widths", "proj_hidden"):
+            want, have = getattr(config, key), getattr(model, key)
+            if isinstance(want, tuple):
+                want = tuple(int(w) for w in want)
+            if want != have:
+                raise ConfigError(
+                    f"train.{key} is {want} in the config but {have} in checkpoint "
+                    f"{args.checkpoint}; pass train.{key} to match the checkpoint"
+                )
+    return config, dataset, model
+
+
+def _output_dir(args) -> Path:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _load_saliency(path, model, records) -> SaliencyCache:
@@ -224,78 +205,47 @@ def _load_saliency(path, model, records) -> SaliencyCache:
     return cache
 
 
-def cmd_pretrain(args) -> int:
-    config = _gather_config(args)
-    if args.epochs is not None:
-        config = dataclasses.replace(config, phase1_epochs=args.epochs)
-    dataset = load_dataset(args.dataset)
-    model = None
-    if args.checkpoint:
-        model = load_checkpoint(args.checkpoint)
-        _require_class_match(model, dataset)
-        _require_architecture_match(model, config, args.checkpoint)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_train(args) -> int:
+    """`pretrain` and `train`: one cosine cycle over this command's epochs,
+    from the checkpoint's model (if any) with a fresh optimizer."""
+    config, dataset, model = _load_inputs(args)
+    pretrain = args.command == "pretrain"
+    caches = None
+    if not pretrain and config.needs_cache():
+        if not args.saliency:
+            raise ConfigError("TSD requires --saliency <cache file>")
+        # checked before the views are built from it
+        cache = _load_saliency(args.saliency, model, dataset.train_known)
+        caches = DecompCaches(cache, build_views(dataset.train_known, cache, config))
+    out = _output_dir(args)
+    epochs = getattr(config, _EPOCHS_FIELD[args.command])
     state = init_state(dataset, config)
-    state.total_epochs = config.phase1_epochs  # one cosine cycle for this command
+    state.total_epochs = epochs
     if model is not None:
-        state.model = model
-        state.opt = Adam(model.params)
-    run_pretrain(state, dataset, config, config.phase1_epochs, progress=_print_epoch)
-    save_checkpoint(out / "pretrain.ckpt", state.model)
-    write_report_csv(out / "pretrain_report.csv", state.rows)
-    print(f"checkpoint {out / 'pretrain.ckpt'}")
+        state.model, state.opt = model, Adam(model.params)
+    if pretrain:
+        run_pretrain(state, dataset, config, epochs, progress=_print_epoch)
+    else:
+        run_combined(state, dataset, config, epochs, caches, progress=_print_epoch)
+    checkpoint = out / ("pretrain.ckpt" if pretrain else "model.ckpt")
+    save_checkpoint(checkpoint, state.model)
+    write_report_csv(out / f"{args.command}_report.csv", state.rows)
+    print(f"checkpoint {checkpoint}")
     return 0
 
 
 def cmd_saliency(args) -> int:
-    config = _gather_config(args)
-    dataset = load_dataset(args.dataset)
-    model = load_checkpoint(args.checkpoint)
-    _require_class_match(model, dataset)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    _, dataset, model = _load_inputs(args)
+    out = _output_dir(args)
     cache = build_saliency_cache(model, dataset.train_known)
     cache.save(out / "saliency.cache")
     print(f"cached saliency for {len(cache)} objects at {out / 'saliency.cache'}")
     return 0
 
 
-def cmd_train(args) -> int:
-    config = _gather_config(args)
-    if args.epochs is not None:
-        config = dataclasses.replace(config, phase2_epochs=args.epochs)
-    dataset = load_dataset(args.dataset)
-    model = load_checkpoint(args.checkpoint)
-    _require_class_match(model, dataset)
-    _require_architecture_match(model, config, args.checkpoint)
-    caches = None
-    if config.needs_cache():
-        if not args.saliency:
-            raise ConfigError("TSD requires --saliency <cache file>")
-        # checked before the views are built from it
-        cache = _load_saliency(args.saliency, model, dataset.train_known)
-        caches = DecompCaches(cache, build_views(dataset.train_known, cache, config))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    state = init_state(dataset, config)
-    state.model = model
-    state.opt = Adam(model.params)
-    state.total_epochs = config.phase2_epochs  # one cosine cycle for this command
-    run_combined(state, dataset, config, config.phase2_epochs, caches, progress=_print_epoch)
-    save_checkpoint(out / "model.ckpt", state.model)
-    write_report_csv(out / "train_report.csv", state.rows)
-    print(f"checkpoint {out / 'model.ckpt'}")
-    return 0
-
-
 def cmd_eval(args) -> int:
-    _ = _gather_config(args)  # validates overrides even though eval has no knobs yet
-    dataset = load_dataset(args.dataset)
-    model = load_checkpoint(args.checkpoint)
-    _require_class_match(model, dataset)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    _, dataset, model = _load_inputs(args)  # validates overrides though eval has no knobs
+    out = _output_dir(args)
     scorers = ("mls", "msp") if args.scorer == "both" else (args.scorer,)
     rows, all_samples = [], []
     for scorer in scorers:
@@ -313,13 +263,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth_demo(args) -> int:
-    config = _gather_config(args)
-    dataset = load_dataset(args.dataset)
-    model = load_checkpoint(args.checkpoint)
-    _require_class_match(model, dataset)
+    config, dataset, model = _load_inputs(args)
     cache = _load_saliency(args.saliency, model, dataset.train_known)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args)
     rng = stream_rng(config.seed, 99)
     train_records = dataset.train_known
     n_points = dataset.manifest.points_per_cloud
@@ -367,7 +313,7 @@ def cmd_synth_demo(args) -> int:
 
 _COMMANDS = {
     "gen": cmd_gen,
-    "pretrain": cmd_pretrain,
+    "pretrain": cmd_train,
     "saliency": cmd_saliency,
     "train": cmd_train,
     "eval": cmd_eval,

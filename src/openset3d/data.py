@@ -8,6 +8,7 @@ formatting.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -24,6 +25,8 @@ __all__ = [
     "Manifest",
     "CloudRecord",
     "ToyDataset",
+    "read_settings",
+    "coerce",
     "default_manifest",
     "tiny_manifest",
     "parse_manifest",
@@ -129,6 +132,35 @@ def tiny_manifest(seed=7, instances_per_class=24, points_per_cloud=64) -> Manife
     )
 
 
+def read_settings(text: str, where: str):
+    """Yield (line number, key, value) for each `key = value` line of a
+    manifest or a run config; '#' comments and blank lines are skipped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{where} line {lineno}: expected 'key = value', got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        yield lineno, key, value
+
+
+def coerce(text: str, like):
+    """`text` parsed as a value of the type of `like`: bool, int, float, str,
+    or a tuple of `like[0]`'s type (float when empty), comma or space separated."""
+    if isinstance(like, bool):
+        lowered = text.strip().lower()
+        if lowered in ("1", "true", "yes", "on"):
+            return True
+        if lowered in ("0", "false", "no", "off"):
+            return False
+        raise ConfigError(f"expected a boolean, got {text!r}")
+    if isinstance(like, tuple):
+        element = like[0] if like else 0.0
+        return tuple(coerce(v, element) for v in text.replace(",", " ").split())
+    return type(like)(text)
+
+
 def _parse_value(text: str):
     try:
         return int(text)
@@ -140,58 +172,45 @@ def _parse_value(text: str):
         return text
 
 
-_MANIFEST_KEYS = ("seed", "points", "instances_per_class", "noise", "scale_jitter",
-                  "tilt", "known", "unknown")
+# manifest key -> the Manifest field it sets, for every field with a default
+_SCALAR_KEYS = {("points" if f.name == "points_per_cloud" else f.name): f
+                for f in dataclasses.fields(Manifest) if f.default is not dataclasses.MISSING}
 
 
-def parse_manifest(text: str) -> Manifest:
-    """Parse the flat key-value manifest format (see format_manifest)."""
-    fields: dict = {}
+def parse_manifest(text: str, where: str = "manifest") -> Manifest:
+    """Parse the flat key-value manifest format (see format_manifest);
+    `where` names the text in errors."""
+    scalars: dict = {}
+    class_names = {"known": [], "unknown": []}
     class_defs: dict[str, ClassSpec] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"manifest line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
+    for lineno, key, value in read_settings(text, where):
+        at = f"{where} line {lineno}"
         if key.startswith("class "):
             name = key[len("class "):].strip()
             tokens = value.split()
             if not tokens:
-                raise ConfigError(f"manifest line {lineno}: empty class definition")
+                raise ConfigError(f"{at}: empty class definition")
             params = {}
             for tok in tokens[1:]:
                 if "=" not in tok:
-                    raise ConfigError(
-                        f"manifest line {lineno}: class params must be key=value, got {tok!r}"
-                    )
+                    raise ConfigError(f"{at}: class params must be key=value, got {tok!r}")
                 pk, pv = tok.split("=", 1)
                 params[pk] = _parse_value(pv)
             class_defs[name] = ClassSpec(name, tokens[0], params)
-        elif key in _MANIFEST_KEYS:
-            fields[key] = value
+        elif key in class_names:
+            class_names[key] = value.split()
+        elif key in _SCALAR_KEYS:
+            target = _SCALAR_KEYS[key]
+            try:
+                scalars[target.name] = coerce(value, target.default)
+            except ValueError as exc:
+                raise ConfigError(f"{at}: bad value for {key}: {exc}") from exc
         else:
-            raise ConfigError(f"manifest line {lineno}: unknown key {key!r}")
+            raise ConfigError(f"{at}: unknown key {key!r}")
 
-    def lookup(name):
-        return class_defs.get(name, ClassSpec(name, name))
-
-    try:
-        known = [lookup(n) for n in fields.get("known", "").split()]
-        unknown = [lookup(n) for n in fields.get("unknown", "").split()]
-        manifest = Manifest(
-            known=known,
-            unknown=unknown,
-            instances_per_class=int(fields.get("instances_per_class", 200)),
-            points_per_cloud=int(fields.get("points", 256)),
-            seed=int(fields.get("seed", 7)),
-            noise=float(fields.get("noise", 0.02)),
-            scale_jitter=float(fields.get("scale_jitter", 0.1)),
-            tilt=float(fields.get("tilt", 0.15)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"manifest: {exc}") from exc
+    known, unknown = ([class_defs.get(n, ClassSpec(n, n)) for n in class_names[side]]
+                      for side in ("known", "unknown"))
+    manifest = Manifest(known, unknown, **scalars)
     manifest.validate()
     return manifest
 
@@ -216,7 +235,7 @@ def format_manifest(manifest: Manifest) -> str:
 
 
 def load_manifest(path) -> Manifest:
-    return parse_manifest(Path(path).read_text())
+    return parse_manifest(Path(path).read_text(), str(path))
 
 
 @dataclass
@@ -271,25 +290,17 @@ def _split_of(index: int, total: int) -> str:
     return "test"
 
 
-def generate_dataset(manifest: Manifest) -> ToyDataset:
-    """Generate every instance of every class, fully seeded per instance."""
-    manifest.validate()
-    records = []
+def _build_dataset(manifest: Manifest, clouds) -> ToyDataset:
+    """One record per cloud; `clouds(class_pos, spec)` yields each instance's
+    (file stem, points) in instance order."""
     known_names = [c.name for c in manifest.known]
+    records = []
     for class_pos, spec in enumerate(manifest.class_specs):
         known = spec.name in known_names
         class_index = known_names.index(spec.name) if known else -1
-        for inst in range(manifest.instances_per_class):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([manifest.seed, class_pos, inst])
-            )
-            points = random_instance(
-                spec.shape, manifest.points_per_cloud, rng,
-                noise=manifest.noise, scale_jitter=manifest.scale_jitter,
-                tilt=manifest.tilt, **spec.params,
-            )
+        for inst, (stem, points) in enumerate(clouds(class_pos, spec)):
             records.append(CloudRecord(
-                object_id=f"{spec.name}/{spec.name}_{inst:04d}",
+                object_id=f"{spec.name}/{stem}",
                 points=points,
                 class_name=spec.name,
                 class_index=class_index,
@@ -297,6 +308,24 @@ def generate_dataset(manifest: Manifest) -> ToyDataset:
                 split=_split_of(inst, manifest.instances_per_class),
             ))
     return ToyDataset(manifest, records)
+
+
+def generate_dataset(manifest: Manifest) -> ToyDataset:
+    """Generate every instance of every class, fully seeded per instance."""
+    manifest.validate()
+
+    def clouds(class_pos, spec):
+        for inst in range(manifest.instances_per_class):
+            rng = np.random.default_rng(
+                np.random.SeedSequence([manifest.seed, class_pos, inst])
+            )
+            yield f"{spec.name}_{inst:04d}", random_instance(
+                spec.shape, manifest.points_per_cloud, rng,
+                noise=manifest.noise, scale_jitter=manifest.scale_jitter,
+                tilt=manifest.tilt, **spec.params,
+            )
+
+    return _build_dataset(manifest, clouds)
 
 
 # ----------------------------------------------------------------------
@@ -361,28 +390,18 @@ def load_dataset(dataset_dir) -> ToyDataset:
     """Load a generated dataset; splits re-derive from the stored manifest."""
     root = Path(dataset_dir)
     manifest = load_manifest(root / "manifest.txt")
-    known_names = [c.name for c in manifest.known]
-    records = []
-    for spec in manifest.class_specs:
-        known = spec.name in known_names
-        class_index = known_names.index(spec.name) if known else -1
+
+    def clouds(_, spec):
         class_dir = root / spec.name
         files = sorted(class_dir.glob(f"{spec.name}_*.txt"))
         if len(files) != manifest.instances_per_class:
             raise ConfigError(
                 f"{class_dir}: expected {manifest.instances_per_class} clouds, found {len(files)}"
             )
-        for inst, path in enumerate(files):
-            points, _ = read_cloud(path)
-            records.append(CloudRecord(
-                object_id=f"{spec.name}/{path.stem}",
-                points=points,
-                class_name=spec.name,
-                class_index=class_index,
-                known=known,
-                split=_split_of(inst, manifest.instances_per_class),
-            ))
-    return ToyDataset(manifest, records)
+        for path in files:
+            yield path.stem, read_cloud(path)[0]
+
+    return _build_dataset(manifest, clouds)
 
 
 # ----------------------------------------------------------------------

@@ -95,16 +95,6 @@ class Model:
             "proj_hidden": list(self.proj_hidden),
         }
 
-    def copy(self) -> "Model":
-        dup = Model.__new__(Model)
-        dup.num_known = self.num_known
-        dup.feat_dim = self.feat_dim
-        dup.point_widths = self.point_widths
-        dup.proj_hidden = self.proj_hidden
-        dup._num_proj = self._num_proj
-        dup.params = {k: v.copy() for k, v in self.params.items()}
-        return dup
-
     def checksum(self) -> str:
         """SHA-256 over the canonical parameter layout and values."""
         digest = hashlib.sha256()

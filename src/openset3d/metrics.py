@@ -62,17 +62,18 @@ def msp_score(logits) -> tuple[np.ndarray, np.ndarray]:
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties averaged (midranks)."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values))
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+
+
+def _score_lists(name, scores_known, scores_unknown):
+    ks = np.asarray(scores_known, dtype=np.float64)
+    us = np.asarray(scores_unknown, dtype=np.float64)
+    if ks.size == 0 or us.size == 0:
+        raise ValueError(f"{name} requires nonempty score lists")
+    if not (np.isfinite(ks).all() and np.isfinite(us).all()):
+        raise ValueError(f"{name} requires finite scores")  # a NaN would rank anywhere
+    return ks, us
 
 
 def auroc(scores_known, scores_unknown) -> float:
@@ -81,10 +82,7 @@ def auroc(scores_known, scores_unknown) -> float:
     Computed from midranks (Mann-Whitney U), which agrees exactly with the
     O(n^2) pairwise count.
     """
-    ks = np.asarray(scores_known, dtype=np.float64)
-    us = np.asarray(scores_unknown, dtype=np.float64)
-    if ks.size == 0 or us.size == 0:
-        raise ValueError("auroc requires nonempty score lists")
+    ks, us = _score_lists("auroc", scores_known, scores_unknown)
     ranks = _midranks(np.concatenate([ks, us]))
     u = ranks[: ks.size].sum() - ks.size * (ks.size + 1) / 2.0
     return float(u / (ks.size * us.size))
@@ -96,10 +94,7 @@ def fpr95(scores_known, scores_unknown) -> float:
     The threshold is the largest t with |{known >= t}| / |known| >= 0.95;
     the return value is |{unknown >= t}| / |unknown|.
     """
-    ks = np.asarray(scores_known, dtype=np.float64)
-    us = np.asarray(scores_unknown, dtype=np.float64)
-    if ks.size == 0 or us.size == 0:
-        raise ValueError("fpr95 requires nonempty score lists")
+    ks, us = _score_lists("fpr95", scores_known, scores_unknown)
     need = int(np.ceil(0.95 * ks.size))
     threshold = np.sort(ks)[::-1][need - 1]
     return float((us >= threshold).mean())

@@ -17,8 +17,9 @@ zero consumes exactly the same draws as continued phase-1 training.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -130,8 +131,8 @@ class TrainConfig:
         if not (0.0 <= self.view_low_thresh < self.view_high_thresh <= 1.0):
             raise ConfigError("view thresholds must satisfy 0 <= low < high <= 1")
         radius = tuple(self.view_radius)
-        if len(radius) != 2 or not (0.0 < radius[0] <= radius[1]):
-            raise ConfigError("view_radius must be two values with 0 < low <= high")
+        if len(radius) != 2 or not (0.0 < radius[0] <= radius[1] < math.inf):
+            raise ConfigError("view_radius must be two finite values with 0 < low <= high")
         if not (self.eps >= 0 and self.eps_known >= 0 and self.eps + self.eps_known < 1):
             raise ConfigError("smoothing weights must satisfy eps + eps_known < 1")
         if not self.learning_rate > 0:
@@ -147,6 +148,10 @@ class TrainConfig:
             raise ConfigError("point_widths must name at least one layer")
         if not all(math.isfinite(w) and w >= 0 for w in self.noise_weights):
             raise ConfigError(f"noise_weights must be finite and >= 0, got {self.noise_weights}")
+        for f in fields(self):  # inf passes the range checks above
+            value = getattr(self, f.name)
+            if isinstance(f.default, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
 
     def gss_active(self) -> bool:
         return self.beta > 0
@@ -179,14 +184,6 @@ class Adam:
             self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
             self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
             params[name] -= lr * (self.m[name] / b1c) / (np.sqrt(self.v[name] / b2c) + self.eps)
-
-    def copy(self) -> "Adam":
-        dup = Adam.__new__(Adam)
-        dup.beta1, dup.beta2, dup.eps = self.beta1, self.beta2, self.eps
-        dup.m = {k: v.copy() for k, v in self.m.items()}
-        dup.v = {k: v.copy() for k, v in self.v.items()}
-        dup.t = self.t
-        return dup
 
 
 def cosine_lr(lr0: float, epoch: int, total_epochs: int) -> float:
@@ -252,13 +249,7 @@ class TrainState:
     rows: list = field(default_factory=list)  # report rows, one dict per epoch
 
     def copy(self) -> "TrainState":
-        return TrainState(
-            model=self.model.copy(),
-            opt=self.opt.copy(),
-            epoch=self.epoch,
-            total_epochs=self.total_epochs,
-            rows=list(self.rows),
-        )
+        return copy.deepcopy(self)
 
 
 @dataclass
@@ -492,7 +483,7 @@ def train(dataset: ToyDataset, config: TrainConfig, progress=None) -> TrainResul
     per-epoch report rows, and the decomposition caches (when built)."""
     state = init_state(dataset, config)
     run_pretrain(state, dataset, config, config.phase1_epochs, progress)
-    phase1_model = state.model.copy()
+    phase1_model = copy.deepcopy(state.model)
     caches = None
     if config.phase2_epochs > 0 and config.needs_cache():
         caches = build_decomposition_caches(state.model, dataset.train_known, config)

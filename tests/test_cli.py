@@ -222,6 +222,8 @@ def test_a_cache_of_another_split_exits_2_naming_the_file(tiny_dataset_dir, pret
     "train.proj_hidden=16.5", "train.point_widths=0 8", "train.feat_dim=0",
     "train.point_widths=", "train.noise_weights=nan", "train.noise_weights=0.1 inf",
     "train.noise_weights=-0.1", "train.mix_count=2.5", "train.batch_size=nan",
+    "train.learning_rate=inf", "train.margin=inf", "train.neg_weight=inf",
+    "train.alpha=inf", "train.beta=inf", "train.gamma=inf", "train.view_radius=1.5 inf",
 ])
 def test_invalid_config_exits_2_before_any_work(tiny_dataset_dir, pretrained,
                                                 saliency_cache, tmp_path, capsys, override):
@@ -296,8 +298,9 @@ def test_eval_schema_and_untrained_chance_band(tiny_dataset_dir, tmp_path):
     assert len(scores) == 1 + 8 * 3  # 2 known + 1 unknown classes, 8 test each
 
 
-def test_eval_class_count_mismatch_rejected(tiny_dataset_dir, pretrained, tmp_path,
-                                            capsys):
+@pytest.mark.parametrize("command", ["eval", "saliency", "synth-demo"])
+def test_eval_class_count_mismatch_rejected(tiny_dataset_dir, pretrained, saliency_cache,
+                                            tmp_path, capsys, command):
     other = tmp_path / "otherds"
     manifest = tmp_path / "m.txt"
     manifest.write_text(
@@ -305,12 +308,16 @@ def test_eval_class_count_mismatch_rejected(tiny_dataset_dir, pretrained, tmp_pa
         "known = sphere cube cylinder\nunknown = torus\n"
     )
     assert main(["gen", "--manifest", str(manifest), "--out", str(other)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "e"
+    extra = ["--saliency", str(saliency_cache)] if command == "synth-demo" else []
     code = main([
-        "eval", "--dataset", str(other), "--out", str(tmp_path / "e"),
-        "--checkpoint", str(pretrained),
+        command, "--dataset", str(other), "--out", str(out),
+        "--checkpoint", str(pretrained), *extra,
     ])
     assert code == 2
-    assert "classes" in capsys.readouterr().err
+    assert "checkpoint expects 2 known classes" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_synth_demo_exports_with_provenance(tiny_dataset_dir, pretrained,
@@ -371,3 +378,19 @@ def test_config_file_plus_override_precedence(tiny_dataset_dir, tmp_path):
         "--epochs", "0", "--config", str(config), "train.alpha=0.25",
     ])
     assert code == 0  # flag override parsed after the file without complaint
+
+
+@pytest.mark.parametrize("pos", range(4))
+def test_a_malformed_config_line_exits_2_naming_it(tiny_dataset_dir, tmp_path, capsys, pos):
+    lines = ["# run config", "train.alpha = 0.5", "train.batch_size = 8"]
+    lines.insert(pos, "train.alpha 0.5")
+    config = tmp_path / "run.cfg"
+    config.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "o"
+    code = main([
+        "pretrain", "--dataset", str(tiny_dataset_dir), "--out", str(out),
+        "--epochs", "0", "--config", str(config),
+    ])
+    assert code == 2
+    assert f"{config} line {pos + 1}: expected 'key = value'" in capsys.readouterr().err
+    assert not out.exists()

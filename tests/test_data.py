@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from openset3d.data import (
     CacheMissError,
@@ -17,6 +18,7 @@ from openset3d.data import (
     format_manifest,
     generate_dataset,
     load_dataset,
+    load_manifest,
     parse_manifest,
     read_cloud,
     tiny_manifest,
@@ -90,6 +92,41 @@ def test_manifest_round_trip():
     assert parsed == manifest
 
 
+_NAMES = st.from_regex(r"[a-z][a-z0-9_]{0,7}", fullmatch=True)
+_PARAMS = st.dictionaries(
+    st.from_regex(r"[a-z]{1,6}", fullmatch=True),
+    st.one_of(st.integers(-10**6, 10**6), st.floats(allow_nan=False, allow_infinity=False)),
+    max_size=3,
+)
+_NONNEGATIVE = st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def manifests(draw):
+    names = draw(st.lists(_NAMES, min_size=3, max_size=6, unique=True))
+    known = draw(st.integers(2, len(names) - 1))
+    specs = [ClassSpec(n, draw(st.sampled_from(SHAPE_NAMES)), draw(_PARAMS)) for n in names]
+    return Manifest(
+        specs[:known], specs[known:],
+        instances_per_class=draw(st.integers(2, 10**6)),
+        points_per_cloud=draw(st.integers(4, 10**6)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        noise=draw(_NONNEGATIVE), scale_jitter=draw(_NONNEGATIVE), tilt=draw(_NONNEGATIVE),
+    )
+
+
+@settings(deadline=None)
+@given(manifests())
+def test_every_manifest_round_trips_through_its_text(manifest):
+    assert parse_manifest(format_manifest(manifest)) == manifest
+
+
+def test_a_manifest_of_only_class_lists_takes_the_dataclass_defaults():
+    parsed = parse_manifest("known = sphere cube\nunknown = torus\n")
+    classes = [ClassSpec(n, n) for n in ("sphere", "cube", "torus")]
+    assert parsed == Manifest(classes[:2], classes[2:])
+
+
 def test_manifest_rejects_unknown_shape():
     text = format_manifest(tiny_manifest()) + "class blob = blobshape\nknown = sphere blob\n"
     with pytest.raises(ConfigError, match="blobshape"):
@@ -114,9 +151,17 @@ def test_manifest_rejects_unknown_key():
         parse_manifest(text)
 
 
-def test_manifest_rejects_malformed_line():
+def test_manifest_rejects_malformed_line(tmp_path):
     with pytest.raises(ConfigError, match="line 1"):
         parse_manifest("this is not a key value pair")
+    # wherever it stands, the error names the file and the line
+    lines = format_manifest(default_manifest()).splitlines()
+    path = tmp_path / "manifest.txt"
+    for pos in range(len(lines) + 1):
+        path.write_text("\n".join(lines[:pos] + ["seed 7"] + lines[pos:]) + "\n")
+        with pytest.raises(ConfigError) as err:
+            load_manifest(path)
+        assert str(err.value).startswith(f"{path} line {pos + 1}: expected 'key = value'")
 
 
 # ----------------------------------------------------------------------

@@ -140,10 +140,18 @@ def test_auroc_invariant_under_monotone_transform():
 
 
 def test_auroc_rejects_empty():
-    with pytest.raises(ValueError, match="nonempty"):
-        auroc([], [0.1])
-    with pytest.raises(ValueError, match="nonempty"):
-        auroc([0.1], [])
+    # fpr95 shares the check; unchecked, a NaN sorts above every score, so
+    # auroc([0.9, nan, 0.8], [0.1, 0.2]) would read 1.0 and fpr95 0.0
+    for metric in (auroc, fpr95):
+        with pytest.raises(ValueError, match="nonempty"):
+            metric([], [0.1])
+        with pytest.raises(ValueError, match="nonempty"):
+            metric([0.1], [])
+        for bad in ([0.9, float("nan"), 0.8], [0.2, float("inf")], [float("-inf")]):
+            with pytest.raises(ValueError, match="finite"):
+                metric(bad, [0.1, 0.2])
+            with pytest.raises(ValueError, match="finite"):
+                metric([0.1, 0.2], bad)
 
 
 # ----------------------------------------------------------------------

@@ -183,6 +183,14 @@ def test_config_validation_errors():
     (dict(noise_weights=(float("nan"),)), "noise_weights"),
     (dict(noise_weights=(0.1, float("inf"))), "noise_weights"),
     (dict(noise_weights=(-0.1,)), "noise_weights"),
+    # inf passes every range check; each would diverge or overflow mid-run
+    (dict(learning_rate=float("inf")), "learning_rate"),
+    (dict(margin=float("inf")), "margin"),
+    (dict(neg_weight=float("inf")), "neg_weight"),
+    (dict(alpha=float("inf")), "alpha"),
+    (dict(beta=float("inf")), "beta"),
+    (dict(gamma=float("inf")), "gamma"),
+    (dict(view_radius=(1.5, float("inf"))), "view_radius"),
 ])
 def test_config_validation_rejects_before_phase_1(bad, message):
     config = tiny_config(**bad)

@@ -12,11 +12,14 @@ from openset3d.data import default_manifest, generate_dataset, read_cloud, write
 from openset3d.shapes import SHAPE_NAMES, random_instance
 
 rng = np.random.default_rng(7)
+# every instance below is posed and noised as the benchmark's are
+defaults = default_manifest()
+pose = dict(noise=defaults.noise, scale_jitter=defaults.scale_jitter, tilt=defaults.tilt)
 
 print("shape library:", ", ".join(SHAPE_NAMES))
 print("\nradial statistics of one normalized instance each (N=256):")
 for name in SHAPE_NAMES:
-    pts = random_instance(name, 256, np.random.default_rng(1))
+    pts = random_instance(name, 256, np.random.default_rng(1), **pose)
     radii = np.linalg.norm(pts, axis=1)
     print(f"  {name:10s} mean={radii.mean():.3f} std={radii.std():.3f} "
           f"z-extent={np.ptp(pts[:, 2]):.3f}")
@@ -32,8 +35,8 @@ print(f"records: {len(dataset.records)} "
 
 # unknowns share local structure with knowns on purpose: compare a tube
 # cross-section against a cylinder's
-tube = random_instance("tube", 400, np.random.default_rng(2))
-cyl = random_instance("cylinder", 400, np.random.default_rng(2))
+tube = random_instance("tube", 400, np.random.default_rng(2), **pose)
+cyl = random_instance("cylinder", 400, np.random.default_rng(2), **pose)
 print(f"\ntube vs cylinder xy-radius spread: "
       f"{np.linalg.norm(tube[:, :2], axis=1).std():.3f} vs "
       f"{np.linalg.norm(cyl[:, :2], axis=1).std():.3f}")
@@ -41,7 +44,7 @@ print(f"\ntube vs cylinder xy-radius spread: "
 # --- plain-text cloud files round-trip exactly ------------------------------
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "cone.txt"
-    cloud = random_instance("cone", 64, rng)
+    cloud = random_instance("cone", 64, rng, **pose)
     write_cloud(path, cloud, "cone")
     loaded, cls = read_cloud(path)
     print(f"\nwrote and re-read {path.name}: class={cls}, "

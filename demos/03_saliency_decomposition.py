@@ -43,7 +43,8 @@ print(f"  max low score {scores[low_idx].max():.4f} <= "
 
 # --- partial views via hidden-point removal --------------------------------
 rng = np.random.default_rng(5)
-views = partial_views(record.points, normalize_scores(scores), count=6, rng=rng)
+views = partial_views(record.points, normalize_scores(scores), count=6, rng=rng,
+                      radius_range=config.view_radius)
 print("\npartial views (visible fraction, mean saliency):")
 for i, view in enumerate(views):
     print(f"  view {i}: {len(view.indices) / len(record.points):.2f} visible, "

@@ -19,18 +19,19 @@ for i in range(4):
 model.params["prototypes"] = bank
 
 anchor = bank[1] * 2.0 + rng.normal(0, 0.02, 6)  # a confident class-1 feature
+unit_std = np.ones(6)  # the running feature std before its first update
 print("anchor classified as:", int(model.feature_logits(anchor[None])[0].argmax()))
 
 # --- noisy copies that survive the head's filter become pseudo-features -----
 for weights in ([0.0], [0.05], [2.0, 4.0]):
-    pseudo = pseudo_features(anchor, weights, model, 1, np.random.default_rng(1))
+    pseudo = pseudo_features(anchor, weights, model, 1, np.random.default_rng(1), unit_std)
     status = "accepted" if pseudo is not None else "all candidates filtered out"
     print(f"  noise weights {weights}: {status}")
 
 # --- triplets: anchor vs its high-part feature vs a different class ---------
 positive = anchor + rng.normal(0, 0.1, 6)  # the high-saliency part's feature
 negative = bank[2] * 2.0 + rng.normal(0, 0.02, 6)  # some class-2 feature
-pseudo = pseudo_features(anchor, [0.05], model, 1, np.random.default_rng(2))
+pseudo = pseudo_features(anchor, [0.05], model, 1, np.random.default_rng(2), unit_std)
 triplet = build_triplet((anchor, 1), positive, (negative, 2), pseudo,
                         p_replace=0.5, rng=np.random.default_rng(3))
 print(f"\ntriplet built, replacement: {triplet.replacement}")

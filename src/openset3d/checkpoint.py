@@ -25,7 +25,6 @@ from .encoder import Model
 __all__ = ["save_checkpoint", "load_checkpoint"]
 
 MAGIC = "openset3d checkpoint v1"
-HEADER_KEYS = ("num_known", "feat_dim", "point_widths", "proj_hidden")
 
 
 def _format_rows(arr: np.ndarray):
@@ -52,7 +51,7 @@ def _parse_header(path, text) -> dict:
         raise ValueError(f"{path}:2: hyperparameter header is not JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise ValueError(f"{path}:2: hyperparameter header is not a JSON object")
-    for key in HEADER_KEYS:
+    for key in Model.HYPERPARAMS:
         if key not in header:
             raise ValueError(f"{path}:2: hyperparameter header is missing {key!r}")
     return header
@@ -76,12 +75,7 @@ def load_checkpoint(path) -> Model:
     if not text or text[0] != MAGIC:
         raise ValueError(f"{path}: not an openset3d checkpoint")
     header = _parse_header(path, text)
-    model = Model(
-        num_known=header["num_known"],
-        feat_dim=header["feat_dim"],
-        point_widths=tuple(header["point_widths"]),
-        proj_hidden=tuple(header["proj_hidden"]),
-    )
+    model = Model(**{key: header[key] for key in Model.HYPERPARAMS})
     expected = set(model.params)
     i = 2
     seen = set()

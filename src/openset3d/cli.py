@@ -7,7 +7,8 @@ an optional flat key-value file (dotted keys, e.g. `train.alpha = 0.1`),
 overridden by flags and trailing `key=value` arguments.
 
 Exit codes: 0 success, 1 runtime failure, 2 invalid configuration (a
-saliency cache built from another checkpoint included).
+missing input path and a saliency cache built from another checkpoint
+included).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .data import (
     write_cloud,
     write_dataset,
 )
+from .encoder import Model
 from .metrics import write_metrics_csv, write_scores_csv
 from .saliency import tunable_decompose
 from .synthesis import mix
@@ -52,24 +54,27 @@ from .training import (
 __all__ = ["main", "build_parser", "apply_overrides", "load_config_file"]
 
 
-def apply_overrides(config: TrainConfig, updates: dict[str, str]) -> TrainConfig:
-    """Apply dotted-key string overrides (`train.alpha`) to a TrainConfig."""
+def apply_overrides(config: TrainConfig, updates) -> TrainConfig:
+    """Apply dotted-key string overrides (`train.alpha`) to a TrainConfig;
+    `updates` yields (where, key, value), a later key winning, and errors name `where`."""
     fields = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
     changes = {}
-    for key, value in updates.items():
+    for where, key, value in updates:
         section, _, name = key.partition(".")
         if section != "train" or name not in fields:
-            raise ConfigError(f"unknown configuration key {key!r}")
+            raise ConfigError(f"{where}: unknown configuration key {key!r}")
         try:
             changes[name] = coerce(value, fields[name])
         except (ValueError, TypeError) as exc:
-            raise ConfigError(f"bad value for {key}: {exc}") from exc
+            raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
     return dataclasses.replace(config, **changes)
 
 
-def load_config_file(path) -> dict[str, str]:
-    """Flat `key = value` lines; '#' comments and blank lines ignored."""
-    return {key: value for _, key, value in read_settings(Path(path).read_text(), str(path))}
+def load_config_file(path) -> list[tuple[str, str, str]]:
+    """(where, key, value) of each `key = value` line of a config file, where
+    is '<path> line N'; '#' comments and blank lines are ignored."""
+    return [(f"{path} line {lineno}", key, value)
+            for lineno, key, value in read_settings(Path(path).read_text(), str(path))]
 
 
 def _print_epoch(row) -> None:
@@ -130,6 +135,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_args(args) -> None:
+    """Every input path given exists and --count is positive, checked
+    before any command reads or writes."""
+    for flag in ("config", "dataset", "manifest", "checkpoint", "saliency"):
+        path = getattr(args, flag, None)
+        if path is not None and not Path(path).exists():
+            raise ConfigError(f"--{flag} {path}: no such file or directory")
+    if getattr(args, "count", 1) < 1:
+        raise ConfigError(f"--count must be at least 1, got {args.count}")
+
+
 def cmd_gen(args) -> int:
     manifest = load_manifest(args.manifest) if args.manifest else default_manifest()
     if args.seed is not None:
@@ -151,12 +167,12 @@ def _load_inputs(args):
 
     Precedence: defaults < --config file < trailing key=value < --seed/--epochs.
     """
-    updates = load_config_file(args.config) if args.config else {}
+    updates = load_config_file(args.config) if args.config else []
     for item in args.overrides:
         if "=" not in item:
             raise ConfigError(f"override must look like train.key=value, got {item!r}")
         key, value = item.split("=", 1)
-        updates[key.strip()] = value.strip()
+        updates.append((f"argument {item!r}", key.strip(), value.strip()))
     config = apply_overrides(TrainConfig(), updates)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
@@ -174,7 +190,7 @@ def _load_inputs(args):
     if model is not None and epochs_field:
         # a training command continues the checkpoint's model, so a config
         # that describes another encoder would be silently ignored
-        for key in ("feat_dim", "point_widths", "proj_hidden"):
+        for key in Model.HYPERPARAMS[1:]:  # num_known is checked above
             want, have = getattr(config, key), getattr(model, key)
             if isinstance(want, tuple):
                 want = tuple(int(w) for w in want)
@@ -195,8 +211,6 @@ def _output_dir(args) -> Path:
 def _load_saliency(path, model, records) -> SaliencyCache:
     """The cache file at `path`, checked against the model and the records
     it will be read for; a mismatch names the file."""
-    if not Path(path).exists():
-        raise ConfigError(f"saliency cache not found: {path}")
     cache = SaliencyCache.load(path)
     try:
         cache.check(model.checksum(), records)
@@ -325,6 +339,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_args(args)
         return _COMMANDS[args.command](args)
     except (ConfigError, StaleCacheError) as exc:
         print(f"error: {exc}", file=sys.stderr)

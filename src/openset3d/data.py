@@ -73,9 +73,10 @@ class ClassSpec:
 class Manifest:
     known: list[ClassSpec]
     unknown: list[ClassSpec]
-    instances_per_class: int = 200
-    points_per_cloud: int = 256
+    # the scalar fields, in manifest file order
     seed: int = 7
+    points_per_cloud: int = 256
+    instances_per_class: int = 200
     noise: float = 0.02
     scale_jitter: float = 0.1  # per-axis anisotropic scaling range
     tilt: float = 0.15  # max random tilt angle (radians)
@@ -86,11 +87,8 @@ class Manifest:
         names = [c.name for c in self.known + self.unknown]
         if len(set(names)) != len(names):
             raise ConfigError("class names must be unique across known and unknown")
-        # one instance per class would leave the train split empty
-        for key, value, low in (("instances_per_class", self.instances_per_class, 2),
-                                ("points", self.points_per_cloud, 4), ("seed", self.seed, 0),
-                                ("noise", self.noise, 0), ("scale_jitter", self.scale_jitter, 0),
-                                ("tilt", self.tilt, 0)):
+        for key, f in _SCALAR_KEYS.items():
+            value, low = getattr(self, f.name), _LOWER_BOUNDS.get(key, 0)
             if not (math.isfinite(value) and value >= low):
                 raise ConfigError(f"manifest {key} must be finite and >= {low}, got {value}")
         for spec in self.known + self.unknown:
@@ -101,8 +99,8 @@ class Manifest:
         return list(self.known) + list(self.unknown)
 
 
-def default_manifest(seed=7, instances_per_class=200, points_per_cloud=256) -> Manifest:
-    """8 known / 4 unknown classes.
+def default_manifest(**fields) -> Manifest:
+    """8 known / 4 unknown classes; `fields` set Manifest's scalar fields.
 
     Unknowns are deliberately composed of local structures the knowns carry:
     a capsule is a cylinder barrel with spherical caps, an L-bracket joins
@@ -118,17 +116,17 @@ def default_manifest(seed=7, instances_per_class=200, points_per_cloud=256) -> M
         ClassSpec("capsule", "capsule"),
         ClassSpec("cone_frustum", "cone", {"truncate": 0.55}),
     ]
-    return Manifest(known, unknown, instances_per_class, points_per_cloud, seed)
+    return Manifest(known, unknown, **fields)
 
 
-def tiny_manifest(seed=7, instances_per_class=24, points_per_cloud=64) -> Manifest:
+def tiny_manifest(instances_per_class=24, points_per_cloud=64, **fields) -> Manifest:
     """Two very separable known classes plus one unknown; for fast smoke runs."""
     return Manifest(
         known=[ClassSpec("sphere", "sphere"), ClassSpec("cube", "cube")],
         unknown=[ClassSpec("torus", "torus")],
         instances_per_class=instances_per_class,
         points_per_cloud=points_per_cloud,
-        seed=seed,
+        **fields,
     )
 
 
@@ -172,9 +170,12 @@ def _parse_value(text: str):
         return text
 
 
-# manifest key -> the Manifest field it sets, for every field with a default
+# manifest key -> the Manifest field it sets, for every field with a default,
+# in file order
 _SCALAR_KEYS = {("points" if f.name == "points_per_cloud" else f.name): f
                 for f in dataclasses.fields(Manifest) if f.default is not dataclasses.MISSING}
+# one instance per class would leave the train split empty; the rest are >= 0
+_LOWER_BOUNDS = {"instances_per_class": 2, "points": 4}
 
 
 def parse_manifest(text: str, where: str = "manifest") -> Manifest:
@@ -216,17 +217,10 @@ def parse_manifest(text: str, where: str = "manifest") -> Manifest:
 
 
 def format_manifest(manifest: Manifest) -> str:
-    lines = [
-        "# openset3d toy dataset manifest",
-        f"seed = {manifest.seed}",
-        f"points = {manifest.points_per_cloud}",
-        f"instances_per_class = {manifest.instances_per_class}",
-        f"noise = {manifest.noise!r}",
-        f"scale_jitter = {manifest.scale_jitter!r}",
-        f"tilt = {manifest.tilt!r}",
-        "known = " + " ".join(c.name for c in manifest.known),
-        "unknown = " + " ".join(c.name for c in manifest.unknown),
-    ]
+    lines = ["# openset3d toy dataset manifest"]
+    lines += [f"{key} = {getattr(manifest, f.name)}" for key, f in _SCALAR_KEYS.items()]
+    lines += ["known = " + " ".join(c.name for c in manifest.known),
+              "unknown = " + " ".join(c.name for c in manifest.unknown)]
     for spec in manifest.class_specs:
         if spec.shape != spec.name or spec.params:
             params = " ".join(f"{k}={v!r}" for k, v in sorted(spec.params.items()))

@@ -17,8 +17,6 @@ from . import autodiff as ad
 
 __all__ = ["Model", "TapedModel", "init_prototypes", "normalize_cloud"]
 
-DEFAULT_POINT_WIDTHS = (64, 128, 256)
-
 
 def normalize_cloud(points: np.ndarray) -> np.ndarray:
     """Center a cloud at its centroid and scale the max radius to 1."""
@@ -32,7 +30,7 @@ def normalize_cloud(points: np.ndarray) -> np.ndarray:
     return centered / radius
 
 
-def init_prototypes(num_known: int, feat_dim: int, seed) -> np.ndarray:
+def init_prototypes(num_known: int, feat_dim: int, rng: np.random.Generator) -> np.ndarray:
     """(C+1, d) Gaussian prototype bank with scale 1/sqrt(d).
 
     The scale puts the expected row norm near 1 so initial cosines stay
@@ -40,7 +38,6 @@ def init_prototypes(num_known: int, feat_dim: int, seed) -> np.ndarray:
     """
     if num_known < 1 or feat_dim < 1:
         raise ValueError("init_prototypes requires num_known >= 1 and feat_dim >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     bank = rng.normal(0.0, 1.0 / np.sqrt(feat_dim), size=(num_known + 1, feat_dim))
     for i in range(bank.shape[0]):
         while np.linalg.norm(bank[i]) < 1e-6:
@@ -53,10 +50,13 @@ class Model:
 
     Parameters live in a name -> ndarray dict so the optimizer, the
     checkpoint format, and the checksum all see one canonical layout.
+    HYPERPARAMS names the architecture: num_known, then the TrainConfig
+    fields that hold the defaults of the rest.
     """
 
-    def __init__(self, num_known, feat_dim=256, point_widths=DEFAULT_POINT_WIDTHS,
-                 proj_hidden=(), seed=0):
+    HYPERPARAMS = ("num_known", "feat_dim", "point_widths", "proj_hidden")
+
+    def __init__(self, num_known, feat_dim, point_widths, proj_hidden, seed=0):
         if num_known < 1:
             raise ValueError("need at least one known class")
         self.num_known = int(num_known)
@@ -88,12 +88,7 @@ class Model:
         self.params[f"{name}.b"] = np.zeros(fan_out)
 
     def hyperparams(self) -> dict:
-        return {
-            "num_known": self.num_known,
-            "feat_dim": self.feat_dim,
-            "point_widths": list(self.point_widths),
-            "proj_hidden": list(self.proj_hidden),
-        }
+        return {key: getattr(self, key) for key in self.HYPERPARAMS}
 
     def checksum(self) -> str:
         """SHA-256 over the canonical parameter layout and values."""

@@ -64,8 +64,8 @@ def ablation_grid(config: TrainConfig) -> dict[str, TrainConfig]:
     }
 
 
-def _metrics(model, dataset, scorer="mls") -> VariantMetrics:
-    row, _ = evaluate_open_set(model, dataset.test_known, dataset.test_unknown, scorer)
+def _metrics(model, dataset) -> VariantMetrics:
+    row, _ = evaluate_open_set(model, dataset.test_known, dataset.test_unknown)
     return VariantMetrics(auroc=row["auroc"], fpr95=row["fpr95"],
                           acc=row["acc"], macc=row["macc"])
 

@@ -47,9 +47,10 @@ class RunningStd:
     between optimizer steps only.
     """
 
-    def __init__(self, dim: int, momentum: float = 0.9):
+    MOMENTUM = 0.9
+
+    def __init__(self, dim: int):
         self.value = np.ones(dim)
-        self.momentum = momentum
         self._seen = False
 
     def update(self, features: np.ndarray) -> None:
@@ -58,26 +59,23 @@ class RunningStd:
             self.value = batch_std
             self._seen = True
         else:
-            self.value = self.momentum * self.value + (1.0 - self.momentum) * batch_std
+            self.value = self.MOMENTUM * self.value + (1.0 - self.MOMENTUM) * batch_std
 
 
-def pseudo_features(feature, noise_weights, model: Model, label, rng,
-                    feature_std=None):
+def pseudo_features(feature, noise_weights, model: Model, label, rng, feature_std):
     """One verified Gaussian-noised copy of `feature`, or None.
 
-    Draws one candidate per noise weight (std = weight * running feature
-    std per dimension), keeps those whose argmax cosine logit still equals
-    the anchor's label, and returns a uniformly chosen survivor. An empty
-    result is a legitimate outcome. The K candidates are one (K, d) draw,
-    the same values as K draws of d, checked in one feature_logits call;
-    with no noise weights nothing is drawn.
+    Draws one candidate per noise weight (std = weight * feature_std, the
+    running per-dimension feature std), keeps those whose argmax cosine
+    logit still equals the anchor's label, and returns a uniformly chosen
+    survivor. An empty result is a legitimate outcome. The K candidates
+    are one (K, d) draw, the same values as K draws of d, checked in one
+    feature_logits call; with no noise weights nothing is drawn.
     """
     f = np.asarray(feature, dtype=np.float64)
     weights = np.asarray(noise_weights, dtype=np.float64)
     if weights.size == 0:
         return None
-    if feature_std is None:
-        feature_std = np.ones_like(f)
     noise = rng.normal(size=(weights.size, f.size))
     candidates = f + noise * (weights[:, None] * feature_std)
     survivors = np.flatnonzero(model.feature_logits(candidates).argmax(axis=1) == int(label))

@@ -117,14 +117,8 @@ def write_metrics_csv(path, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(METRICS_COLUMNS)
         for row in rows:
-            writer.writerow([
-                row["method"],
-                row["split"],
-                repr(float(row["auroc"])),
-                repr(float(row["fpr95"])),
-                repr(float(row["acc"])),
-                repr(float(row["macc"])),
-            ])
+            writer.writerow([row[col] if isinstance(row[col], str) else repr(float(row[col]))
+                             for col in METRICS_COLUMNS])
 
 
 def write_scores_csv(path, samples) -> None:

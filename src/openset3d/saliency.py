@@ -145,7 +145,7 @@ def hidden_point_removal(points: np.ndarray, camera: np.ndarray) -> np.ndarray:
     return np.sort(visible)
 
 
-def partial_views(points, normalized_saliency, count, rng, radius_range=(1.5, 4.0)):
+def partial_views(points, normalized_saliency, count, rng, radius_range):
     """Crop `count` partial views from randomly posed cameras.
 
     Cameras sit at a uniform random direction from the centroid, at a

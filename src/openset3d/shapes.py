@@ -260,12 +260,12 @@ def sample_shape(name: str, n: int, rng: np.random.Generator, **params) -> np.nd
     return _GENERATORS[name](n, rng, **params)
 
 
-def random_instance(name, n, rng, noise=0.02, scale_jitter=0.1, tilt=0.15, **params):
+def random_instance(name, n, rng, noise, scale_jitter, tilt, **params):
     """One randomized, normalized instance of a shape class.
 
     Applies per-axis scale jitter, a uniform yaw, a small random tilt, and
-    Gaussian surface noise, then centers the cloud and scales its max
-    radius to 1.
+    Gaussian surface noise (the Manifest fields of the same names), then
+    centers the cloud and scales its max radius to 1.
     """
     pts = sample_shape(name, n, rng, **params)
     pts = pts * (1.0 + (rng.random(3) - 0.5) * 2 * scale_jitter)

@@ -9,7 +9,7 @@ classes whose parts went into the mix, in proportion to their part counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,10 +98,10 @@ class SyntheticSample:
     points: np.ndarray  # (N_out, 3), renormalized
     source_counts: dict[int, int]  # class index -> number of parts
     soft_label: np.ndarray  # (C+1,)
-    provenance: list[PartProvenance] = field(default_factory=list)
-    resample_indices: np.ndarray | None = None  # rows of the union kept
-    center: np.ndarray | None = None  # centroid removed during renormalization
-    radius: float = 1.0  # scale removed during renormalization
+    provenance: list[PartProvenance]
+    resample_indices: np.ndarray  # rows of the union kept
+    center: np.ndarray  # centroid removed during renormalization
+    radius: float  # scale removed during renormalization
 
 
 def mix(parts, n_out, num_known, eps, eps_known, rng) -> SyntheticSample:

@@ -63,6 +63,7 @@ __all__ = [
 ]
 
 REPORT_COLUMNS = ("epoch", "l_cls", "l_h", "l_s", "l_m", "total", "val_acc")
+PREDICT_CHUNK = 256  # clouds per inference pass when scoring
 
 # independent stochastic streams, keyed additionally by global epoch
 STREAM_SHUFFLE = 1
@@ -170,20 +171,21 @@ class TrainConfig:
 class Adam:
     """Adaptive moment estimation over the model's parameter dict."""
 
-    def __init__(self, params: dict, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict):
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
 
     def step(self, params: dict, grads: dict, lr: float) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - self.BETA1**self.t
+        b2c = 1.0 - self.BETA2**self.t
         for name, g in grads.items():
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            params[name] -= lr * (self.m[name] / b1c) / (np.sqrt(self.v[name] / b2c) + self.eps)
+            self.m[name] = self.BETA1 * self.m[name] + (1 - self.BETA1) * g
+            self.v[name] = self.BETA2 * self.v[name] + (1 - self.BETA2) * g * g
+            params[name] -= lr * (self.m[name] / b1c) / (np.sqrt(self.v[name] / b2c) + self.EPS)
 
 
 def cosine_lr(lr0: float, epoch: int, total_epochs: int) -> float:
@@ -439,13 +441,8 @@ def init_state(dataset: ToyDataset, config: TrainConfig) -> TrainState:
     config.validate()
     if len(dataset.known_classes) < 2:
         raise ConfigError("training requires at least two known classes")
-    model = Model(
-        num_known=len(dataset.known_classes),
-        feat_dim=config.feat_dim,
-        point_widths=config.point_widths,
-        proj_hidden=config.proj_hidden,
-        seed=config.seed,
-    )
+    architecture = {key: getattr(config, key) for key in Model.HYPERPARAMS[1:]}
+    model = Model(len(dataset.known_classes), **architecture, seed=config.seed)
     return TrainState(
         model=model,
         opt=Adam(model.params),
@@ -496,11 +493,11 @@ def train(dataset: ToyDataset, config: TrainConfig, progress=None) -> TrainResul
 # evaluation
 
 
-def predict_logits(model: Model, records, chunk=256) -> np.ndarray:
+def predict_logits(model: Model, records) -> np.ndarray:
     records = list(records)
     out = []
-    for start in range(0, len(records), chunk):
-        out.append(model.infer_batch([r.points for r in records[start : start + chunk]]))
+    for start in range(0, len(records), PREDICT_CHUNK):
+        out.append(model.infer_batch([r.points for r in records[start : start + PREDICT_CHUNK]]))
     return np.vstack(out)
 
 

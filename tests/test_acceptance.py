@@ -213,7 +213,7 @@ def test_criterion_4_partition_invariants():
     pts = rng.uniform(-1, 1, (60, 3))
     raw = rng.random(60)
     from openset3d.saliency import partial_views
-    views = partial_views(pts, normalize_scores(raw), 6, rng)
+    views = partial_views(pts, normalize_scores(raw), 6, rng, TrainConfig().view_radius)
     high, low = tunable_decompose(pts, raw, 3, 1.0, 0.0, views, rng)
     base_low, base_high = split_by_saliency(raw, 3)
     assert np.array_equal(low.source_indices, base_low)

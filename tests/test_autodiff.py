@@ -329,7 +329,7 @@ ONE_D_CALLS = {
     "cosine_logits": lambda t: ad.cosine_logits(t.leaf(np.ones(3)), t.leaf(np.ones((2, 3)))),
     "soft_cross_entropy": lambda t: ad.soft_cross_entropy(t.leaf(np.zeros(3)), np.eye(3)[0]),
     "euclidean": lambda t: ad.euclidean(t.leaf(np.ones(3)), t.leaf(np.zeros(3))),
-    "feature_logits": lambda t: Model(num_known=2, feat_dim=3, point_widths=(4,))
+    "feature_logits": lambda t: Model(num_known=2, feat_dim=3, point_widths=(4,), proj_hidden=())
     .feature_logits(np.ones(3)),
     "mls_score": lambda t: mls_score(np.zeros(3)),
     "msp_score": lambda t: msp_score(np.zeros(3)),

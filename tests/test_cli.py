@@ -382,15 +382,62 @@ def test_config_file_plus_override_precedence(tiny_dataset_dir, tmp_path):
 
 @pytest.mark.parametrize("pos", range(4))
 def test_a_malformed_config_line_exits_2_naming_it(tiny_dataset_dir, tmp_path, capsys, pos):
-    lines = ["# run config", "train.alpha = 0.5", "train.batch_size = 8"]
-    lines.insert(pos, "train.alpha 0.5")
-    config = tmp_path / "run.cfg"
-    config.write_text("\n".join(lines) + "\n")
+    for bad, message in [
+        ("train.alpha 0.5", "expected 'key = value'"),
+        ("train.nope = 1", "unknown configuration key 'train.nope'"),
+        ("train.beta = x", "bad value for train.beta: "),
+    ]:
+        lines = ["# run config", "train.alpha = 0.5", "train.batch_size = 8"]
+        lines.insert(pos, bad)
+        config = tmp_path / "run.cfg"
+        config.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        code = main([
+            "pretrain", "--dataset", str(tiny_dataset_dir), "--out", str(out),
+            "--epochs", "0", "--config", str(config),
+        ])
+        assert code == 2
+        assert f"error: {config} line {pos + 1}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("item, message", [
+    ("train.nope=1", "argument 'train.nope=1': unknown configuration key 'train.nope'"),
+    ("train.beta=x", "argument 'train.beta=x': bad value for train.beta: "),
+], ids=["unknown-key", "bad-value"])
+def test_a_bad_override_argument_exits_2_naming_it(tiny_dataset_dir, tmp_path, capsys,
+                                                   item, message):
     out = tmp_path / "o"
     code = main([
         "pretrain", "--dataset", str(tiny_dataset_dir), "--out", str(out),
-        "--epochs", "0", "--config", str(config),
+        "--epochs", "0", "train.alpha=0.5", item,
     ])
     assert code == 2
-    assert f"{config} line {pos + 1}: expected 'key = value'" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["config", "dataset", "manifest", "checkpoint", "saliency",
+                                  "count"])
+def test_a_missing_input_or_a_bad_count_exits_2_naming_it(tiny_dataset_dir, pretrained,
+                                                          saliency_cache, tmp_path, capsys,
+                                                          flag):
+    missing, out = tmp_path / "missing", tmp_path / "o"
+    inputs = {"dataset": tiny_dataset_dir, "checkpoint": pretrained,
+              "saliency": saliency_cache, "count": 1}
+    if flag == "manifest":
+        argv = ["gen", "--manifest", str(missing), "--out", str(out)]
+    else:
+        inputs[flag] = -1 if flag == "count" else missing
+        argv = ["synth-demo", "--out", str(out),
+                *(f"--{k}={v}" for k, v in inputs.items() if k != "config")]
+        if flag == "config":
+            argv += ["--config", str(missing)]
+    code = main(argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    if flag == "count":
+        assert "error: --count must be at least 1, got -1" in err
+    else:
+        assert f"error: --{flag} {missing}: no such file or directory" in err
     assert not out.exists()

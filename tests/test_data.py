@@ -54,10 +54,17 @@ def test_unknown_shape_rejected():
         sample_shape("doughnut", 10, np.random.default_rng(0))
 
 
+def default_instance(name, n, rng):
+    """A random_instance posed and noised as the default manifest's are."""
+    m = default_manifest()
+    return random_instance(name, n, rng, noise=m.noise, scale_jitter=m.scale_jitter,
+                           tilt=m.tilt)
+
+
 def test_random_instance_normalized():
     rng = np.random.default_rng(1)
     for name in ("sphere", "cone", "lbracket"):
-        pts = random_instance(name, 128, rng)
+        pts = default_instance(name, 128, rng)
         assert np.allclose(pts.mean(axis=0), 0.0, atol=1e-12)
         assert np.linalg.norm(pts, axis=1).max() == pytest.approx(1.0, abs=1e-9)
 
@@ -67,8 +74,8 @@ def test_sphere_instances_stay_spherical():
     # radial spread is noise + O(1/sqrt(N)); spheres stay far tighter
     # than any boxy class at the same settings
     for seed in range(5):
-        sphere = random_instance("sphere", 256, np.random.default_rng(seed), noise=0.02)
-        cube = random_instance("cube", 256, np.random.default_rng(seed), noise=0.02)
+        sphere = default_instance("sphere", 256, np.random.default_rng(seed))
+        cube = default_instance("cube", 256, np.random.default_rng(seed))
         radii = np.linalg.norm(sphere, axis=1)
         assert radii.mean() >= 0.8
         assert radii.std() <= 0.09
@@ -149,6 +156,23 @@ def test_manifest_rejects_unknown_key():
     with pytest.raises(ConfigError,
                        match=f"manifest line {lineno}: unknown key 'instance_per_class'"):
         parse_manifest(text)
+
+
+def test_default_manifest_text_is_pinned():
+    # the file layout, field order included, is part of every dataset
+    assert format_manifest(default_manifest()) == (
+        "# openset3d toy dataset manifest\n"
+        "seed = 7\n"
+        "points = 256\n"
+        "instances_per_class = 200\n"
+        "noise = 0.02\n"
+        "scale_jitter = 0.1\n"
+        "tilt = 0.15\n"
+        "known = sphere cube cylinder cone torus pyramid ellipsoid disc\n"
+        "unknown = tube lbracket capsule cone_frustum\n"
+        "class disc = ellipsoid ax=1.0 ay=1.0 az=0.22\n"
+        "class cone_frustum = cone truncate=0.55\n"
+    )
 
 
 def test_manifest_rejects_malformed_line(tmp_path):

@@ -147,8 +147,8 @@ def test_logits_bounded():
 
 
 def test_init_prototypes_seeded_and_nonzero():
-    a = init_prototypes(4, 16, seed=9)
-    b = init_prototypes(4, 16, seed=9)
+    a = init_prototypes(4, 16, np.random.default_rng(9))
+    b = init_prototypes(4, 16, np.random.default_rng(9))
     assert np.array_equal(a, b)
     assert a.shape == (5, 16)
     assert np.linalg.norm(a, axis=1).min() > 0
@@ -199,6 +199,15 @@ def _saved_checkpoint_lines(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, model)
     return path, path.read_text().splitlines()
+
+
+def test_checkpoint_header_lines_are_pinned(tmp_path):
+    _, lines = _saved_checkpoint_lines(tmp_path)
+    assert lines[:3] == [
+        "openset3d checkpoint v1",
+        '{"feat_dim": 8, "num_known": 3, "point_widths": [6, 8], "proj_hidden": [4]}',
+        "param point0.b 6",
+    ]
 
 
 def _value_line(lines, name, row=0):

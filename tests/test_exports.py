@@ -27,15 +27,29 @@ def test_every_exported_name_resolves(name):
     assert missing == [], f"{name}.__all__ names undefined {missing}"
 
 
-def test_importing_every_module_leaves_scipy_stats_unloaded():
-    # scipy.stats adds about 34 MB of resident memory to a scoring process
-    # (its rankdata would give the same midranks as metrics._midranks)
+def _fresh_python(code):
+    """Standard output of `code` run in a new interpreter that imports this
+    checkout's package."""
     src = str(Path(openset3d.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = (f"import importlib, sys\nfor name in {MODULES!r}:\n"
-            "    importlib.import_module(name)\nprint('scipy.stats' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip()
+
+
+def test_importing_every_module_leaves_scipy_stats_unloaded():
+    # scipy.stats adds about 34 MB of resident memory to a scoring process
+    # (its rankdata would give the same midranks as metrics._midranks)
+    code = (f"import importlib, sys\nfor name in {MODULES!r}:\n"
+            "    importlib.import_module(name)\nprint('scipy.stats' in sys.modules)")
+    assert _fresh_python(code) == "False"
+
+
+def test_importing_the_package_loads_no_module():
+    # the modules are the import path, so the package itself pulls in nothing
+    code = ("import sys\nimport openset3d\n"
+            "print(sorted(m for m in sys.modules if m.startswith('openset3d.')))\n"
+            "import openset3d.metrics\nprint('scipy' in sys.modules)")
+    assert _fresh_python(code).splitlines() == ["[]", "False"]

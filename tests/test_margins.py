@@ -19,6 +19,8 @@ from openset3d.training import TrainConfig
 
 # paper-reported weighting: pos 0.01, neg 1.0, margin 10
 POS_W, NEG_W, MARGIN = 0.01, 1.0, 10.0
+# the running std before its first update: noise of std = weight
+UNIT_STD = np.ones(8)
 
 
 def separated_model(num_known=4, dim=8):
@@ -39,7 +41,7 @@ def separated_model(num_known=4, dim=8):
 def test_pseudo_features_zero_weight_is_identity():
     model = separated_model()
     anchor = model.params["prototypes"][2] * 3.0  # correctly classified by construction
-    out = pseudo_features(anchor, [0.0], model, 2, np.random.default_rng(0))
+    out = pseudo_features(anchor, [0.0], model, 2, np.random.default_rng(0), UNIT_STD)
     assert np.array_equal(out, anchor)
 
 
@@ -48,7 +50,7 @@ def test_pseudo_features_can_return_none():
     anchor = model.params["prototypes"][1]
     rng = np.random.default_rng(1)
     results = [
-        pseudo_features(anchor, [50.0], model, 1, rng) for _ in range(50)
+        pseudo_features(anchor, [50.0], model, 1, rng, UNIT_STD) for _ in range(50)
     ]
     assert any(r is None for r in results)  # huge noise: filter empties out sometimes
 
@@ -60,7 +62,7 @@ def test_pseudo_features_acceptance_rate_on_separated_head():
     for _ in range(1000):
         cls = int(rng.integers(4))
         anchor = model.params["prototypes"][cls] + rng.normal(0, 0.01, 8)
-        if pseudo_features(anchor, [0.01], model, cls, rng) is not None:
+        if pseudo_features(anchor, [0.01], model, cls, rng, UNIT_STD) is not None:
             accepted += 1
     assert accepted >= 900
 
@@ -69,15 +71,15 @@ def test_pseudo_features_without_noise_weights_draws_nothing():
     model = separated_model()
     rng = np.random.default_rng(12)
     state = rng.bit_generator.state
-    assert pseudo_features(model.params["prototypes"][0], (), model, 0, rng) is None
+    assert pseudo_features(model.params["prototypes"][0], (), model, 0, rng, UNIT_STD) is None
     assert rng.bit_generator.state == state
 
 
 def test_pseudo_features_seeded_deterministic():
     model = separated_model()
     anchor = model.params["prototypes"][0] * 2.0
-    a = pseudo_features(anchor, [0.1, 0.2], model, 0, np.random.default_rng(7))
-    b = pseudo_features(anchor, [0.1, 0.2], model, 0, np.random.default_rng(7))
+    a = pseudo_features(anchor, [0.1, 0.2], model, 0, np.random.default_rng(7), UNIT_STD)
+    b = pseudo_features(anchor, [0.1, 0.2], model, 0, np.random.default_rng(7), UNIT_STD)
     assert np.array_equal(a, b)
 
 
@@ -417,10 +419,11 @@ def test_margin_term_of_a_one_class_batch_draws_nothing():
 
 
 def test_running_std_starts_at_batch_then_smooths():
-    tracker = RunningStd(3, momentum=0.5)
+    tracker = RunningStd(3)
+    assert RunningStd.MOMENTUM == 0.9
     assert np.array_equal(tracker.value, np.ones(3))
     batch1 = np.array([[0.0, 0.0, 0.0], [2.0, 4.0, 6.0]])
     tracker.update(batch1)
     assert np.allclose(tracker.value, [1.0, 2.0, 3.0])
     tracker.update(np.zeros((4, 3)))
-    assert np.allclose(tracker.value, [0.5, 1.0, 1.5])
+    assert np.allclose(tracker.value, [0.9, 1.8, 2.7])

@@ -226,6 +226,18 @@ def test_metrics_csv_schema(tmp_path):
     assert lines[1].startswith("mls,test,0.9,0.25,")
 
 
+def test_metrics_csv_bytes_are_pinned(tmp_path):
+    path = tmp_path / "metrics.csv"
+    write_metrics_csv(path, [{
+        "method": "msp", "split": "test", "auroc": 0.9307291666666667, "fpr95": 1 / 3,
+        "acc": np.float64(0.95), "macc": 1,
+    }])
+    assert path.read_bytes() == (
+        b"method,split,auroc,fpr95,acc,macc\r\n"
+        b"msp,test,0.9307291666666667,0.3333333333333333,0.95,1.0\r\n"
+    )
+
+
 def test_scores_csv_schema(tmp_path):
     path = tmp_path / "scores.csv"
     write_scores_csv(path, [

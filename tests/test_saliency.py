@@ -15,6 +15,10 @@ from openset3d.saliency import (
     split_by_saliency,
     tunable_decompose,
 )
+from openset3d.training import TrainConfig
+
+# camera distances of the default run, in cloud radii
+RADIUS = TrainConfig().view_radius
 
 
 def small_model(seed=0):
@@ -185,20 +189,20 @@ def test_split_partition_properties_random():
 def test_partial_views_rejects_tiny_clouds():
     rng = np.random.default_rng(9)
     with pytest.raises(ValueError, match="4 points"):
-        partial_views(np.zeros((1, 3)), np.zeros(1), 2, rng)
+        partial_views(np.zeros((1, 3)), np.zeros(1), 2, rng, RADIUS)
 
 
 def test_partial_views_uniform_saliency_scores_half():
     rng = np.random.default_rng(10)
     cloud = sphere_points(100, rng)
-    views = partial_views(cloud, np.full(100, 0.5), 4, rng)
+    views = partial_views(cloud, np.full(100, 0.5), 4, rng, RADIUS)
     assert all(v.overall_score == pytest.approx(0.5) for v in views)
 
 
 def test_partial_views_indices_are_original_points():
     rng = np.random.default_rng(11)
     cloud = sphere_points(80, rng)
-    for view in partial_views(cloud, np.linspace(0, 1, 80), 6, rng):
+    for view in partial_views(cloud, np.linspace(0, 1, 80), 6, rng, RADIUS):
         assert view.indices.min() >= 0 and view.indices.max() < 80
         assert len(np.unique(view.indices)) == len(view.indices)
 
@@ -206,8 +210,8 @@ def test_partial_views_indices_are_original_points():
 def test_partial_views_seed_reproducible():
     cloud = sphere_points(60, np.random.default_rng(12))
     sal = np.linspace(0, 1, 60)
-    a = partial_views(cloud, sal, 5, np.random.default_rng(99))
-    b = partial_views(cloud, sal, 5, np.random.default_rng(99))
+    a = partial_views(cloud, sal, 5, np.random.default_rng(99), RADIUS)
+    b = partial_views(cloud, sal, 5, np.random.default_rng(99), RADIUS)
     for va, vb in zip(a, b):
         assert np.array_equal(va.indices, vb.indices)
         assert va.overall_score == vb.overall_score
@@ -218,7 +222,7 @@ def test_partial_views_degenerate_fallback_flagged():
     # the hull degenerates and the plane-crop fallback must kick in
     rng = np.random.default_rng(13)
     line = np.outer(np.linspace(-1, 1, 30), np.array([1.0, 0.5, -0.25]))
-    views = partial_views(line, np.full(30, 0.5), 3, rng)
+    views = partial_views(line, np.full(30, 0.5), 3, rng, RADIUS)
     assert all(v.used_fallback for v in views)
     assert all(len(v.indices) > 0 for v in views)
 

@@ -24,7 +24,7 @@ from .data import (
     ConfigError,
     SaliencyCache,
     StaleCacheError,
-    coerce,
+    coerce_at,
     default_manifest,
     generate_dataset,
     load_dataset,
@@ -36,13 +36,12 @@ from .data import (
 from .encoder import Model
 from .metrics import write_metrics_csv, write_scores_csv
 from .saliency import tunable_decompose
-from .synthesis import mix
 from .training import (
     Adam,
-    DecompCaches,
     TrainConfig,
     build_saliency_cache,
     build_views,
+    draw_synthetic,
     evaluate_open_set,
     init_state,
     run_pretrain,
@@ -63,10 +62,7 @@ def apply_overrides(config: TrainConfig, updates) -> TrainConfig:
         section, _, name = key.partition(".")
         if section != "train" or name not in fields:
             raise ConfigError(f"{where}: unknown configuration key {key!r}")
-        try:
-            changes[name] = coerce(value, fields[name])
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
+        changes[name] = coerce_at(where, key, value, fields[name])
     return dataclasses.replace(config, **changes)
 
 
@@ -223,6 +219,7 @@ def cmd_train(args) -> int:
     """`pretrain` and `train`: one cosine cycle over this command's epochs,
     from the checkpoint's model (if any) with a fresh optimizer."""
     config, dataset, model = _load_inputs(args)
+    state = init_state(dataset, config)
     pretrain = args.command == "pretrain"
     caches = None
     if not pretrain and config.needs_cache():
@@ -230,17 +227,15 @@ def cmd_train(args) -> int:
             raise ConfigError("TSD requires --saliency <cache file>")
         # checked before the views are built from it
         cache = _load_saliency(args.saliency, model, dataset.train_known)
-        caches = DecompCaches(cache, build_views(dataset.train_known, cache, config))
+        caches = build_views(dataset.train_known, cache, config)
     out = _output_dir(args)
-    epochs = getattr(config, _EPOCHS_FIELD[args.command])
-    state = init_state(dataset, config)
-    state.total_epochs = epochs
+    state.total_epochs = getattr(config, _EPOCHS_FIELD[args.command])
     if model is not None:
         state.model, state.opt = model, Adam(model.params)
     if pretrain:
-        run_pretrain(state, dataset, config, epochs, progress=_print_epoch)
+        run_pretrain(state, dataset, config, config.phase1_epochs, progress=_print_epoch)
     else:
-        run_combined(state, dataset, config, epochs, caches, progress=_print_epoch)
+        run_combined(state, dataset, config, caches, progress=_print_epoch)
     checkpoint = out / ("pretrain.ckpt" if pretrain else "model.ckpt")
     save_checkpoint(checkpoint, state.model)
     write_report_csv(out / f"{args.command}_report.csv", state.rows)
@@ -281,21 +276,14 @@ def cmd_synth_demo(args) -> int:
     cache = _load_saliency(args.saliency, model, dataset.train_known)
     out = _output_dir(args)
     rng = stream_rng(config.seed, 99)
-    train_records = dataset.train_known
-    n_points = dataset.manifest.points_per_cloud
+    # each training cloud's pure saliency split; with no views it draws nothing from rng
+    lows = [tunable_decompose(rec.points, cache.get(rec.object_id), config.mix_count,
+                              1.0, 0.0, (), rng, label=rec.class_index,
+                              source_id=rec.object_id)[1]
+            for rec in dataset.train_known]
     for idx in range(args.count):
-        picks = rng.choice(len(train_records), size=config.mix_count, replace=False)
-        parts = []
-        for pick in picks:
-            rec = train_records[int(pick)]
-            # pure saliency split: thresholds (1, 0) disqualify every view
-            _, low = tunable_decompose(
-                rec.points, cache.get(rec.object_id), config.mix_count, 1.0, 0.0, [], rng,
-                label=rec.class_index, source_id=rec.object_id,
-            )
-            parts.append(low)
-        sample = mix(parts, n_points, model.num_known, config.eps,
-                     config.eps_known, rng)
+        sample = draw_synthetic(lows, dataset.manifest.points_per_cloud, model.num_known,
+                                config, rng)
         stem = out / f"synth_{idx:04d}"
         write_cloud(stem.with_suffix(".txt"), sample.points)
         sidecar = {

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .shapes import SHAPE_NAMES, random_instance
+from .shapes import SHAPE_NAMES, SHAPE_PARAMS, random_instance
 
 __all__ = [
     "ConfigError",
@@ -27,6 +27,7 @@ __all__ = [
     "ToyDataset",
     "read_settings",
     "coerce",
+    "coerce_at",
     "default_manifest",
     "tiny_manifest",
     "parse_manifest",
@@ -67,6 +68,11 @@ class ClassSpec:
                 f"class {self.name!r} uses unknown shape {self.shape!r}; "
                 f"library: {', '.join(SHAPE_NAMES)}"
             )
+        takes = SHAPE_PARAMS[self.shape]
+        for key in self.params:
+            if key not in takes:
+                raise ConfigError(f"class {self.name!r}: shape {self.shape!r} has no parameter "
+                                  f"{key!r}; it takes {', '.join(takes)}")
 
 
 @dataclass
@@ -159,15 +165,12 @@ def coerce(text: str, like):
     return type(like)(text)
 
 
-def _parse_value(text: str):
+def coerce_at(at: str, key: str, text: str, like):
+    """coerce(text, like) for `key`; a failure is a ConfigError naming `at` and the key."""
     try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
+        return coerce(text, like)
+    except ValueError as exc:
+        raise ConfigError(f"{at}: bad value for {key}: {exc}") from exc
 
 
 # manifest key -> the Manifest field it sets, for every field with a default,
@@ -196,16 +199,20 @@ def parse_manifest(text: str, where: str = "manifest") -> Manifest:
                 if "=" not in tok:
                     raise ConfigError(f"{at}: class params must be key=value, got {tok!r}")
                 pk, pv = tok.split("=", 1)
-                params[pk] = _parse_value(pv)
-            class_defs[name] = ClassSpec(name, tokens[0], params)
+                params[pk] = pv
+            spec = ClassSpec(name, tokens[0], params)
+            try:
+                spec.validate()  # the shape and the parameter names, before any value is read
+            except ConfigError as exc:
+                raise ConfigError(f"{at}: {exc}") from exc
+            defaults = SHAPE_PARAMS[spec.shape]  # each value takes its default's type
+            spec.params = {pk: coerce_at(at, pk, pv, defaults[pk]) for pk, pv in params.items()}
+            class_defs[name] = spec
         elif key in class_names:
             class_names[key] = value.split()
         elif key in _SCALAR_KEYS:
             target = _SCALAR_KEYS[key]
-            try:
-                scalars[target.name] = coerce(value, target.default)
-            except ValueError as exc:
-                raise ConfigError(f"{at}: bad value for {key}: {exc}") from exc
+            scalars[target.name] = coerce_at(at, key, value, target.default)
         else:
             raise ConfigError(f"{at}: unknown key {key!r}")
 
@@ -381,8 +388,11 @@ def write_dataset(dataset: ToyDataset, out_dir) -> None:
 
 
 def load_dataset(dataset_dir) -> ToyDataset:
-    """Load a generated dataset; splits re-derive from the stored manifest."""
+    """Load a generated dataset; splits re-derive from the stored manifest,
+    and every cloud must hold the manifest's point count."""
     root = Path(dataset_dir)
+    if not (root / "manifest.txt").is_file():
+        raise ConfigError(f"{root}: no manifest.txt; is this a generated dataset directory?")
     manifest = load_manifest(root / "manifest.txt")
 
     def clouds(_, spec):
@@ -393,7 +403,11 @@ def load_dataset(dataset_dir) -> ToyDataset:
                 f"{class_dir}: expected {manifest.instances_per_class} clouds, found {len(files)}"
             )
         for path in files:
-            yield path.stem, read_cloud(path)[0]
+            points = read_cloud(path)[0]
+            if len(points) != manifest.points_per_cloud:
+                raise ConfigError(f"{path}: expected {manifest.points_per_cloud} points "
+                                  f"(the manifest's points), found {len(points)}")
+            yield path.stem, points
 
     return _build_dataset(manifest, clouds)
 

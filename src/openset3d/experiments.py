@@ -70,35 +70,31 @@ def _metrics(model, dataset) -> VariantMetrics:
                           acc=row["acc"], macc=row["macc"])
 
 
-def run_seed(dataset: ToyDataset, config: TrainConfig,
-             variant_names=VARIANT_ORDER, progress=None) -> SeedOutcome:
-    """One seed's baseline plus all requested phase-2 variants.
+def run_seed(dataset: ToyDataset, config: TrainConfig, progress=None) -> SeedOutcome:
+    """One seed's baseline plus every phase-2 variant of ablation_grid.
 
     Phase 1, its optimizer state, and the decomposition caches are shared:
     every variant resumes from identical state, so differences measure the
-    modules themselves.
+    modules themselves. A variant reads the caches only if `full` does.
     """
-    variants = {k: v for k, v in ablation_grid(config).items() if k in variant_names}
     state = init_state(dataset, config)
     run_pretrain(state, dataset, config, config.phase1_epochs, progress)
     baseline = _metrics(state.model, dataset)
-    caches = None
-    if any(v.needs_cache() for v in variants.values()):
-        caches = build_decomposition_caches(state.model, dataset.train_known, config)
+    caches = build_decomposition_caches(state.model, dataset.train_known, config)
     results = {}
-    for name, vcfg in variants.items():
+    for name, vcfg in ablation_grid(config).items():
         branch = state.copy()
-        run_combined(branch, dataset, vcfg, vcfg.phase2_epochs, caches, progress)
+        run_combined(branch, dataset, vcfg, caches, progress)
         results[name] = _metrics(branch.model, dataset)
     return SeedOutcome(seed=config.seed, baseline=baseline, variants=results)
 
 
 def run_experiment(dataset: ToyDataset, config: TrainConfig, seeds,
-                   variant_names=VARIANT_ORDER, progress=None) -> list[SeedOutcome]:
+                   progress=None) -> list[SeedOutcome]:
     outcomes = []
     for seed in seeds:
         seeded = dataclasses.replace(config, seed=int(seed))
-        outcomes.append(run_seed(dataset, seeded, variant_names, progress))
+        outcomes.append(run_seed(dataset, seeded, progress))
     return outcomes
 
 

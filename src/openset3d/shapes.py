@@ -9,9 +9,11 @@ that several unknown-class variants share local structure with known ones
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
-__all__ = ["SHAPE_NAMES", "sample_shape", "random_instance"]
+__all__ = ["SHAPE_NAMES", "SHAPE_PARAMS", "sample_shape", "random_instance"]
 
 
 def _unit_dirs(rng, n):
@@ -251,6 +253,9 @@ _GENERATORS = {
 }
 
 SHAPE_NAMES = tuple(sorted(_GENERATORS))
+# shape -> {keyword parameter: default} of its sampler
+SHAPE_PARAMS = {name: {p.name: p.default for p in inspect.signature(fn).parameters.values()
+                       if p.default is not p.empty} for name, fn in _GENERATORS.items()}
 
 
 def sample_shape(name: str, n: int, rng: np.random.Generator, **params) -> np.ndarray:

@@ -53,6 +53,7 @@ __all__ = [
     "build_views",
     "build_decomposition_caches",
     "DecompCaches",
+    "draw_synthetic",
     "predict_logits",
     "evaluate_closed_set",
     "score_records",
@@ -154,18 +155,12 @@ class TrainConfig:
             if isinstance(f.default, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
 
-    def gss_active(self) -> bool:
-        return self.beta > 0
-
-    def sms_active(self) -> bool:
-        return self.gamma > 0
-
     def needs_parts(self) -> bool:
-        return self.alpha > 0 or self.gss_active() or self.sms_active()
+        return self.alpha > 0 or self.beta > 0 or self.gamma > 0
 
     def needs_cache(self) -> bool:
-        """True when phase 2 reads decomposition caches (TSD splits)."""
-        return self.needs_parts() and self.use_tsd
+        """True when phase 2 runs and reads decomposition caches (TSD splits)."""
+        return self.phase2_epochs > 0 and self.needs_parts() and self.use_tsd
 
 
 class Adam:
@@ -216,8 +211,8 @@ def build_saliency_cache(model: Model, records) -> SaliencyCache:
     return cache
 
 
-def build_views(records, cache: SaliencyCache, config: TrainConfig):
-    """Partial views for every record, scored by its cached saliency.
+def build_views(records, cache: SaliencyCache, config: TrainConfig) -> DecompCaches:
+    """`cache` and every record's partial views, scored by its cached saliency.
 
     View sampling is keyed by the record's position, not the epoch, so the
     same views come back however often training restarts from the cache.
@@ -229,13 +224,15 @@ def build_views(records, cache: SaliencyCache, config: TrainConfig):
         views[rec.object_id] = partial_views(
             rec.points, normalized, config.views_per_object, rng, config.view_radius
         )
-    return views
+    return DecompCaches(saliency=cache, views=views)
 
 
-def build_decomposition_caches(model: Model, records, config: TrainConfig) -> DecompCaches:
+def build_decomposition_caches(model: Model, records, config: TrainConfig) -> DecompCaches | None:
+    """The caches phase 2 reads, from the frozen `model`; None when it reads none."""
+    if not config.needs_cache():
+        return None
     records = list(records)
-    cache = build_saliency_cache(model, records)
-    return DecompCaches(saliency=cache, views=build_views(records, cache, config))
+    return build_views(records, build_saliency_cache(model, records), config)
 
 
 # ----------------------------------------------------------------------
@@ -328,13 +325,12 @@ def batch_loss(bound, batch, highs, lows, config, rngs, run_std):
     l_h = l_s = l_m = None
     if highs is not None:
         rng_gss, rng_sms = rngs
-        sms_on = config.sms_active()
-        if config.alpha > 0 or sms_on:
+        if config.alpha > 0 or config.gamma > 0:
             _, high_feats = bound.encode_batch([normalize_cloud(p.points) for p in highs])
             l_h = ad.mean_all(ad.soft_cross_entropy(bound.logits(high_feats), targets))
-        if config.gss_active():
+        if config.beta > 0:
             l_s = _synthesis_loss(bound, batch, lows, config, rng_gss)
-        if sms_on:
+        if config.gamma > 0:
             l_m = _margin_term(bound, batch, feats, high_feats, config, run_std, rng_sms)
             run_std.update(feats.data)
     total = l_cls
@@ -344,6 +340,13 @@ def batch_loss(bound, batch, highs, lows, config, rngs, run_std):
     return total, (l_cls, l_h, l_s, l_m)
 
 
+def draw_synthetic(lows, n_points, num_known, config, rng):
+    """One pseudo-unknown mixing mix_count distinct `lows`: draws the picks, then the mix."""
+    picks = rng.choice(len(lows), size=config.mix_count, replace=False)
+    return mix([lows[i] for i in picks], n_points, num_known,
+               config.eps, config.eps_known, rng)
+
+
 def _synthesis_loss(bound, batch, lows, config, rng_gss):
     """Soft cross-entropy of one synthetic sample per real sample, each
     mixing the low parts of mix_count distinct batch members; None when the
@@ -351,13 +354,8 @@ def _synthesis_loss(bound, batch, lows, config, rng_gss):
     if len(batch) < config.mix_count:
         return None
     n_points = len(batch[0].points)
-    samples = []
-    for _ in batch:
-        picks = rng_gss.choice(len(batch), size=config.mix_count, replace=False)
-        samples.append(mix(
-            [lows[i] for i in picks], n_points, bound.model.num_known,
-            config.eps, config.eps_known, rng_gss,
-        ))
+    samples = [draw_synthetic(lows, n_points, bound.model.num_known, config, rng_gss)
+               for _ in batch]
     _, synth_feats = bound.encode_batch([s.points for s in samples])
     synth_logits = bound.logits(synth_feats)
     targets = np.stack([s.soft_label for s in samples])
@@ -441,6 +439,9 @@ def init_state(dataset: ToyDataset, config: TrainConfig) -> TrainState:
     config.validate()
     if len(dataset.known_classes) < 2:
         raise ConfigError("training requires at least two known classes")
+    if config.mix_count > dataset.manifest.points_per_cloud:
+        raise ConfigError(f"mix_count {config.mix_count} exceeds the dataset's "
+                          f"{dataset.manifest.points_per_cloud} points per cloud")
     architecture = {key: getattr(config, key) for key in Model.HYPERPARAMS[1:]}
     model = Model(len(dataset.known_classes), **architecture, seed=config.seed)
     return TrainState(
@@ -461,14 +462,15 @@ def run_pretrain(state: TrainState, dataset: ToyDataset, config: TrainConfig,
 
 
 def run_combined(state: TrainState, dataset: ToyDataset, config: TrainConfig,
-              epochs: int, caches: DecompCaches | None, progress=None) -> TrainState:
-    if epochs > 0 and config.needs_cache():
+                 caches: DecompCaches | None, progress=None) -> TrainState:
+    """config.phase2_epochs epochs of the combined loss."""
+    if config.needs_cache():
         if caches is None:
             raise ConfigError("TSD needs decomposition caches built from a saliency cache")
         caches.saliency.check(state.model.checksum(), dataset.train_known)
     run_std = RunningStd(state.model.feat_dim)
     parts = config.needs_parts()
-    for _ in range(epochs):
+    for _ in range(config.phase2_epochs):
         _epoch(state, dataset, config, caches, run_std, parts)
         if progress is not None:
             progress(state.rows[-1])
@@ -481,10 +483,8 @@ def train(dataset: ToyDataset, config: TrainConfig, progress=None) -> TrainResul
     state = init_state(dataset, config)
     run_pretrain(state, dataset, config, config.phase1_epochs, progress)
     phase1_model = copy.deepcopy(state.model)
-    caches = None
-    if config.phase2_epochs > 0 and config.needs_cache():
-        caches = build_decomposition_caches(state.model, dataset.train_known, config)
-    run_combined(state, dataset, config, config.phase2_epochs, caches, progress)
+    caches = build_decomposition_caches(state.model, dataset.train_known, config)
+    run_combined(state, dataset, config, caches, progress)
     return TrainResult(model=state.model, phase1_model=phase1_model,
                        rows=state.rows, caches=caches)
 

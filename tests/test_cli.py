@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line pipeline (run in-process)."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -90,6 +91,17 @@ def test_gen_bad_shape_name_exit_2(tmp_path, capsys):
     assert "wedge" in capsys.readouterr().err
 
 
+def test_gen_unknown_class_parameter_exits_2_before_writing(tmp_path, capsys):
+    # accepted, it failed inside the sampler with a TypeError (exit 1)
+    manifest = tmp_path / "bad.txt"
+    manifest.write_text(format_manifest(tiny_manifest()) + "class cube = cylinder capz=1\n")
+    out = tmp_path / "o"
+    assert main(["gen", "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert (f"{manifest} line 10: class 'cube': shape 'cylinder' has no parameter 'capz'; "
+            "it takes radius, height, caps") in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line,key", [
     ("noise = inf", "noise"), ("noise = nan", "noise"), ("noise = -0.5", "noise"),
     ("tilt = inf", "tilt"), ("tilt = nan", "tilt"), ("scale_jitter = inf", "scale_jitter"),
@@ -165,6 +177,17 @@ def test_train_requires_cache_in_cached_mode(tiny_dataset_dir, pretrained, tmp_p
     assert "nope.cache" in capsys.readouterr().err
 
 
+def test_train_of_no_epochs_reads_no_cache_and_keeps_the_model(tiny_dataset_dir, pretrained,
+                                                              tmp_path):
+    # TSD is on, but a phase of no epochs reads no saliency cache
+    out = tmp_path / "t"
+    assert main([
+        "train", "--dataset", str(tiny_dataset_dir), "--out", str(out),
+        "--epochs", "0", "--checkpoint", str(pretrained), *TRAIN_OVERRIDES,
+    ]) == 0
+    assert (out / "model.ckpt").read_bytes() == pretrained.read_bytes()
+
+
 def test_train_rejects_a_cache_from_another_checkpoint(tiny_dataset_dir, pretrained,
                                                         saliency_cache, tmp_path, capsys):
     stale = SaliencyCache.load(saliency_cache)
@@ -224,6 +247,8 @@ def test_a_cache_of_another_split_exits_2_naming_the_file(tiny_dataset_dir, pret
     "train.noise_weights=-0.1", "train.mix_count=2.5", "train.batch_size=nan",
     "train.learning_rate=inf", "train.margin=inf", "train.neg_weight=inf",
     "train.alpha=inf", "train.beta=inf", "train.gamma=inf", "train.view_radius=1.5 inf",
+    # init_state: more parts to mix than a 64-point cloud has points
+    "train.mix_count=100",
 ])
 def test_invalid_config_exits_2_before_any_work(tiny_dataset_dir, pretrained,
                                                 saliency_cache, tmp_path, capsys, override):
@@ -418,7 +443,7 @@ def test_a_bad_override_argument_exits_2_naming_it(tiny_dataset_dir, tmp_path, c
 
 
 @pytest.mark.parametrize("flag", ["config", "dataset", "manifest", "checkpoint", "saliency",
-                                  "count"])
+                                  "count", "dataset manifest"])
 def test_a_missing_input_or_a_bad_count_exits_2_naming_it(tiny_dataset_dir, pretrained,
                                                           saliency_cache, tmp_path, capsys,
                                                           flag):
@@ -428,6 +453,9 @@ def test_a_missing_input_or_a_bad_count_exits_2_naming_it(tiny_dataset_dir, pret
     if flag == "manifest":
         argv = ["gen", "--manifest", str(missing), "--out", str(out)]
     else:
+        if flag == "dataset manifest":  # a directory, but not a generated dataset
+            missing.mkdir()
+            flag = "dataset"
         inputs[flag] = -1 if flag == "count" else missing
         argv = ["synth-demo", "--out", str(out),
                 *(f"--{k}={v}" for k, v in inputs.items() if k != "config")]
@@ -438,6 +466,27 @@ def test_a_missing_input_or_a_bad_count_exits_2_naming_it(tiny_dataset_dir, pret
     err = capsys.readouterr().err
     if flag == "count":
         assert "error: --count must be at least 1, got -1" in err
+    elif missing.is_dir():
+        assert f"error: {missing}: no manifest.txt" in err
     else:
         assert f"error: --{flag} {missing}: no such file or directory" in err
     assert not out.exists()
+
+
+def test_a_cloud_of_another_point_count_exits_2_naming_it(tiny_dataset_dir, pretrained,
+                                                          tmp_path, capsys):
+    dataset = tmp_path / "dataset"
+    shutil.copytree(tiny_dataset_dir, dataset)
+    cloud = dataset / "cube" / "cube_0007.txt"
+    header, *rows = cloud.read_text().splitlines()
+    assert len(rows) == 64
+    for kept in (1, 10, 63, 65):
+        lines = [header, *(rows + rows[:1])[:kept]]
+        cloud.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        code = main(["eval", "--dataset", str(dataset), "--checkpoint", str(pretrained),
+                     "--out", str(out)])
+        assert code == 2
+        assert f"error: {cloud}: expected 64 points (the manifest's points), found {kept}" \
+            in capsys.readouterr().err
+        assert not out.exists()

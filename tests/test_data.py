@@ -26,7 +26,7 @@ from openset3d.data import (
     write_dataset,
 )
 from openset3d.encoder import normalize_cloud
-from openset3d.shapes import SHAPE_NAMES, random_instance, sample_shape
+from openset3d.shapes import SHAPE_NAMES, SHAPE_PARAMS, random_instance, sample_shape
 from openset3d.training import (
     DecompCaches,
     TrainConfig,
@@ -100,19 +100,26 @@ def test_manifest_round_trip():
 
 
 _NAMES = st.from_regex(r"[a-z][a-z0-9_]{0,7}", fullmatch=True)
-_PARAMS = st.dictionaries(
-    st.from_regex(r"[a-z]{1,6}", fullmatch=True),
-    st.one_of(st.integers(-10**6, 10**6), st.floats(allow_nan=False, allow_infinity=False)),
-    max_size=3,
-)
 _NONNEGATIVE = st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)
+# a value of each default's type
+_VALUES = {bool: st.booleans(), int: st.integers(-10**6, 10**6),
+           float: st.floats(allow_nan=False, allow_infinity=False)}
+
+
+@st.composite
+def class_specs(draw, name):
+    """A class of a library shape with some of that shape's own parameters."""
+    shape = draw(st.sampled_from(SHAPE_NAMES))
+    defaults = SHAPE_PARAMS[shape]
+    keys = draw(st.lists(st.sampled_from(sorted(defaults)), unique=True, max_size=3))
+    return ClassSpec(name, shape, {k: draw(_VALUES[type(defaults[k])]) for k in keys})
 
 
 @st.composite
 def manifests(draw):
     names = draw(st.lists(_NAMES, min_size=3, max_size=6, unique=True))
     known = draw(st.integers(2, len(names) - 1))
-    specs = [ClassSpec(n, draw(st.sampled_from(SHAPE_NAMES)), draw(_PARAMS)) for n in names]
+    specs = [draw(class_specs(n)) for n in names]
     return Manifest(
         specs[:known], specs[known:],
         instances_per_class=draw(st.integers(2, 10**6)),
@@ -138,6 +145,32 @@ def test_manifest_rejects_unknown_shape():
     text = format_manifest(tiny_manifest()) + "class blob = blobshape\nknown = sphere blob\n"
     with pytest.raises(ConfigError, match="blobshape"):
         parse_manifest(text)
+
+
+def test_class_parameters_take_the_type_of_the_samplers_default():
+    manifest = Manifest([ClassSpec("sphere", "sphere"),
+                         ClassSpec("open_can", "cylinder", {"caps": False})],
+                        [ClassSpec("torus", "torus")], instances_per_class=4,
+                        points_per_cloud=32)
+    parsed = parse_manifest(format_manifest(manifest))
+    assert parsed.known[1].params == {"caps": False}
+    # so the parsed manifest generates the library's clouds: open cylinders
+    for ours, theirs in zip(generate_dataset(parsed).records,
+                            generate_dataset(manifest).records):
+        assert np.array_equal(ours.points, theirs.points)
+
+
+@pytest.mark.parametrize("params, message", [
+    ("caps=maybe", "bad value for caps: expected a boolean, got 'maybe'"),
+    ("radius=wide", "bad value for radius: could not convert string to float: 'wide'"),
+])
+def test_a_bad_class_parameter_names_its_line(tmp_path, params, message):
+    text = format_manifest(tiny_manifest()) + f"class cube = cylinder {params}\n"
+    path = tmp_path / "manifest.txt"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(f"{path} line {len(text.splitlines())}: ")
+                       + ".*" + re.escape(message)):
+        load_manifest(path)
 
 
 def test_manifest_rejects_overlapping_classes():
@@ -355,10 +388,10 @@ def test_cache_rejects_stale_checksum():
     other = init_state(dataset, dataclasses.replace(config, seed=1)).model
     stale = DecompCaches(build_saliency_cache(other, dataset.train_known), views={})
     with pytest.raises(StaleCacheError, match="rebuild"):
-        run_combined(state, dataset, config, 1, stale)
+        run_combined(state, dataset, config, stale)
     assert state.epoch == 0 and state.rows == []
     own = build_decomposition_caches(state.model, dataset.train_known, config)
-    run_combined(state, dataset, config, 1, own)
+    run_combined(state, dataset, config, own)
     assert state.epoch == 1
 
 
@@ -383,7 +416,7 @@ def test_cache_check_binds_to_the_training_split():
             cache.check(state.model.checksum(), records)
         # phase 2 refuses it before it trains a step
         with pytest.raises(StaleCacheError, match=re.escape(message)):
-            run_combined(state, dataset, config, 1, DecompCaches(cache, views={}))
+            run_combined(state, dataset, config, DecompCaches(cache, views={}))
         assert state.epoch == 0 and state.rows == []
 
 

@@ -14,6 +14,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import openset3d.autodiff as ad
 import openset3d.data as data
 import openset3d.encoder as enc
@@ -88,3 +90,16 @@ def test_a_traced_tiny_desk_seed_unit_runs_clean():
     metrics = tracing.layer_metrics(tr, 0)
     assert metrics["margins.triplets"] > 0
     assert metrics["margins.pseudo_features_calls"] == metrics["margins.triplets"]
+
+
+@pytest.mark.parametrize("workload", ["pretrain", "desk_seed", "score"])
+def test_an_untraced_tiny_unit_of_each_workload_runs_clean(tmp_path, workload):
+    # perfbench/ is outside the default test paths; this runs the library
+    # calls its units make, so a changed signature fails here
+    workloads = _load("workloads")
+    plan = workloads.Plan.make(workload, 31, size="tiny")
+    inputs, _ = workloads.setup(plan, checkpoint_path=tmp_path / "setup.ckpt")
+    unit = workloads.run_unit(plan, inputs, time.perf_counter)
+    assert unit.problems == [] and unit.failed == 0
+    if workload == "desk_seed":
+        assert set(unit.fingerprint) == {*ex.VARIANT_ORDER, "outcome"}

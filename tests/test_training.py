@@ -2,14 +2,15 @@
 
 import dataclasses
 import gc
+import itertools
 import weakref
 
 import numpy as np
 import pytest
 
-from openset3d import autodiff as ad
+from openset3d import autodiff as ad, training
 from openset3d.data import ConfigError, generate_dataset, tiny_manifest
-from openset3d.experiments import VARIANT_ORDER, ablation_grid
+from openset3d.experiments import VARIANT_ORDER, ablation_grid, run_seed
 from openset3d.saliency import Part
 from openset3d.training import (
     TrainConfig,
@@ -299,7 +300,7 @@ def test_combined_phase_without_caches_rejected():
     config = tiny_config()
     state = init_state(dataset, config)
     with pytest.raises(ConfigError, match="caches"):
-        run_combined(state, dataset, config, 1, caches=None)
+        run_combined(state, dataset, config, caches=None)
 
 
 def test_combined_phase_sizes_the_noise_scale_from_the_model():
@@ -312,7 +313,7 @@ def test_combined_phase_sizes_the_noise_scale_from_the_model():
     runs = []
     for feat_dim in (config.feat_dim, 256):
         branch = state.copy()
-        run_combined(branch, dataset, dataclasses.replace(config, feat_dim=feat_dim), 1,
+        run_combined(branch, dataset, dataclasses.replace(config, feat_dim=feat_dim),
                      caches=None)
         runs.append((branch.model.checksum(), report_csv_text(branch.rows)))
     assert runs[0] == runs[1]
@@ -385,6 +386,35 @@ def test_ablation_grid_variants_change_only_their_own_fields():
     row = train(tiny_dataset(), grid["no_gss"]).rows[-1]
     assert row["l_s"] == 0.0
     assert row["l_m"] > 0.0
+
+
+def test_a_grid_entry_reads_caches_only_if_full_does():
+    # run_seed builds the caches from the full config alone, and a phase 2 of
+    # no epochs reads none
+    for alpha, beta, gamma, use_tsd, phase2_epochs in itertools.product(
+            (0.0, 0.5), (0.0, 0.5), (0.0, 0.5), (True, False), (0, 3)):
+        full = tiny_config(alpha=alpha, beta=beta, gamma=gamma, use_tsd=use_tsd,
+                           phase2_epochs=phase2_epochs)
+        expected = use_tsd and phase2_epochs > 0 and max(alpha, beta, gamma) > 0
+        assert full.needs_cache() == expected, full
+        assert any(v.needs_cache() for v in ablation_grid(full).values()) == expected, full
+
+
+def test_run_seed_without_phase_2_builds_no_saliency_cache(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("built a saliency cache for a phase that reads none")
+
+    monkeypatch.setattr(training, "build_saliency_cache", refuse)
+    outcome = run_seed(tiny_dataset(), tiny_config(phase1_epochs=1, phase2_epochs=0))
+    assert tuple(outcome.variants) == VARIANT_ORDER
+    assert all(m == outcome.baseline for m in outcome.variants.values())
+
+
+def test_a_mix_count_above_the_cloud_size_fails_before_phase_1():
+    rows = []
+    with pytest.raises(ConfigError, match="mix_count 49 exceeds the dataset's 48 points"):
+        train(tiny_dataset(), tiny_config(mix_count=49), progress=rows.append)
+    assert rows == []
 
 
 def test_evaluate_open_set_row_schema():

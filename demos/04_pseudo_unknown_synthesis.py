@@ -23,14 +23,15 @@ for record in dataset.train_known[:3]:
     parts.append(low)
 print("mixing parts from:", [p.source_id for p in parts])
 
-sample = mix(parts, n_out=64, num_known=2, eps=0.1, eps_known=0.1, rng=rng)
-print(f"synthetic cloud: {sample.points.shape[0]} points, "
-      f"max radius {np.linalg.norm(sample.points, axis=1).max():.3f}")
-print("part counts per class:", sample.source_counts)
+# mix takes one group of parts per synthetic sample; here a batch of one
+synth = mix([parts], n_out=64, num_known=2, eps=0.1, eps_known=0.1, rng=rng)
+points, soft_label = synth.points[0], synth.soft_labels[0]
+print(f"synthetic cloud: {points.shape[0]} points, "
+      f"max radius {np.linalg.norm(points, axis=1).max():.3f}")
+print("part classes:", synth.part_labels[0].tolist())
 
 # --- the smoothed (C+1)-way soft label --------------------------------------
-print("\nsoft label:", np.round(sample.soft_label, 4),
-      f"(sum {sample.soft_label.sum():.10f})")
+print("\nsoft label:", np.round(soft_label, 4), f"(sum {soft_label.sum():.10f})")
 print("most mass sits on the unknown slot; involved classes share the rest")
 
 worked = pseudo_label({0: 2, 1: 1}, num_known=4, eps=0.1, eps_known=0.1, mix_count=3)
@@ -44,6 +45,6 @@ def synthesis_loss(logits, soft_label):
 
 logits = rng.uniform(-1, 1, 3)
 print(f"\nsynthesis loss on random logits {np.round(logits, 3)}: "
-      f"{synthesis_loss(logits, sample.soft_label):.4f}")
+      f"{synthesis_loss(logits, soft_label):.4f}")
 uniform = synthesis_loss(np.zeros(3), np.eye(3)[2])
 print(f"uniform logits, one-hot unknown label: {uniform:.5f} (= ln 3 = {np.log(3):.5f})")

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import ConfigError, _read_text
 from .encoder import Model
 
 __all__ = ["save_checkpoint", "load_checkpoint"]
@@ -44,38 +45,47 @@ def save_checkpoint(path, model: Model) -> None:
 
 def _parse_header(path, text) -> dict:
     if len(text) < 2:
-        raise ValueError(f"{path}:2: missing the hyperparameter header")
+        raise ConfigError(f"{path}:2: missing the hyperparameter header")
     try:
         header = json.loads(text[1])
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}:2: hyperparameter header is not JSON: {exc}") from exc
+        raise ConfigError(f"{path}:2: hyperparameter header is not JSON: {exc}") from exc
     if not isinstance(header, dict):
-        raise ValueError(f"{path}:2: hyperparameter header is not a JSON object")
+        raise ConfigError(f"{path}:2: hyperparameter header is not a JSON object")
     for key in Model.HYPERPARAMS:
         if key not in header:
-            raise ValueError(f"{path}:2: hyperparameter header is missing {key!r}")
+            raise ConfigError(f"{path}:2: hyperparameter header is missing {key!r}")
+        value = header[key]
+        items = value if isinstance(value, list) else [value]
+        if not all(type(v) is int and v >= 1 for v in items):
+            raise ConfigError(f"{path}:2: hyperparameter {key!r} must be a positive whole "
+                              f"number or a list of them, got {value!r}")
     return header
 
 
 def _parse_row(path, lineno, name, row, width) -> list[float]:
     fields = row.split()
     if len(fields) != width:
-        raise ValueError(
+        raise ConfigError(
             f"{path}:{lineno}: parameter {name!r} row has {len(fields)} values, expected {width}"
         )
     try:
         return [float(v) for v in fields]
     except ValueError as exc:
-        raise ValueError(f"{path}:{lineno}: parameter {name!r}: {exc}") from exc
+        raise ConfigError(f"{path}:{lineno}: parameter {name!r}: {exc}") from exc
 
 
 def load_checkpoint(path) -> Model:
-    """Parse a checkpoint; every malformed input names its path and line."""
-    text = Path(path).read_text(encoding="ascii").splitlines()
+    """Parse a checkpoint; every malformed input raises ConfigError naming
+    its path and line."""
+    text = _read_text(path, "ascii").splitlines()
     if not text or text[0] != MAGIC:
-        raise ValueError(f"{path}: not an openset3d checkpoint")
+        raise ConfigError(f"{path}: not an openset3d checkpoint")
     header = _parse_header(path, text)
-    model = Model(**{key: header[key] for key in Model.HYPERPARAMS})
+    try:
+        model = Model(**{key: header[key] for key in Model.HYPERPARAMS})
+    except TypeError as exc:  # a list where a number belongs, or the reverse
+        raise ConfigError(f"{path}:2: bad hyperparameter header: {exc}") from exc
     expected = set(model.params)
     i = 2
     seen = set()
@@ -86,16 +96,16 @@ def load_checkpoint(path) -> Model:
             continue
         fields = line.split()
         if fields[0] != "param" or len(fields) < 2:
-            raise ValueError(f"{path}:{i + 1}: expected a param header, got {line!r}")
+            raise ConfigError(f"{path}:{i + 1}: expected a param header, got {line!r}")
         name = fields[1]
         try:
             shape = tuple(int(v) for v in fields[2:])
         except ValueError as exc:
-            raise ValueError(f"{path}:{i + 1}: bad shape for {name!r}: {exc}") from exc
+            raise ConfigError(f"{path}:{i + 1}: bad shape for {name!r}: {exc}") from exc
         if name not in expected:
-            raise ValueError(f"{path}:{i + 1}: unknown parameter {name!r}")
+            raise ConfigError(f"{path}:{i + 1}: unknown parameter {name!r}")
         if shape != model.params[name].shape:
-            raise ValueError(
+            raise ConfigError(
                 f"{path}:{i + 1}: shape {shape} does not match header-derived "
                 f"{model.params[name].shape} for {name!r}"
             )
@@ -103,14 +113,14 @@ def load_checkpoint(path) -> Model:
         width = math.prod(shape[1:]) if len(shape) > 1 else math.prod(shape)
         block = text[i + 1 : i + 1 + rows]
         if len(block) != rows:
-            raise ValueError(f"{path}:{i + 1}: truncated value block for {name!r}")
+            raise ConfigError(f"{path}:{i + 1}: truncated value block for {name!r}")
         values = np.array(
             [_parse_row(path, i + 2 + k, name, row, width) for k, row in enumerate(block)],
             dtype=np.float64,
         )
         bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
         if len(bad):
-            raise ValueError(
+            raise ConfigError(
                 f"{path}:{i + 2 + bad[0]}: parameter {name!r} has a non-finite value"
             )
         model.params[name] = values.reshape(shape)
@@ -118,5 +128,5 @@ def load_checkpoint(path) -> Model:
         i += 1 + rows
     missing = expected - seen
     if missing:
-        raise ValueError(f"{path}: missing parameters {sorted(missing)}")
+        raise ConfigError(f"{path}: missing parameters {sorted(missing)}")
     return model

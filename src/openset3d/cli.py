@@ -19,6 +19,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
     ConfigError,
@@ -281,31 +283,33 @@ def cmd_synth_demo(args) -> int:
                               1.0, 0.0, (), rng, label=rec.class_index,
                               source_id=rec.object_id)[1]
             for rec in dataset.train_known]
-    for idx in range(args.count):
-        sample = draw_synthetic(lows, dataset.manifest.points_per_cloud, model.num_known,
-                                config, rng)
+    synth = draw_synthetic(lows, dataset.manifest.points_per_cloud, model.num_known,
+                           config, rng, args.count)
+    for idx, points in enumerate(synth.points):
         stem = out / f"synth_{idx:04d}"
-        write_cloud(stem.with_suffix(".txt"), sample.points)
+        write_cloud(stem.with_suffix(".txt"), points)
+        classes, counts = np.unique(synth.part_labels[idx], return_counts=True)
+        jitter = synth.jitter[synth.union_start[idx] : synth.union_start[idx + 1]]
         sidecar = {
-            "source_classes": {str(k): v for k, v in sorted(sample.source_counts.items())},
+            "source_classes": {str(k): int(v) for k, v in zip(classes, counts)},
             "mix_count": config.mix_count,
-            "soft_label": [float(v) for v in sample.soft_label],
-            "center": [float(v) for v in sample.center],
-            "radius": sample.radius,
-            "resample_indices": [int(v) for v in sample.resample_indices],
+            "soft_label": synth.soft_labels[idx].tolist(),
+            "center": synth.center[idx].tolist(),
+            "radius": float(synth.radius[idx]),
+            "resample_indices": synth.resample_indices[idx].tolist(),
             "parts": [
                 {
-                    "source_id": prov.source_id,
-                    "source_indices": [int(v) for v in prov.source_indices],
-                    "point_range": list(prov.point_range),
+                    "source_id": synth.source_ids[idx][m],
+                    "source_indices": synth.source_indices[idx][m].tolist(),
+                    "point_range": [int(lo), int(hi)],
                     "transform": {
-                        "scale": prov.transform.scale,
-                        "angle": prov.transform.angle,
-                        "offset": [float(v) for v in prov.transform.offset],
-                        "jitter": prov.transform.jitter.tolist(),
+                        "scale": float(synth.scale[idx, m]),
+                        "angle": float(synth.angle[idx, m]),
+                        "offset": synth.offset[idx, m].tolist(),
+                        "jitter": jitter[lo:hi].tolist(),
                     },
                 }
-                for prov in sample.provenance
+                for m, (lo, hi) in enumerate(synth.point_range[idx])
             ],
         }
         stem.with_suffix(".json").write_text(json.dumps(sidecar, indent=1))

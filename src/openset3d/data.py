@@ -45,7 +45,8 @@ __all__ = [
 
 
 class ConfigError(ValueError):
-    """Invalid manifest or run configuration."""
+    """Invalid input: a manifest, a run configuration, or a malformed cloud,
+    checkpoint or saliency-cache file."""
 
 
 class CacheMissError(KeyError):
@@ -344,14 +345,23 @@ def write_cloud(path, points: np.ndarray, class_name: str | None = None) -> None
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+def _read_text(path, encoding=None) -> str:
+    """The text of an input file; undecodable bytes raise ConfigError naming it."""
+    try:
+        return Path(path).read_text(encoding=encoding)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def read_cloud(path) -> tuple[np.ndarray, str | None]:
     """Returns (points, class name or None).
 
-    A malformed line or a non-finite coordinate is rejected with its number.
+    A malformed line or a non-finite coordinate is rejected with its number;
+    every malformed file raises ConfigError naming it.
     """
     class_name = None
     rows, linenos = [], []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -362,18 +372,18 @@ def read_cloud(path) -> tuple[np.ndarray, str | None]:
             continue
         parts = line.split()
         if len(parts) != 3:
-            raise ValueError(f"{path}: line {lineno}: expected 3 coordinates, got {raw!r}")
+            raise ConfigError(f"{path}: line {lineno}: expected 3 coordinates, got {raw!r}")
         try:
             rows.append([float(v) for v in parts])
         except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+            raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
         linenos.append(lineno)
     if not rows:
-        raise ValueError(f"{path}: no points found")
+        raise ConfigError(f"{path}: no points found")
     points = np.array(rows, dtype=np.float64)
     bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
     if len(bad):
-        raise ValueError(f"{path}: line {linenos[bad[0]]}: non-finite coordinate")
+        raise ConfigError(f"{path}: line {linenos[bad[0]]}: non-finite coordinate")
     return points, class_name
 
 
@@ -476,18 +486,18 @@ class SaliencyCache:
 
     @classmethod
     def load(cls, path) -> "SaliencyCache":
-        """Read a cache file; malformed input raises ValueError naming the
+        """Read a cache file; malformed input raises ConfigError naming the
         path and the header or record (1-based), plus the record's id."""
         with open(path, "rb") as fh:
             magic = fh.read(len(_CACHE_MAGIC))
             if magic != _CACHE_MAGIC:
-                raise ValueError(f"{path}: not a saliency cache file")
+                raise ConfigError(f"{path}: not a saliency cache file")
             size = os.fstat(fh.fileno()).st_size
             header = _json_line(fh.readline(), f"{path}: header")
             checksum = header.get("model_checksum") if isinstance(header, dict) else None
             if not isinstance(checksum, str):
-                raise ValueError(f"{path}: header: expected an object with a string "
-                                 "model_checksum")
+                raise ConfigError(f"{path}: header: expected an object with a string "
+                                  "model_checksum")
             cache = cls(checksum)  # other header keys are ignored
             record = 0
             while True:
@@ -499,18 +509,18 @@ class SaliencyCache:
                 meta = _json_line(line, where)
                 object_id = meta.get("id") if isinstance(meta, dict) else None
                 if not isinstance(object_id, str):
-                    raise ValueError(f"{where}: expected an object with a string id")
+                    raise ConfigError(f"{where}: expected an object with a string id")
                 where = f"{where} ({object_id!r})"
                 n = meta.get("n")
                 if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-                    raise ValueError(f"{where}: n must be a nonnegative integer, got {n!r}")
+                    raise ConfigError(f"{where}: n must be a nonnegative integer, got {n!r}")
                 if object_id in cache:
-                    raise ValueError(f"{where}: duplicate id")
+                    raise ConfigError(f"{where}: duplicate id")
                 if 8 * n > size - fh.tell():  # checked before a huge n allocates
-                    raise ValueError(f"{where}: truncated record")
+                    raise ConfigError(f"{where}: truncated record")
                 scores = np.frombuffer(fh.read(8 * n), dtype="<f8").copy()
                 if not np.isfinite(scores).all():
-                    raise ValueError(f"{where}: non-finite score")
+                    raise ConfigError(f"{where}: non-finite score")
                 cache._scores[object_id] = scores
         return cache
 
@@ -519,4 +529,4 @@ def _json_line(line: bytes, where: str):
     try:
         return json.loads(line)
     except ValueError as exc:  # bad JSON or bad UTF-8
-        raise ValueError(f"{where}: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc

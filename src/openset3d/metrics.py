@@ -9,7 +9,9 @@ to the lowest index.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,6 +21,8 @@ __all__ = [
     "msp_score",
     "auroc",
     "fpr95",
+    "PairedAUROC",
+    "delong_paired",
     "acc_macc",
     "write_metrics_csv",
     "write_scores_csv",
@@ -86,6 +90,58 @@ def auroc(scores_known, scores_unknown) -> float:
     ranks = _midranks(np.concatenate([ks, us]))
     u = ranks[: ks.size].sum() - ks.size * (ks.size + 1) / 2.0
     return float(u / (ks.size * us.size))
+
+
+class PairedAUROC(NamedTuple):
+    auroc_a: float
+    auroc_b: float
+    diff: float  # auroc_a - auroc_b
+    se: float  # DeLong standard error of diff over the test clouds
+    p_value: float  # two-sided, normal approximation
+
+
+def _placements(known, unknown):
+    """(V10, V01) averaged over runs: each known score's share of unknown
+    scores below it and each unknown score's share of known scores above
+    it, ties counting 1/2, from midranks (Sun & Xu, IEEE SPL 2014)."""
+    v10, v01 = [], []
+    for k, u in zip(known, unknown):
+        ranks = _midranks(np.concatenate([k, u]))
+        v10.append((ranks[: k.size] - _midranks(k)) / u.size)
+        v01.append(1.0 - (ranks[k.size :] - _midranks(u)) / k.size)
+    return np.mean(v10, axis=0), np.mean(v01, axis=0)
+
+
+def delong_paired(known_a, unknown_a, known_b, unknown_b) -> PairedAUROC:
+    """AUROCs of scorers a and b on the same known and unknown clouds, their
+    difference and its paired standard error (DeLong, DeLong & Clarke-Pearson,
+    Biometrics 1988).
+
+    Each argument holds one score per cloud, or a (runs, clouds) array of
+    several runs (seeds) scored on the same clouds. Then each AUROC is the
+    mean over runs and each cloud's placement values are averaged over the
+    runs, so the SE measures test-set sampling only, not the spread between
+    runs.
+    """
+    ka, ua, kb, ub = (np.atleast_2d(np.asarray(v, dtype=np.float64))
+                      for v in (known_a, unknown_a, known_b, unknown_b))
+    if ka.shape != kb.shape or ua.shape != ub.shape or len(ka) != len(ua):
+        raise ValueError("delong_paired needs both scorers' runs on the same clouds")
+    for ks, us in ((ka, ua), (kb, ub)):
+        _score_lists("delong_paired", ks, us)
+    if ka.shape[1] < 2 or ua.shape[1] < 2:
+        raise ValueError("delong_paired needs at least two known and two unknown scores")
+    (v10_a, v01_a), (v10_b, v01_b) = _placements(ka, ua), _placements(kb, ub)
+    auroc_a, auroc_b = float(v10_a.mean()), float(v10_b.mean())
+    diff = auroc_a - auroc_b
+    # var(a - b) = S_aa + S_bb - 2 S_ab per side, as the variance of the differences
+    se = math.sqrt(np.var(v10_a - v10_b, ddof=1) / ka.shape[1]
+                   + np.var(v01_a - v01_b, ddof=1) / ua.shape[1])
+    if se > 0:
+        p_value = math.erfc(abs(diff) / se / math.sqrt(2.0))
+    else:
+        p_value = 1.0 if diff == 0 else 0.0
+    return PairedAUROC(auroc_a, auroc_b, diff, se, p_value)
 
 
 def fpr95(scores_known, scores_unknown) -> float:

@@ -1,10 +1,13 @@
 """Pseudo-unknown synthesis from low-saliency parts.
 
-Parts from distinct source objects are individually transformed (scale,
-yaw, translation, jitter), unioned, renormalized, and resampled to a fixed
-point count. The synthetic object trains against a smoothed soft label
-that puts most mass on the unknown class and spreads extra weight over the
-classes whose parts went into the mix, in proportion to their part counts.
+A synthetic sample mixes parts from distinct source objects: each part is
+scaled, rotated about the up axis, translated and jittered, and the union
+of the moved parts is renormalized and resampled to a fixed point count.
+The sample trains against a smoothed soft label that puts most mass on the
+unknown class and spreads extra weight over the classes whose parts went
+into the mix, in proportion to their part counts. `mix` builds a whole
+batch of samples in one call and returns the provenance that replays each
+of them.
 """
 
 from __future__ import annotations
@@ -13,14 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .saliency import Part
-
 __all__ = [
-    "TransformParams",
-    "sample_transform",
-    "apply_transform",
+    "apply_transforms",
     "pseudo_label",
-    "SyntheticSample",
+    "SyntheticBatch",
     "mix",
 ]
 
@@ -31,37 +30,39 @@ MAX_OFFSET = 0.2
 JITTER_SIGMA = 0.01
 JITTER_CLIP = 0.05
 
-
-@dataclass
-class TransformParams:
-    scale: float
-    angle: float  # yaw about the z (up) axis
-    offset: np.ndarray  # (3,)
-    jitter: np.ndarray  # (N, 3) clipped Gaussian noise
+# bounds of each part's uniform row: scale, yaw, then the offset's x, y, z
+_TRANSFORM_LOW = np.array([SCALE_RANGE[0], 0.0, -MAX_OFFSET, -MAX_OFFSET, -MAX_OFFSET])
+_TRANSFORM_HIGH = np.array([SCALE_RANGE[1], 2.0 * np.pi, MAX_OFFSET, MAX_OFFSET, MAX_OFFSET])
 
 
-def sample_transform(n_points, rng) -> TransformParams:
-    """Draw one set of transform parameters, in a fixed order: scale, yaw,
-    offset, then the per-point jitter."""
-    scale = rng.uniform(*SCALE_RANGE)
-    angle = rng.uniform(0.0, 2.0 * np.pi)
-    offset = rng.uniform(-MAX_OFFSET, MAX_OFFSET, size=3)
-    jitter = np.clip(rng.normal(0.0, JITTER_SIGMA, size=(n_points, 3)),
-                     -JITTER_CLIP, JITTER_CLIP)
-    return TransformParams(scale=float(scale), angle=float(angle), offset=offset, jitter=jitter)
+def apply_transforms(points, scale, angle, offset, jitter) -> np.ndarray:
+    """scale -> yaw about the z (up) axis -> translate -> jitter, row by row.
 
-
-def _yaw_matrix(angle):
+    `scale` and `angle` are scalars or one value per row, `offset` a (3,)
+    vector or one per row, `jitter` one (3,) row per point. The arithmetic
+    is elementwise, so a part moved alone gives the same bits as the part
+    moved inside a batch.
+    """
+    pts = np.asarray(points, dtype=np.float64) * np.asarray(scale, dtype=np.float64)[..., None]
     c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    moved = np.empty_like(pts)
+    moved[:, 0] = pts[:, 0] * c - pts[:, 1] * s
+    moved[:, 1] = pts[:, 0] * s + pts[:, 1] * c
+    moved[:, 2] = pts[:, 2]
+    moved += offset
+    moved += jitter
+    return moved
 
 
-def apply_transform(points, tp: TransformParams) -> np.ndarray:
-    """scale -> rotate about up-axis -> translate -> jitter, in that order."""
-    pts = np.asarray(points, dtype=np.float64) * tp.scale
-    pts = pts @ _yaw_matrix(tp.angle).T
-    pts = pts + tp.offset
-    return pts + tp.jitter
+def _soft_labels(counts, eps, eps_known, mix_count) -> np.ndarray:
+    """(S, C+1) labels of (S, C) per-class part counts; see pseudo_label."""
+    if eps < 0 or eps_known < 0 or eps + eps_known >= 1.0:
+        raise ValueError("need eps >= 0, eps_known >= 0, eps + eps_known < 1")
+    num_known = counts.shape[1]
+    labels = np.full((len(counts), num_known + 1), eps / num_known)
+    labels[:, num_known] = 1.0 - eps - eps_known
+    labels[:, :num_known] += eps_known * counts / mix_count
+    return labels
 
 
 def pseudo_label(counts, num_known, eps, eps_known, mix_count) -> np.ndarray:
@@ -71,87 +72,135 @@ def pseudo_label(counts, num_known, eps, eps_known, mix_count) -> np.ndarray:
     eps / C; classes present in the mix additionally share eps_known in
     proportion to their part counts.
     """
-    if eps < 0 or eps_known < 0 or eps + eps_known >= 1.0:
-        raise ValueError("need eps >= 0, eps_known >= 0, eps + eps_known < 1")
     total = sum(counts.values())
     if total != mix_count:
         raise ValueError(f"part counts sum to {total}, expected mix_count={mix_count}")
-    label = np.full(num_known + 1, eps / num_known)
-    label[num_known] = 1.0 - eps - eps_known
+    row = np.zeros((1, num_known))
     for cls, cnt in counts.items():
         if not (0 <= cls < num_known):
             raise ValueError(f"source class {cls} outside the known range")
-        label[cls] += eps_known * cnt / mix_count
-    return label
+        row[0, cls] = cnt
+    return _soft_labels(row, eps, eps_known, mix_count)[0]
 
 
 @dataclass
-class PartProvenance:
-    source_id: str
-    source_indices: np.ndarray | None
-    transform: TransformParams
-    point_range: tuple[int, int]  # rows of the pre-resample union
+class SyntheticBatch:
+    """S pseudo-unknowns of M parts each, with the provenance that replays them.
 
+    Sample s's union stacks its moved parts in order; part (s, m) holds rows
+    point_range[s, m] of it, and the union's rows are rows
+    union_start[s]:union_start[s + 1] of `jitter`. The sample's points are
 
-@dataclass
-class SyntheticSample:
-    points: np.ndarray  # (N_out, 3), renormalized
-    source_counts: dict[int, int]  # class index -> number of parts
-    soft_label: np.ndarray  # (C+1,)
-    provenance: list[PartProvenance]
-    resample_indices: np.ndarray  # rows of the union kept
-    center: np.ndarray  # centroid removed during renormalization
-    radius: float  # scale removed during renormalization
+        (union[resample_indices[s]] - center[s]) / radius[s],
 
-
-def mix(parts, n_out, num_known, eps, eps_known, rng) -> SyntheticSample:
-    """Combine transformed parts from distinct objects into one pseudo-unknown.
-
-    The union of the transformed parts is re-centered, scaled to unit max
-    radius, and uniformly resampled to n_out points (with replacement only
-    when the union is smaller than n_out). Provenance carries per-part
-    transforms and resample indices so exported samples can be traced back
-    to source points.
+    where each part's rows of the union are apply_transforms(the part's
+    points, scale[s, m], angle[s, m], offset[s, m], its jitter rows).
     """
-    parts = list(parts)
-    if len(parts) < 2:
-        raise ValueError("mix needs at least two parts")
-    sources = [p.source_id for p in parts if p.source_id]
-    if len(set(sources)) != len(sources):
-        raise ValueError("mix requires parts from distinct source objects")
-    blocks = []
-    provenance = []
-    counts: dict[int, int] = {}
-    row = 0
-    for part in parts:
-        if part.points.size == 0:
+
+    points: np.ndarray  # (S, n_out, 3), each sample renormalized
+    soft_labels: np.ndarray  # (S, C+1)
+    part_labels: np.ndarray  # (S, M) class of each part's source
+    source_ids: list  # S lists of M source object ids
+    source_indices: list  # S lists of M arrays: each part's rows in its source cloud
+    scale: np.ndarray  # (S, M)
+    angle: np.ndarray  # (S, M) yaw about the z (up) axis
+    offset: np.ndarray  # (S, M, 3)
+    jitter: np.ndarray  # (total union rows, 3) clipped Gaussian noise
+    union_start: np.ndarray  # (S + 1,) each sample's first row in `jitter`
+    point_range: np.ndarray  # (S, M, 2) rows of each part in its sample's union
+    center: np.ndarray  # (S, 3) centroid removed during renormalization
+    radius: np.ndarray  # (S,) scale removed during renormalization
+    resample_indices: np.ndarray  # (S, n_out) sorted rows of each union kept
+
+
+def _check_groups(groups):
+    """The groups as lists of equal length, each of two or more nonempty
+    parts from distinct sources (parts without a source id are exempt)."""
+    groups = [list(g) for g in groups]
+    if not groups:
+        raise ValueError("mix needs at least one group of parts")
+    for group in groups:
+        if len(group) < 2:
+            raise ValueError("mix needs at least two parts")
+        if len(group) != len(groups[0]):
+            raise ValueError("every group must hold the same number of parts")
+        sources = [p.source_id for p in group if p.source_id]
+        if len(set(sources)) != len(sources):
+            raise ValueError("mix requires parts from distinct source objects")
+        if any(p.points.size == 0 for p in group):
             raise ValueError("cannot mix an empty part")
-        tp = sample_transform(len(part.points), rng)
-        moved = apply_transform(part.points, tp)
-        blocks.append(moved)
-        provenance.append(PartProvenance(
-            source_id=part.source_id,
-            source_indices=part.source_indices,
-            transform=tp,
-            point_range=(row, row + len(moved)),
-        ))
-        row += len(moved)
-        counts[part.label] = counts.get(part.label, 0) + 1
-    union = np.vstack(blocks)
-    center = union.mean(axis=0)
-    centered = union - center
-    radius = float(np.linalg.norm(centered, axis=1).max())
-    normalized = centered / radius
-    replace = len(normalized) < n_out
-    chosen = np.sort(rng.choice(len(normalized), size=n_out, replace=replace))
-    label = pseudo_label(counts, num_known, eps, eps_known, len(parts))
-    return SyntheticSample(
-        points=normalized[chosen],
-        source_counts=counts,
-        soft_label=label,
-        provenance=provenance,
-        resample_indices=chosen,
+    return groups
+
+
+def mix(groups, n_out, num_known, eps, eps_known, rng) -> SyntheticBatch:
+    """Mix each group of parts (one group per sample) into one pseudo-unknown.
+
+    Each sample's union of moved parts is re-centered, scaled to unit max
+    radius, and resampled to n_out points: without replacement when the
+    union has at least n_out points, with replacement otherwise. The draws
+    come from `rng` as whole-batch arrays, in this order:
+
+    1. one uniform (scale, yaw, x, y, z offset) row per part, sample-major;
+    2. the jitter of every union row, one normal draw;
+    3. one uniform key per union row of the samples drawn without
+       replacement, sample-major; each keeps the rows of its n_out smallest
+       keys;
+    4. the n_out row indices of each sample drawn with replacement.
+    """
+    groups = _check_groups(groups)
+    n_samples, n_parts = len(groups), len(groups[0])
+    parts = [p for group in groups for p in group]
+    sizes = np.array([len(p.points) for p in parts])
+    part_sizes = sizes.reshape(n_samples, n_parts)
+    part_end = np.cumsum(part_sizes, axis=1)
+    point_range = np.stack([part_end - part_sizes, part_end], axis=-1)
+    union_sizes = part_end[:, -1]
+    union_start = np.concatenate([[0], np.cumsum(union_sizes)])
+    labels = np.array([p.label for p in parts]).reshape(n_samples, n_parts)
+    outside = labels[(labels < 0) | (labels >= num_known)]
+    if outside.size:
+        raise ValueError(f"source class {outside[0]} outside the known range")
+    counts = (labels[..., None] == np.arange(num_known)).sum(axis=1)
+    soft_labels = _soft_labels(counts, eps, eps_known, n_parts)
+
+    transforms = rng.uniform(_TRANSFORM_LOW, _TRANSFORM_HIGH, size=(len(parts), 5))
+    n_rows = int(union_start[-1])
+    jitter = np.clip(rng.normal(0.0, JITTER_SIGMA, size=(n_rows, 3)), -JITTER_CLIP, JITTER_CLIP)
+    per_row = np.repeat(transforms, sizes, axis=0)
+    union = apply_transforms(np.concatenate([p.points for p in parts]), per_row[:, 0],
+                             per_row[:, 1], per_row[:, 2:], jitter)
+    center = np.add.reduceat(union, union_start[:-1], axis=0) / union_sizes[:, None]
+    centered = union - np.repeat(center, union_sizes, axis=0)
+    radius = np.sqrt(np.maximum.reduceat(np.einsum("ij,ij->i", centered, centered),
+                                         union_start[:-1]))
+
+    replace = union_sizes < n_out
+    chosen = np.empty((n_samples, n_out), dtype=np.int64)
+    kept_sizes = union_sizes[~replace, None]
+    if kept_sizes.size:
+        # one key per union row, padded with inf past the end of each union
+        keys = np.full((len(kept_sizes), kept_sizes.max()), np.inf)
+        keys[np.arange(keys.shape[1]) < kept_sizes] = rng.random(int(kept_sizes.sum()))
+        chosen[~replace] = np.argpartition(keys, n_out - 1, axis=1)[:, :n_out]
+    if replace.any():
+        chosen[replace] = rng.integers(0, union_sizes[replace, None],
+                                       size=(int(replace.sum()), n_out))
+    chosen.sort(axis=1)
+    rows = union_start[:-1, None] + chosen
+    points = (union[rows] - center[:, None]) / radius[:, None, None]
+    return SyntheticBatch(
+        points=points,
+        soft_labels=soft_labels,
+        part_labels=labels,
+        source_ids=[[p.source_id for p in group] for group in groups],
+        source_indices=[[p.source_indices for p in group] for group in groups],
+        scale=transforms[:, 0].reshape(n_samples, n_parts),
+        angle=transforms[:, 1].reshape(n_samples, n_parts),
+        offset=transforms[:, 2:].reshape(n_samples, n_parts, 3),
+        jitter=jitter,
+        union_start=union_start,
+        point_range=point_range,
         center=center,
         radius=radius,
+        resample_indices=chosen,
     )
-

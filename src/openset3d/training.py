@@ -340,10 +340,15 @@ def batch_loss(bound, batch, highs, lows, config, rngs, run_std):
     return total, (l_cls, l_h, l_s, l_m)
 
 
-def draw_synthetic(lows, n_points, num_known, config, rng):
-    """One pseudo-unknown mixing mix_count distinct `lows`: draws the picks, then the mix."""
-    picks = rng.choice(len(lows), size=config.mix_count, replace=False)
-    return mix([lows[i] for i in picks], n_points, num_known,
+def draw_synthetic(lows, n_points, num_known, config, rng, count):
+    """`count` pseudo-unknowns, each mixing mix_count distinct `lows`, in one
+    `mix` call. The picks come first: one uniform key per (sample, low), and
+    each sample takes the lows of its mix_count smallest keys; `mix` draws
+    the rest."""
+    if len(lows) < config.mix_count:
+        raise ValueError(f"need {config.mix_count} low parts to mix, got {len(lows)}")
+    picks = np.argsort(rng.random((count, len(lows))), axis=1)[:, :config.mix_count]
+    return mix([[lows[i] for i in row] for row in picks], n_points, num_known,
                config.eps, config.eps_known, rng)
 
 
@@ -353,13 +358,10 @@ def _synthesis_loss(bound, batch, lows, config, rng_gss):
     batch has fewer members than that."""
     if len(batch) < config.mix_count:
         return None
-    n_points = len(batch[0].points)
-    samples = [draw_synthetic(lows, n_points, bound.model.num_known, config, rng_gss)
-               for _ in batch]
-    _, synth_feats = bound.encode_batch([s.points for s in samples])
-    synth_logits = bound.logits(synth_feats)
-    targets = np.stack([s.soft_label for s in samples])
-    return ad.mean_all(ad.soft_cross_entropy(synth_logits, targets))
+    synth = draw_synthetic(lows, len(batch[0].points), bound.model.num_known, config,
+                           rng_gss, len(batch))
+    _, synth_feats = bound.encode_batch(synth.points)
+    return ad.mean_all(ad.soft_cross_entropy(bound.logits(synth_feats), synth.soft_labels))
 
 
 def _margin_term(bound, batch, feats, high_feats, config, run_std, rng_sms):

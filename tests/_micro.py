@@ -110,9 +110,14 @@ class MicroSetup:
         return m["relu"] > 100 * h and m["distances"] > 1e-3
 
 
+# kink-safe under the current synthesis and margin draws; a change to what
+# batch_loss draws moves the kinks, so the list is screened again then
+SEEDS = (116, 280, 417)
+
+
 def make_micro_setup(h=1e-5):
     """First kink-safe micro setup from a fixed seed list."""
-    for seed in (14, 58, 101):
+    for seed in SEEDS:
         setup = MicroSetup(seed)
         if setup.is_kink_safe(h):
             return setup

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 from openset3d import autodiff as ad
+from openset3d import experiments
 from openset3d.checkpoint import save_checkpoint
 from openset3d.data import default_manifest, generate_dataset, tiny_manifest
 from openset3d.experiments import mean_metric, run_experiment
-from openset3d.metrics import auroc, fpr95
+from openset3d.metrics import auroc, delong_paired, fpr95
 from openset3d.saliency import hidden_point_removal, split_by_saliency, tunable_decompose
 from openset3d.saliency import normalize_scores
 from openset3d.synthesis import pseudo_label
@@ -282,15 +283,49 @@ def desk_config():
 
 @pytest.fixture(scope="module")
 def experiment():
+    """(outcomes, wall time, scores): scores maps "baseline" and each variant
+    to its (seeds, clouds) known and unknown confidences on the test split."""
     dataset = generate_dataset(desk_manifest())
-    start = time.time()
-    outcomes = run_experiment(dataset, desk_config(), EXPERIMENT_SEEDS)
-    return outcomes, time.time() - start
+    evaluations = []
+    evaluate = experiments.evaluate_open_set
+
+    def recording(model, known, unknown, *args):
+        row, samples = evaluate(model, known, unknown, *args)
+        evaluations.append([[s.confidence for s in samples if s.is_known == side]
+                            for side in (True, False)])
+        return row, samples
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "evaluate_open_set", recording)
+        start = time.time()
+        outcomes = run_experiment(dataset, desk_config(), EXPERIMENT_SEEDS)
+        elapsed = time.time() - start
+    names = ("baseline", *experiments.VARIANT_ORDER)  # run_seed's evaluation order
+    assert len(evaluations) == len(names) * len(EXPERIMENT_SEEDS)
+    scores = {name: tuple(np.array([evaluations[k][side]
+                                    for k in range(i, len(evaluations), len(names))])
+                          for side in (0, 1))
+              for i, name in enumerate(names)}
+    return outcomes, elapsed, scores
+
+
+def paired_line(scores, name):
+    """full - `name` over the seeds, +- DeLong's paired SE over the test
+    clouds with its two-sided p-value, then the same per seed."""
+    full, other = scores["full"], scores[name]
+    mean = delong_paired(*full, *other)
+    per_seed = []
+    for k, seed in enumerate(EXPERIMENT_SEEDS):
+        r = delong_paired(full[0][k], full[1][k], other[0][k], other[1][k])
+        per_seed.append(f"seed {seed} {r.auroc_a:.4f} vs {r.auroc_b:.4f}: "
+                        f"{r.diff:+.4f} +- {r.se:.4f}")
+    return (f"full - {name} {mean.diff:+.4f} +- {mean.se:.4f} paired SE, p {mean.p_value:.2g} "
+            f"({', '.join(per_seed)})")
 
 
 @pytest.mark.slow
 def test_criterion_6_desk_scale_open_set(experiment):
-    outcomes, elapsed = experiment
+    outcomes, elapsed, scores = experiment
     full_acc = mean_metric(outcomes, "full", "acc")
     full_auroc = mean_metric(outcomes, "full", "auroc")
     base_auroc = mean_metric(outcomes, "baseline", "auroc")
@@ -299,12 +334,13 @@ def test_criterion_6_desk_scale_open_set(experiment):
     assert elapsed <= 30 * 60
     announce(6, f"acc {full_acc:.3f} >= 0.90; auroc {full_auroc:.4f} vs baseline "
                 f"{base_auroc:.4f} (delta {full_auroc - base_auroc:+.4f} >= 0.02); "
-                f"experiment {elapsed / 60:.1f} min <= 30 min")
+                f"experiment {elapsed / 60:.1f} min <= 30 min; "
+                f"{paired_line(scores, 'baseline')}")
 
 
 @pytest.mark.slow
 def test_criterion_7_ablation_direction(experiment):
-    outcomes, _ = experiment
+    outcomes, _, scores = experiment
     full = mean_metric(outcomes, "full", "auroc")
     parts = {name: mean_metric(outcomes, name, "auroc")
              for name in ("no_tsd", "no_gss", "no_sms")}
@@ -314,7 +350,8 @@ def test_criterion_7_ablation_direction(experiment):
     assert full > none
     announce(7, f"full {full:.4f} >= variants - 0.01 "
                 f"({', '.join(f'{k} {v:.4f}' for k, v in parts.items())}); "
-                f"full > none {none:.4f}")
+                f"full > none {none:.4f}; "
+                + "; ".join(paired_line(scores, name) for name in (*parts, "none")))
 
 
 # ----------------------------------------------------------------------

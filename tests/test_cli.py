@@ -8,7 +8,6 @@ import pytest
 
 from openset3d.cli import main
 from openset3d.data import SaliencyCache, format_manifest, load_dataset, read_cloud, tiny_manifest
-from openset3d.synthesis import TransformParams
 
 from test_synthesis import invert_transform
 
@@ -372,14 +371,10 @@ def test_synth_demo_exports_with_provenance(tiny_dataset_dir, pretrained,
             part = next(p for p in meta["parts"]
                         if p["point_range"][0] <= union_row < p["point_range"][1])
             local = union_row - part["point_range"][0]
-            tp = TransformParams(
-                scale=part["transform"]["scale"],
-                angle=part["transform"]["angle"],
-                offset=np.asarray(part["transform"]["offset"]),
-                jitter=np.asarray(part["transform"]["jitter"]),
-            )
-            adjusted = row - tp.jitter[local]
-            original = invert_transform(adjusted[None], tp)[0]
+            transform = part["transform"]
+            adjusted = row - np.asarray(transform["jitter"])[local]
+            original = invert_transform(adjusted[None], transform["scale"],
+                                        transform["angle"], np.asarray(transform["offset"]))[0]
             source = by_id[part["source_id"]]
             assert np.allclose(original, source.points[part["source_indices"][local]],
                                atol=1e-9)
@@ -490,3 +485,33 @@ def test_a_cloud_of_another_point_count_exits_2_naming_it(tiny_dataset_dir, pret
         assert f"error: {cloud}: expected 64 points (the manifest's points), found {kept}" \
             in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["header-only cloud", "truncated cache", "truncated checkpoint"])
+def test_a_malformed_input_file_exits_2_naming_it(tiny_dataset_dir, pretrained, saliency_cache,
+                                                  tmp_path, capsys, kind):
+    dataset, checkpoint = tmp_path / "dataset", tmp_path / "model.ckpt"
+    cache = tmp_path / "saliency.cache"
+    shutil.copytree(tiny_dataset_dir, dataset)
+    shutil.copy(pretrained, checkpoint)
+    shutil.copy(saliency_cache, cache)
+    if kind == "header-only cloud":
+        bad = dataset / "cube" / "cube_0007.txt"
+        bad.write_text(bad.read_text().splitlines()[0] + "\n")
+        message = "no points found"
+    elif kind == "truncated cache":
+        bad = cache
+        bad.write_bytes(bad.read_bytes()[:-100])  # inside the last record's scores
+        message = "truncated record"
+    else:
+        bad = checkpoint
+        lines = bad.read_text().splitlines()
+        bad.write_text("\n".join(lines[: len(lines) - 3]) + "\n")
+        message = "truncated value block"
+    out = tmp_path / "o"
+    code = main(["synth-demo", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
+                 "--saliency", str(cache), "--out", str(out), *TRAIN_OVERRIDES])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}") and message in err
+    assert not out.exists()

@@ -249,6 +249,11 @@ def test_checkpoint_rejects_a_row_of_the_wrong_width(tmp_path, change):
     (1, '"point_widths"', '"widths"', r":2: hyperparameter header is missing 'point_widths'"),
     (1, r"\}$", "", r":2: hyperparameter header is not JSON"),
     (1, "^.*$", "[1, 2]", r":2: hyperparameter header is not a JSON object"),
+    (1, r'"feat_dim": \d+', '"feat_dim": "8"',
+     r":2: hyperparameter 'feat_dim' must be a positive whole number"),
+    (1, r'"num_known": \d+', '"num_known": 2.5',
+     r":2: hyperparameter 'num_known' must be a positive whole number"),
+    (1, r'"point_widths": \[[^]]*\]', '"point_widths": 5', r":2: bad hyperparameter header"),
     (2, "$", "x", r":3: bad shape for 'point0\.b'"),
     (2, "^.*$", "param", r":3: expected a param header"),
 ])

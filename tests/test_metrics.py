@@ -1,7 +1,8 @@
 """Score and metric oracles.
 
-AUROC is checked against the O(n^2) pairwise count and FPR95 against a
-brute-force threshold sweep; both oracles live here, independent of the
+AUROC is checked against the O(n^2) pairwise count, the paired DeLong test
+against placement values from the same count, and FPR95 against a
+brute-force threshold sweep; the oracles live here, independent of the
 rank-based implementations they verify.
 """
 
@@ -13,6 +14,7 @@ from openset3d.metrics import (
     ScoredSample,
     acc_macc,
     auroc,
+    delong_paired,
     fpr95,
     mls_score,
     msp_score,
@@ -152,6 +154,76 @@ def test_auroc_rejects_empty():
                 metric(bad, [0.1, 0.2])
             with pytest.raises(ValueError, match="finite"):
                 metric([0.1, 0.2], bad)
+
+
+# ----------------------------------------------------------------------
+# paired DeLong test
+
+
+def brute_delong(known_a, unknown_a, known_b, unknown_b):
+    """(auroc_a, auroc_b, se of the difference) from O(n m) placement values
+    and the 2x2 covariance form of DeLong et al. (1988)."""
+    def placements(known, unknown):
+        wins = (known[:, None] > unknown[None, :]) + 0.5 * (known[:, None] == unknown[None, :])
+        return wins.mean(axis=1), wins.mean(axis=0)
+
+    (v10_a, v01_a), (v10_b, v01_b) = (placements(np.asarray(k, float), np.asarray(u, float))
+                                      for k, u in ((known_a, unknown_a), (known_b, unknown_b)))
+    s10, s01 = np.cov(np.stack([v10_a, v10_b])), np.cov(np.stack([v01_a, v01_b]))
+    var = ((s10[0, 0] + s10[1, 1] - 2 * s10[0, 1]) / len(v10_a)
+           + (s01[0, 0] + s01[1, 1] - 2 * s01[0, 1]) / len(v01_a))
+    return v10_a.mean(), v10_b.mean(), np.sqrt(max(var, 0.0))
+
+
+@pytest.mark.parametrize("decimals", [None, 1], ids=["untied", "tied"])
+def test_delong_paired_matches_brute_force_placements(decimals):
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        m, n = int(rng.integers(2, 40)), int(rng.integers(2, 40))
+        scores = [rng.normal(mu, 1.0, size) for mu, size in ((0.8, m), (0.0, n), (0.5, m),
+                                                              (0.0, n))]
+        scores[2] += 0.5 * scores[0]  # correlated scorers, as two models on one test set
+        if decimals is not None:
+            scores = [np.round(v, decimals) for v in scores]
+        out = delong_paired(*scores)
+        a, b, se = brute_delong(*scores)
+        assert out.auroc_a == pytest.approx(a, abs=1e-12)
+        assert out.auroc_b == pytest.approx(b, abs=1e-12)
+        assert out.auroc_a == pytest.approx(auroc(scores[0], scores[1]), abs=1e-12)
+        assert out.diff == pytest.approx(a - b, abs=1e-12)
+        assert out.se == pytest.approx(se, abs=1e-12)
+        assert 0.0 <= out.p_value <= 1.0
+
+
+def test_delong_paired_identical_pair_gives_zero_difference_and_se():
+    rng = np.random.default_rng(24)
+    known, unknown = np.round(rng.normal(1, 1, 30), 1), np.round(rng.normal(0, 1, 20), 1)
+    out = delong_paired(known, unknown, known, unknown)
+    assert (out.diff, out.se, out.p_value) == (0.0, 0.0, 1.0)
+    assert out.auroc_a == out.auroc_b == pytest.approx(auroc(known, unknown), abs=1e-15)
+
+
+def test_delong_paired_is_antisymmetric_and_averages_runs():
+    rng = np.random.default_rng(25)
+    runs = [rng.normal(mu, 1.0, (3, size)) for mu, size in ((1, 25), (0, 15), (0.5, 25), (0, 15))]
+    ab, ba = delong_paired(*runs), delong_paired(runs[2], runs[3], runs[0], runs[1])
+    assert ba.diff == pytest.approx(-ab.diff, abs=1e-15) and ba.se == ab.se
+    # three runs on the same clouds: the AUROCs are the run means, and the SE
+    # reads each cloud's placement values averaged over the runs
+    for i, value in ((0, ab.auroc_a), (2, ab.auroc_b)):
+        assert value == pytest.approx(np.mean([auroc(k, u) for k, u in zip(runs[i], runs[i + 1])]),
+                                      abs=1e-12)
+    single = delong_paired(*(r[0] for r in runs))
+    assert single == delong_paired(*(r[:1] for r in runs))
+
+
+def test_delong_paired_rejects_bad_input():
+    with pytest.raises(ValueError, match="same clouds"):
+        delong_paired([1.0, 2.0], [0.0, 0.5], [1.0, 2.0, 3.0], [0.0, 0.5])
+    with pytest.raises(ValueError, match="two known and two unknown"):
+        delong_paired([1.0], [0.0, 0.5], [2.0], [0.0, 0.5])
+    with pytest.raises(ValueError, match="finite"):
+        delong_paired([1.0, float("nan")], [0.0, 0.5], [1.0, 2.0], [0.0, 0.5])
 
 
 # ----------------------------------------------------------------------

@@ -334,6 +334,25 @@ def test_full_combined_phase_runs_and_reports_all_terms():
                for v in result.caches.views.values())
 
 
+def test_a_combined_epoch_calls_mix_once_per_step(monkeypatch):
+    # each step draws all of its pseudo-unknowns, one per real sample, in one call
+    dataset = tiny_dataset()
+    config = tiny_config(use_tsd=False, phase2_epochs=1)
+    state = init_state(dataset, config)
+    real, calls = training.mix, []
+
+    def spy(groups, *args):
+        calls.append(len(groups))
+        return real(groups, *args)
+
+    monkeypatch.setattr(training, "mix", spy)
+    run_combined(state, dataset, config, caches=None)
+    n = len(dataset.train_known)
+    steps = [min(config.batch_size, n - start) for start in range(0, n, config.batch_size)]
+    assert calls == [size for size in steps if size >= config.mix_count]
+    assert len(calls) == len(steps) > 1
+
+
 def test_no_tsd_parts_are_a_random_split():
     # use_tsd=False: each record's low part is the first floor(n / mix_count)
     # points of a uniform permutation drawn from the TSD generator, and

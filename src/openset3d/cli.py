@@ -39,6 +39,7 @@ from .encoder import Model
 from .metrics import write_metrics_csv, write_scores_csv
 from .saliency import tunable_decompose
 from .training import (
+    STREAM_SYNTH_DEMO,
     Adam,
     TrainConfig,
     build_saliency_cache,
@@ -250,7 +251,7 @@ def cmd_saliency(args) -> int:
     out = _output_dir(args)
     cache = build_saliency_cache(model, dataset.train_known)
     cache.save(out / "saliency.cache")
-    print(f"cached saliency for {len(cache)} objects at {out / 'saliency.cache'}")
+    print(f"cached saliency for {len(cache.scores)} objects at {out / 'saliency.cache'}")
     return 0
 
 
@@ -277,9 +278,9 @@ def cmd_synth_demo(args) -> int:
     config, dataset, model = _load_inputs(args)
     cache = _load_saliency(args.saliency, model, dataset.train_known)
     out = _output_dir(args)
-    rng = stream_rng(config.seed, 99)
+    rng = stream_rng(config.seed, STREAM_SYNTH_DEMO)
     # each training cloud's pure saliency split; with no views it draws nothing from rng
-    lows = [tunable_decompose(rec.points, cache.get(rec.object_id), config.mix_count,
+    lows = [tunable_decompose(rec.points, cache.scores[rec.object_id], config.mix_count,
                               1.0, 0.0, (), rng, label=rec.class_index,
                               source_id=rec.object_id)[1]
             for rec in dataset.train_known]

@@ -39,7 +39,6 @@ __all__ = [
     "read_cloud",
     "write_cloud",
     "SaliencyCache",
-    "CacheMissError",
     "StaleCacheError",
 ]
 
@@ -47,10 +46,6 @@ __all__ = [
 class ConfigError(ValueError):
     """Invalid input: a manifest, a run configuration, or a malformed cloud,
     checkpoint or saliency-cache file."""
-
-
-class CacheMissError(KeyError):
-    """Requested object id has no cached saliency scores."""
 
 
 class StaleCacheError(RuntimeError):
@@ -346,11 +341,35 @@ def write_cloud(path, points: np.ndarray, class_name: str | None = None) -> None
 
 
 def _read_text(path, encoding=None) -> str:
-    """The text of an input file; undecodable bytes raise ConfigError naming it."""
+    """The text of an input file; undecodable bytes or no final newline raise ConfigError."""
     try:
-        return Path(path).read_text(encoding=encoding)
+        text = Path(path).read_text(encoding=encoding)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    if text and not text.endswith("\n"):
+        raise ConfigError(f"{path}: truncated: no final newline")
+    return text
+
+
+def _float_rows(path, numbered_lines, width: int, what: str) -> np.ndarray:
+    """The (line number, text) rows as a (rows, width) float64 array; a row of another
+    width, a non-number or a non-finite value raises ConfigError at `<path> line N`."""
+    rows, linenos = [], []
+    for lineno, line in numbered_lines:
+        fields = line.split()
+        if len(fields) != width:
+            raise ConfigError(f"{path} line {lineno}: {what} row has {len(fields)} values, "
+                              f"expected {width}")
+        try:
+            rows.append([float(v) for v in fields])
+        except ValueError as exc:
+            raise ConfigError(f"{path} line {lineno}: {what}: {exc}") from exc
+        linenos.append(lineno)
+    values = np.array(rows, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if len(bad):
+        raise ConfigError(f"{path} line {linenos[bad[0]]}: {what} has a non-finite value")
+    return values
 
 
 def read_cloud(path) -> tuple[np.ndarray, str | None]:
@@ -360,31 +379,18 @@ def read_cloud(path) -> tuple[np.ndarray, str | None]:
     every malformed file raises ConfigError naming it.
     """
     class_name = None
-    rows, linenos = [], []
+    rows = []
     for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
-        if not line:
-            continue
         if line.startswith("#"):
             fields = line[1:].split()
             if len(fields) == 2 and fields[0] == "class":
                 class_name = fields[1]
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ConfigError(f"{path}: line {lineno}: expected 3 coordinates, got {raw!r}")
-        try:
-            rows.append([float(v) for v in parts])
-        except ValueError as exc:
-            raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
-        linenos.append(lineno)
+        elif line:
+            rows.append((lineno, line))
     if not rows:
         raise ConfigError(f"{path}: no points found")
-    points = np.array(rows, dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
-    if len(bad):
-        raise ConfigError(f"{path}: line {linenos[bad[0]]}: non-finite coordinate")
-    return points, class_name
+    return _float_rows(path, rows, 3, "point"), class_name
 
 
 def write_dataset(dataset: ToyDataset, out_dir) -> None:
@@ -428,23 +434,14 @@ def load_dataset(dataset_dir) -> ToyDataset:
 _CACHE_MAGIC = b"OS3DSAL1\n"
 
 
+@dataclass
 class SaliencyCache:
-    """Per-dataset store of raw saliency scores keyed by object id.
+    """Raw saliency scores keyed by object id, and the checksum of the model
+    that made them; check() refuses any other model, so stale saliency can
+    never silently steer training."""
 
-    The cache remembers the checksum of the model that produced the scores;
-    check() refuses any other model, so stale saliency can never silently
-    steer training.
-    """
-
-    def __init__(self, model_checksum: str):
-        self.model_checksum = model_checksum
-        self._scores: dict[str, np.ndarray] = {}
-
-    def __len__(self):
-        return len(self._scores)
-
-    def __contains__(self, object_id):
-        return object_id in self._scores
+    model_checksum: str
+    scores: dict[str, np.ndarray] = field(default_factory=dict)
 
     def check(self, model_checksum: str, records) -> None:
         """Raise StaleCacheError unless the scores came from this model and
@@ -456,7 +453,7 @@ class SaliencyCache:
                 "or rerun the saliency command)"
             )
         for rec in records:
-            scores = self._scores.get(rec.object_id)
+            scores = self.scores.get(rec.object_id)
             if scores is None or len(scores) != len(rec.points):
                 held = "no scores" if scores is None else f"{len(scores)} scores"
                 raise StaleCacheError(
@@ -465,21 +462,13 @@ class SaliencyCache:
                     "dataset (rerun the saliency command)"
                 )
 
-    def put(self, object_id: str, scores: np.ndarray) -> None:
-        self._scores[object_id] = np.asarray(scores, dtype=np.float64).copy()
-
-    def get(self, object_id: str) -> np.ndarray:
-        if object_id not in self._scores:
-            raise CacheMissError(object_id)
-        return self._scores[object_id]
-
     def save(self, path) -> None:
         with open(path, "wb") as fh:
             fh.write(_CACHE_MAGIC)
             header = {"model_checksum": self.model_checksum}
             fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-            for object_id in sorted(self._scores):
-                scores = self._scores[object_id]
+            for object_id in sorted(self.scores):
+                scores = self.scores[object_id]
                 meta = {"id": object_id, "n": int(scores.size)}
                 fh.write(json.dumps(meta, sort_keys=True).encode() + b"\n")
                 fh.write(scores.astype("<f8").tobytes())
@@ -514,14 +503,14 @@ class SaliencyCache:
                 n = meta.get("n")
                 if isinstance(n, bool) or not isinstance(n, int) or n < 0:
                     raise ConfigError(f"{where}: n must be a nonnegative integer, got {n!r}")
-                if object_id in cache:
+                if object_id in cache.scores:
                     raise ConfigError(f"{where}: duplicate id")
                 if 8 * n > size - fh.tell():  # checked before a huge n allocates
                     raise ConfigError(f"{where}: truncated record")
                 scores = np.frombuffer(fh.read(8 * n), dtype="<f8").copy()
                 if not np.isfinite(scores).all():
                     raise ConfigError(f"{where}: non-finite score")
-                cache._scores[object_id] = scores
+                cache.scores[object_id] = scores
         return cache
 
 

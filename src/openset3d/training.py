@@ -72,6 +72,7 @@ STREAM_TSD = 2
 STREAM_GSS = 3
 STREAM_SMS = 4
 STREAM_VIEWS = 5
+STREAM_SYNTH_DEMO = 99
 
 
 def stream_rng(seed: int, stream: int, epoch: int = 0) -> np.random.Generator:
@@ -207,7 +208,7 @@ def build_saliency_cache(model: Model, records) -> SaliencyCache:
             model, [r.points for r in chunk], [r.class_index for r in chunk]
         )
         for rec, scores in zip(chunk, maps):
-            cache.put(rec.object_id, scores)
+            cache.scores[rec.object_id] = scores
     return cache
 
 
@@ -220,7 +221,7 @@ def build_views(records, cache: SaliencyCache, config: TrainConfig) -> DecompCac
     views: dict[str, list[PartialView]] = {}
     for pos, rec in enumerate(records):
         rng = stream_rng(config.seed, STREAM_VIEWS, pos)
-        normalized = normalize_scores(cache.get(rec.object_id))
+        normalized = normalize_scores(cache.scores[rec.object_id])
         views[rec.object_id] = partial_views(
             rec.points, normalized, config.views_per_object, rng, config.view_radius
         )
@@ -277,7 +278,7 @@ def _decompose_batch(batch, config, caches, rng_tsd):
     highs, lows = [], []
     for rec in batch:
         if config.use_tsd:
-            scores, views = caches.saliency.get(rec.object_id), caches.views[rec.object_id]
+            scores, views = caches.saliency.scores[rec.object_id], caches.views[rec.object_id]
         else:
             # the inverse of a random permutation ranks the points in its
             # order, so the low part is the permutation's first cut

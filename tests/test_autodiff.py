@@ -31,16 +31,6 @@ def numeric_grad(f, x, h=1e-6):
     return g
 
 
-def weighted_sum_loss(build_op, x_value, weights):
-    """Scalar loss sum(op(x) * weights) and the gradient w.r.t. x."""
-    tape = ad.Tape()
-    x = tape.leaf(x_value)
-    out = build_op(tape, x)
-    loss = ad.sum_all(ad.mul_const(out, weights))
-    tape.backward(loss)
-    return loss.item(), x.grad
-
-
 # ----------------------------------------------------------------------
 # linear
 
@@ -932,7 +922,7 @@ def _read_side(model, records):
     logits = model.infer_batch([r.points for r in records])
     scores = [(s.confidence, s.predicted_class) for s in score_records(model, records)]
     cache = build_saliency_cache(model, records)
-    return logits, scores, [cache.get(r.object_id) for r in records]
+    return logits, scores, [cache.scores[r.object_id] for r in records]
 
 
 def _pretrained_tiny(proj_hidden=()):

@@ -137,9 +137,9 @@ def test_pretrain_reaches_high_val_accuracy(pretrained, capsys):
 def test_saliency_covers_every_training_object(tiny_dataset_dir, saliency_cache):
     cache = SaliencyCache.load(saliency_cache)
     dataset = load_dataset(tiny_dataset_dir)
-    assert len(cache) == len(dataset.train_known)
+    assert len(cache.scores) == len(dataset.train_known)
     for record in dataset.train_known:
-        scores = cache.get(record.object_id)
+        scores = cache.scores[record.object_id]
         assert scores.shape == (64,)
 
 
@@ -213,10 +213,10 @@ def test_a_cache_of_another_split_exits_2_naming_the_file(tiny_dataset_dir, pret
     records = load_dataset(tiny_dataset_dir).train_known
     other = SaliencyCache(cache.model_checksum)
     for rec in records[1:]:
-        other.put(rec.object_id, cache.get(rec.object_id))
+        other.scores[rec.object_id] = cache.scores[rec.object_id]
     first = records[0]
     if mismatch == "short":
-        other.put(first.object_id, cache.get(first.object_id)[:-1])
+        other.scores[first.object_id] = cache.scores[first.object_id][:-1]
     path = tmp_path / "other.cache"
     other.save(path)
     out = tmp_path / "t"

@@ -6,9 +6,9 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from openset3d.data import (
-    CacheMissError,
     ConfigError,
     Manifest,
     ClassSpec,
@@ -35,6 +35,8 @@ from openset3d.training import (
     init_state,
     run_combined,
 )
+
+from test_autodiff import _PROP, _bits_equal
 
 
 # ----------------------------------------------------------------------
@@ -104,6 +106,13 @@ _NONNEGATIVE = st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)
 # a value of each default's type
 _VALUES = {bool: st.booleans(), int: st.integers(-10**6, 10**6),
            float: st.floats(allow_nan=False, allow_infinity=False)}
+# format round trips: every finite float64, with signed zeros, subnormals and
+# the ends of the range drawn often
+FINITE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                     1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
 
 
 @st.composite
@@ -313,6 +322,33 @@ def test_cloud_round_trip(tmp_path):
     assert np.array_equal(loaded, pts)  # repr round-trip is exact
 
 
+@_PROP
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 8), st.just(3)), elements=FINITE_FLOATS),
+       st.none() | _NAMES)
+def test_every_cloud_round_trips_bit_exactly(tmp_path_factory, points, class_name):
+    path = tmp_path_factory.getbasetemp() / "round_trip.txt"
+    write_cloud(path, points, class_name)
+    loaded, name = read_cloud(path)
+    assert _bits_equal(loaded, points) and name == class_name
+
+
+def test_no_prefix_of_a_dataset_cloud_loads(tmp_path):
+    # a cut inside the last coordinate used to load with a wrong value
+    root = tmp_path / "ds"
+    write_dataset(generate_dataset(tiny_manifest(instances_per_class=2, points_per_cloud=4)),
+                  root)
+    cloud = root / "cube" / "cube_0001.txt"
+    data = cloud.read_bytes()
+    for k in range(len(data)):
+        cloud.write_bytes(data[:k])
+        with pytest.raises(ConfigError, match=re.escape(str(cloud))):
+            load_dataset(root)
+    with pytest.raises(ConfigError, match="truncated: no final newline"):
+        read_cloud(cloud)
+    cloud.write_bytes(data)
+    assert len(load_dataset(root).records) == 6
+
+
 def test_empty_cloud_file_rejected(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("")
@@ -331,7 +367,7 @@ def test_malformed_line_names_its_number(tmp_path):
 def test_non_finite_coordinate_names_its_line(tmp_path, bad):
     path = tmp_path / "poisoned.txt"
     path.write_text(f"# class cone\n0 0 0\n1 1 1\n2 {bad} 2\n3 3 3\n")
-    with pytest.raises(ValueError, match=r"poisoned\.txt: line 4: non-finite coordinate"):
+    with pytest.raises(ValueError, match=r"poisoned\.txt line 4: point has a non-finite value"):
         read_cloud(path)
 
 
@@ -340,15 +376,24 @@ def test_non_finite_coordinate_names_its_line(tmp_path, bad):
 
 
 def test_cache_round_trip(tmp_path):
-    cache = SaliencyCache("abc123")
     scores = np.linspace(0, 1, 32)
-    cache.put("cone/cone_0001", scores)
-    assert np.array_equal(cache.get("cone/cone_0001"), scores)
+    cache = SaliencyCache("abc123", {"cone/cone_0001": scores})
     path = tmp_path / "sal.cache"
     cache.save(path)
     loaded = SaliencyCache.load(path)
     assert loaded.model_checksum == "abc123"
-    assert np.array_equal(loaded.get("cone/cone_0001"), scores)
+    assert np.array_equal(loaded.scores["cone/cone_0001"], scores)
+
+
+@_PROP
+@given(st.text(), st.dictionaries(st.text(), hnp.arrays(np.float64, st.integers(0, 8),
+                                                       elements=FINITE_FLOATS), max_size=5))
+def test_every_cache_round_trips_bit_exactly(tmp_path_factory, checksum, scores):
+    path = tmp_path_factory.getbasetemp() / "round_trip.cache"
+    SaliencyCache(checksum, scores).save(path)
+    loaded = SaliencyCache.load(path)
+    assert loaded.model_checksum == checksum and loaded.scores.keys() == scores.keys()
+    assert all(_bits_equal(loaded.scores[k], v) for k, v in scores.items())
 
 
 def test_cache_loads_a_header_that_names_a_normalization(tmp_path):
@@ -363,15 +408,9 @@ def test_cache_loads_a_header_that_names_a_normalization(tmp_path):
     )
     loaded = SaliencyCache.load(path)
     assert loaded.model_checksum == "abc123"
-    assert np.array_equal(loaded.get("cone/cone_0001"), scores)
+    assert np.array_equal(loaded.scores["cone/cone_0001"], scores)
     loaded.save(tmp_path / "new.cache")
     assert b"normalization" not in (tmp_path / "new.cache").read_bytes()
-
-
-def test_cache_miss_before_put():
-    cache = SaliencyCache("abc123")
-    with pytest.raises(CacheMissError):
-        cache.get("missing/object")
 
 
 def test_cache_rejects_stale_checksum():
@@ -405,12 +444,12 @@ def test_cache_check_binds_to_the_training_split():
     full = build_saliency_cache(state.model, records)
     full.check(state.model.checksum(), records)
     first = records[0]
-    for held, scores in (("no scores", None), ("47 scores", full.get(first.object_id)[:-1])):
+    for held, scores in (("no scores", None), ("47 scores", full.scores[first.object_id][:-1])):
         cache = SaliencyCache(full.model_checksum)
         for rec in records[1:]:
-            cache.put(rec.object_id, full.get(rec.object_id))
+            cache.scores[rec.object_id] = full.scores[rec.object_id]
         if scores is not None:
-            cache.put(first.object_id, scores)
+            cache.scores[first.object_id] = scores
         message = f"holds {held} for training object {first.object_id!r}, whose cloud has 48"
         with pytest.raises(StaleCacheError, match=re.escape(message)):
             cache.check(state.model.checksum(), records)

@@ -4,10 +4,16 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from openset3d import autodiff as ad
 from openset3d.checkpoint import load_checkpoint, save_checkpoint
+from openset3d.data import ConfigError
 from openset3d.encoder import Model, init_prototypes, normalize_cloud
+
+from test_autodiff import _PROP, _bits_equal
+from test_data import FINITE_FLOATS
 
 
 def small_model(seed=0):
@@ -187,6 +193,41 @@ def test_checkpoint_round_trip_and_byte_identity(tmp_path):
     assert loaded.checksum() == model.checksum()
 
 
+@st.composite
+def models(draw):
+    """A small architecture, proj_hidden layers included, holding arbitrary finite values."""
+    widths = st.lists(st.integers(1, 4), max_size=3)
+    model = Model(draw(st.integers(1, 3)), draw(st.integers(1, 4)),
+                  draw(widths.filter(bool)), draw(widths))
+    for name, arr in model.params.items():
+        model.params[name] = draw(hnp.arrays(np.float64, arr.shape, elements=FINITE_FLOATS))
+    return model
+
+
+@_PROP
+@given(models())
+def test_every_checkpoint_round_trips_bit_exactly(tmp_path_factory, model):
+    path = tmp_path_factory.getbasetemp() / "round_trip.ckpt"
+    save_checkpoint(path, model)
+    loaded = load_checkpoint(path)
+    assert loaded.hyperparams() == model.hyperparams()
+    assert loaded.params.keys() == model.params.keys()
+    assert all(_bits_equal(loaded.params[k], v) for k, v in model.params.items())
+
+
+def test_no_prefix_of_a_checkpoint_loads(tmp_path):
+    # a cut inside the last value used to load as a different model
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, small_model())
+    data = path.read_bytes()
+    for k in range(len(data)):
+        path.write_bytes(data[:k])
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            load_checkpoint(path)
+    with pytest.raises(ConfigError, match="truncated: no final newline"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_text("not a checkpoint\n")
@@ -224,7 +265,7 @@ def test_checkpoint_rejects_non_finite_values_with_their_line(tmp_path, bad):
     fields[3] = bad
     lines[at] = " ".join(fields)
     path.write_text("\n".join(lines) + "\n")
-    message = rf"model\.ckpt:{at + 1}: parameter 'point1\.w' has a non-finite value"
+    message = rf"model\.ckpt line {at + 1}: parameter 'point1\.w' has a non-finite value"
     with pytest.raises(ValueError, match=message):
         load_checkpoint(path)
 
@@ -239,23 +280,23 @@ def test_checkpoint_rejects_a_row_of_the_wrong_width(tmp_path, change):
     width = len(fields)
     with pytest.raises(
         ValueError,
-        match=rf"model\.ckpt:{at + 1}: parameter 'proj0\.w' row has {width + change} values, "
+        match=rf"model\.ckpt line {at + 1}: parameter 'proj0\.w' row has {width + change} values, "
               rf"expected {width}",
     ):
         load_checkpoint(path)
 
 
 @pytest.mark.parametrize("at, pattern, repl, message", [
-    (1, '"point_widths"', '"widths"', r":2: hyperparameter header is missing 'point_widths'"),
-    (1, r"\}$", "", r":2: hyperparameter header is not JSON"),
-    (1, "^.*$", "[1, 2]", r":2: hyperparameter header is not a JSON object"),
+    (1, '"point_widths"', '"widths"', r" line 2: hyperparameter header is missing 'point_widths'"),
+    (1, r"\}$", "", r" line 2: hyperparameter header is not JSON"),
+    (1, "^.*$", "[1, 2]", r" line 2: hyperparameter header is not a JSON object"),
     (1, r'"feat_dim": \d+', '"feat_dim": "8"',
-     r":2: hyperparameter 'feat_dim' must be a positive whole number"),
+     r" line 2: hyperparameter 'feat_dim' must be a positive whole number"),
     (1, r'"num_known": \d+', '"num_known": 2.5',
-     r":2: hyperparameter 'num_known' must be a positive whole number"),
-    (1, r'"point_widths": \[[^]]*\]', '"point_widths": 5', r":2: bad hyperparameter header"),
-    (2, "$", "x", r":3: bad shape for 'point0\.b'"),
-    (2, "^.*$", "param", r":3: expected a param header"),
+     r" line 2: hyperparameter 'num_known' must be a positive whole number"),
+    (1, r'"point_widths": \[[^]]*\]', '"point_widths": 5', r" line 2: bad hyperparameter header"),
+    (2, "$", "x", r" line 3: bad shape for 'point0\.b'"),
+    (2, "^.*$", "param", r" line 3: expected a param header"),
 ])
 def test_checkpoint_rejects_a_malformed_header_with_its_line(tmp_path, at, pattern, repl, message):
     path, lines = _saved_checkpoint_lines(tmp_path)

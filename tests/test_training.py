@@ -329,7 +329,7 @@ def test_full_combined_phase_runs_and_reports_all_terms():
         assert np.isfinite(last[key])
     assert last["l_h"] > 0 and last["l_s"] > 0  # module terms really ran
     assert result.caches is not None
-    assert len(result.caches.saliency) == len(dataset.train_known)
+    assert len(result.caches.saliency.scores) == len(dataset.train_known)
     assert all(len(v) == config.views_per_object
                for v in result.caches.views.values())
 

@@ -286,23 +286,30 @@ def test_checkpoint_rejects_a_row_of_the_wrong_width(tmp_path, change):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("at, pattern, repl, message", [
-    (1, '"point_widths"', '"widths"', r" line 2: hyperparameter header is missing 'point_widths'"),
-    (1, r"\}$", "", r" line 2: hyperparameter header is not JSON"),
-    (1, "^.*$", "[1, 2]", r" line 2: hyperparameter header is not a JSON object"),
+# each message follows "<path> line <at + 1>: "; the id marks that line as ":<at + 1>:"
+_MALFORMED_HEADERS = [
+    (1, '"point_widths"', '"widths"', "hyperparameter header is missing 'point_widths'"),
+    (1, r"\}$", "", "hyperparameter header is not JSON"),
+    (1, "^.*$", "[1, 2]", "hyperparameter header is not a JSON object"),
     (1, r'"feat_dim": \d+', '"feat_dim": "8"',
-     r" line 2: hyperparameter 'feat_dim' must be a positive whole number"),
+     "hyperparameter 'feat_dim' must be a positive whole number"),
     (1, r'"num_known": \d+', '"num_known": 2.5',
-     r" line 2: hyperparameter 'num_known' must be a positive whole number"),
-    (1, r'"point_widths": \[[^]]*\]', '"point_widths": 5', r" line 2: bad hyperparameter header"),
-    (2, "$", "x", r" line 3: bad shape for 'point0\.b'"),
-    (2, "^.*$", "param", r" line 3: expected a param header"),
+     "hyperparameter 'num_known' must be a positive whole number"),
+    (1, r'"point_widths": \[[^]]*\]', '"point_widths": 5', "bad hyperparameter header"),
+    (2, "$", "x", r"bad shape for 'point0\.b'"),
+    (2, "^.*$", "param", "expected a param header"),
+]
+
+
+@pytest.mark.parametrize("at, pattern, repl, message", _MALFORMED_HEADERS, ids=[
+    f"{at}-{pattern}-{repl}-:{at + 1}: {message}"
+    for at, pattern, repl, message in _MALFORMED_HEADERS
 ])
 def test_checkpoint_rejects_a_malformed_header_with_its_line(tmp_path, at, pattern, repl, message):
     path, lines = _saved_checkpoint_lines(tmp_path)
     lines[at] = re.sub(pattern, repl, lines[at])
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=r"model\.ckpt" + message):
+    with pytest.raises(ValueError, match=rf"model\.ckpt line {at + 1}: " + message):
         load_checkpoint(path)
 
 

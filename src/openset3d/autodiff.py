@@ -22,7 +22,11 @@ adjoint without copying it, so accumulation always builds a new array.
 
 Row-sparse adjoints. The max-pool's output depends only on its "critical"
 rows, the ones that win some channel's max, so its adjoint is zero on every
-other row. max_pool_groups backward returns it as a RowSparse: the sorted
+other row. The encoder's last point layer is channel-major (linear(...,
+channel_major=True): the transpose of a C-contiguous (d, N) array, computed
+from x zero-padded to a multiple of 8 rows), so max_pool_groups takes each
+group's first argmax per channel with one argmax along contiguous memory in
+forward, and backward turns the kept argmax into a RowSparse: the sorted
 unique critical rows, their values, and +0.0 everywhere else. relu and
 linear take such an adjoint and keep it row-sparse (a node records whether
 it does when it is created, so a wrapped backward closure keeps the path):
@@ -87,7 +91,6 @@ __all__ = [
 ]
 
 _NORM_EPS = 1e-12
-_INF_BITS = np.float64(np.inf).view(np.uint64)
 
 
 class RowSparse:
@@ -216,13 +219,20 @@ def _tape_of(*tensors: Tensor) -> Tape:
     return tensors[0].tape
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False,
+           channel_major: bool = False) -> Tensor:
     """Affine map: out[i, j] = sum_k x[i, k] * w[k, j] + b[j].
 
     With relu=True the node is relu(linear(x, w, b)), named "linear_relu":
     the relu is applied in place to the affine result, and backward masks
     the adjoint with out > 0 before the linear formulas. Values and
     adjoints are byte-equal to the two separate ops.
+
+    channel_major=True writes the result as the transpose of a C-contiguous
+    (out, N) array, w.T @ x.T, for max_pool_groups. x is zero-padded to a
+    multiple of 8 rows (a single row is not), which makes the product
+    bit-equal to x @ w on OpenBLAS's Haswell dgemm kernel when `out` is a
+    multiple of 8; any other width stays row-major.
     """
     tape = _tape_of(x, w, b)
     if x.ndim != 2 or w.ndim != 2 or b.ndim != 1:
@@ -231,7 +241,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
         raise ValueError(
             f"linear shape mismatch: x {x.shape}, w {w.shape}, b {b.shape}"
         )
-    out = x.data @ w.data
+    n = x.shape[0]
+    if channel_major and w.shape[1] % 8 == 0:
+        pad = -n % 8 if n > 1 else 0
+        xp = np.concatenate([x.data, np.zeros((pad, x.shape[1]))]) if pad else x.data
+        out = (w.data.T @ xp.T)[:, :n].T
+    else:
+        out = x.data @ w.data
     out += b.data
     if relu:
         np.maximum(out, 0.0, out=out)
@@ -274,11 +290,12 @@ def max_pool_groups(a: Tensor, sizes) -> Tensor:
 
     `sizes` gives the row count of each group; the output is (B, d), and
     one cloud of N rows is the single group [N]. Each channel of each group
-    takes its value and routes its adjoint to the lowest-index row attaining
-    the max, which keeps backward deterministic under ties. Forward only
-    reduces values; the argmax is found in backward, so a forward-only pass
-    never pays for it. The adjoint is a RowSparse over the critical rows,
-    the rows that are the first argmax of some group's column.
+    takes its value from, and routes its adjoint to, the lowest-index row
+    attaining the max (a +0.0/-0.0 tie goes to the first row, a NaN column
+    to its first NaN), so ties are deterministic. Forward finds it with one
+    argmax along the rows of a.T, contiguous when `a` is channel-major (a
+    row-major `a` is copied first, same result); backward keeps the argmax
+    and returns a RowSparse over the critical rows.
     """
     sizes = np.asarray(sizes, dtype=np.intp)
     if a.ndim != 2:
@@ -289,48 +306,22 @@ def max_pool_groups(a: Tensor, sizes) -> Tensor:
         raise ValueError("group sizes do not add up to the row count")
     n_groups, d = len(sizes), a.shape[1]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    equal = n_groups > 0 and bool((sizes == sizes[0]).all())
-    # The bit patterns of doubles without a sign bit (+0.0 up to +inf) sort
-    # like their values, so an unsigned max over the bits is the exact max
-    # of such a column. Relu output is all of that kind. A column holding a
-    # negative value, -0.0 or NaN has a larger max pattern than +inf and is
-    # redone as a first-argmax over floats, which is the tie rule for +0.0
-    # against -0.0 and for NaN.
-    bits = a.data.view(np.uint64)
-    if equal:
-        top = bits.reshape(n_groups, -1, d).max(axis=1)
+    channels = a.data.T  # (d, N)
+    if n_groups > 0 and bool((sizes == sizes[0]).all()):
+        args = channels.reshape(d, n_groups, sizes[0]).argmax(axis=2).T
     else:
-        top = np.empty((n_groups, d), dtype=np.uint64)
-        for g_idx in range(n_groups):
-            bits[offsets[g_idx] : offsets[g_idx + 1]].max(axis=0, out=top[g_idx])
-    out = top.view(np.float64)
-    gs, cs = np.nonzero(top > _INF_BITS)
-    if len(gs):
-        # each group's rows, padded with copies of its last row
-        rows = offsets[gs, None] + np.minimum(np.arange(sizes.max()), sizes[gs, None] - 1)
-        cand = a.data[rows, cs[:, None]]
-        out[gs, cs] = cand[np.arange(len(gs)), cand.argmax(axis=1)]
+        args = np.array([channels[:, lo:hi].argmax(axis=1) for lo, hi in
+                         zip(offsets[:-1], offsets[1:])], dtype=np.intp).reshape(n_groups, d)
+    args += offsets[:-1, None]
+    cols = np.arange(d)
+    out = a.data[args, cols]
 
     def grad_fn(g):
-        # out holds the bits of the first max row, so the first row with
-        # equal bits is the first argmax (integer compare: NaN matches too)
-        if equal:
-            args = (bits.reshape(n_groups, -1, d) == top[:, None, :]).argmax(axis=1)
-        else:
-            args = np.empty((n_groups, d), dtype=np.intp)
-            for g_idx in range(n_groups):
-                block = bits[offsets[g_idx] : offsets[g_idx + 1]]
-                args[g_idx] = (block == top[g_idx]).argmax(axis=0)
-        args += offsets[:-1, None]
-        hit = np.zeros(a.shape[0], dtype=bool)
-        hit[args] = True
-        rows = np.flatnonzero(hit)
-        slot = np.empty(a.shape[0], dtype=np.intp)  # slot[r]: place of row r in rows
-        slot[rows] = np.arange(len(rows))
+        rows, slot = np.unique(args, return_inverse=True)  # rows[slot] == args
         # each (row, column) pair is hit once; += keeps the dense 0.0 + g,
         # which turns a -0.0 adjoint into +0.0
         values = np.zeros((len(rows), d))
-        values[slot[args], np.arange(d)] += g
+        values[slot.reshape(args.shape), cols] += g
         return (RowSparse(rows, values, a.shape),)
 
     return Tensor(a.tape, out, (a,), grad_fn, "max_pool_groups")

@@ -150,9 +150,9 @@ class TapedModel:
         n_point = len(self.model.point_widths)
         for i in range(n_point):
             h = ad.linear(h, self.leaves[f"point{i}.w"], self.leaves[f"point{i}.b"],
-                          relu=True)
-        # nonnegative post-relu activations: the layer saliency reads
-        # gradients from, and what the pooling consumes
+                          relu=True, channel_major=i == n_point - 1)
+        # nonnegative post-relu activations, channel-major for the pool: the
+        # layer saliency reads gradients from, and what the pooling consumes
         a_all = h  # (sum N_i, d_pre)
         pooled = ad.max_pool_groups(a_all, sizes)
         f = pooled

@@ -101,7 +101,9 @@ def saliency_maps_batch(model: Model, clouds, labels) -> list[np.ndarray]:
     offset = 0
     for cloud in clouds:
         n = len(cloud)
-        maps.append(gradcam_scores(a_all.data[offset : offset + n],
+        # a C-contiguous copy of the channel-major slice: a matrix-vector
+        # product over a strided slice rounds differently
+        maps.append(gradcam_scores(np.ascontiguousarray(a_all.data[offset : offset + n]),
                                    a_all.grad[offset : offset + n]))
         offset += n
     return maps

@@ -43,8 +43,12 @@ def apply_transforms(points, scale, angle, offset, jitter) -> np.ndarray:
     is elementwise, so a part moved alone gives the same bits as the part
     moved inside a batch.
     """
+    return _move(points, scale, np.cos(angle), np.sin(angle), offset, jitter)
+
+
+def _move(points, scale, c, s, offset, jitter) -> np.ndarray:
+    """apply_transforms with the yaw's cosine `c` and sine `s` given."""
     pts = np.asarray(points, dtype=np.float64) * np.asarray(scale, dtype=np.float64)[..., None]
-    c, s = np.cos(angle), np.sin(angle)
     moved = np.empty_like(pts)
     moved[:, 0] = pts[:, 0] * c - pts[:, 1] * s
     moved[:, 1] = pts[:, 0] * s + pts[:, 1] * c
@@ -166,9 +170,11 @@ def mix(groups, n_out, num_known, eps, eps_known, rng) -> SyntheticBatch:
     transforms = rng.uniform(_TRANSFORM_LOW, _TRANSFORM_HIGH, size=(len(parts), 5))
     n_rows = int(union_start[-1])
     jitter = np.clip(rng.normal(0.0, JITTER_SIGMA, size=(n_rows, 3)), -JITTER_CLIP, JITTER_CLIP)
-    per_row = np.repeat(transforms, sizes, axis=0)
-    union = apply_transforms(np.concatenate([p.points for p in parts]), per_row[:, 0],
-                             per_row[:, 1], per_row[:, 2:], jitter)
+    # cos and sin once per part, then every column repeated to the part's rows
+    yaw = transforms[:, 1]
+    per_row = np.repeat(np.column_stack([transforms, np.cos(yaw), np.sin(yaw)]), sizes, axis=0)
+    union = _move(np.concatenate([p.points for p in parts]), per_row[:, 0], per_row[:, 5],
+                  per_row[:, 6], per_row[:, 2:5], jitter)
     center = np.add.reduceat(union, union_start[:-1], axis=0) / union_sizes[:, None]
     centered = union - np.repeat(center, union_sizes, axis=0)
     radius = np.sqrt(np.maximum.reduceat(np.einsum("ij,ij->i", centered, centered),

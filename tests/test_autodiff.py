@@ -500,14 +500,14 @@ def _pool_reference(a, sizes, g):
 
 
 @st.composite
-def _grouped(draw):
+def _grouped(draw, elements=_TIE_VALUES):
     d = draw(st.integers(1, 5))
     n_groups = draw(st.integers(1, 4))
     if draw(st.booleans()):  # equal group sizes take their own path
         sizes = [draw(st.integers(1, 6))] * n_groups
     else:
         sizes = draw(st.lists(st.integers(1, 6), min_size=n_groups, max_size=n_groups))
-    a = draw(hnp.arrays(np.float64, (sum(sizes), d), elements=_TIE_VALUES))
+    a = draw(hnp.arrays(np.float64, (sum(sizes), d), elements=elements))
     g = draw(hnp.arrays(np.float64, (n_groups, d), elements=_TIE_VALUES))
     return a, sizes, g
 
@@ -768,8 +768,8 @@ def test_row_sparse_backward_matches_the_dense_formulas(case):
 _LINEAR = ad.linear
 
 
-def _unfused_linear(x, w, b, relu=False):
-    out = _LINEAR(x, w, b)
+def _unfused_linear(x, w, b, relu=False, channel_major=False):
+    out = _LINEAR(x, w, b, channel_major=channel_major)
     return ad.relu(out) if relu else out
 
 
@@ -809,6 +809,96 @@ def test_fused_linear_relu_is_byte_equal_to_relu_of_linear(case):
         assert sparse == ref_sparse == pooled
         for a, r in zip(got, ref):
             assert _bits_equal(a, r)
+
+
+# ----------------------------------------------------------------------
+# the channel-major layer that the encoder hands to the pool
+
+
+def _is_channel_major(a):
+    return a.strides[0] == a.itemsize  # each column's values are contiguous
+
+
+def _channel_major(a, pad):
+    """`a` as the transpose of a C-contiguous array with three extra columns
+    of `pad`, the layout of a row-padded channel-major linear output."""
+    base = np.full((a.shape[1], a.shape[0] + 3), pad)
+    base[:, : a.shape[0]] = a.T
+    return base[:, : a.shape[0]].T
+
+
+@pytest.mark.parametrize("k", [3, 32])
+def test_channel_major_layer_is_byte_equal_to_the_row_major_product(k):
+    rng = np.random.default_rng(k)
+    w, b = rng.normal(size=(k, 64)), rng.normal(size=64)
+    for n in [*range(1, 141), 5001, 8191, 8192]:
+        x = rng.normal(size=(n, k))
+        tape = ad.Tape()
+        out = ad.linear(tape.leaf(x), tape.leaf(w), tape.leaf(b), relu=True, channel_major=True)
+        assert _is_channel_major(out.data), n
+        assert _bits_equal(out.data, np.maximum(x @ w + b, 0.0)), n
+
+
+def test_a_width_off_a_multiple_of_8_keeps_the_row_major_layout():
+    # the transposed product of this shape rounds differently from x @ w
+    rng = np.random.default_rng(5)
+    x, w, b = rng.normal(size=(24, 32)), rng.normal(size=(32, 12)), rng.normal(size=12)
+    tape = ad.Tape()
+    out = ad.linear(tape.leaf(x), tape.leaf(w), tape.leaf(b), channel_major=True)
+    assert _bits_equal(out.data, x @ w + b)
+    assert out.data.flags.c_contiguous
+
+
+@st.composite
+def _channel_major_case(draw):
+    """A layer of width 8 or 16 over equal or ragged groups, with signed
+    zeros, exact zeros and NaN, and a dense and a pooled adjoint."""
+    _, sizes, _ = draw(_grouped())
+    n, k, d = sum(sizes), draw(st.integers(1, 4)), draw(st.sampled_from([8, 16]))
+    values = st.one_of(_TIE_VALUES, st.just(np.nan))
+    x = draw(hnp.arrays(np.float64, (n, k), elements=values))
+    w = draw(hnp.arrays(np.float64, (k, d), elements=values))
+    b = draw(hnp.arrays(np.float64, (d,), elements=values))
+    g_dense = draw(hnp.arrays(np.float64, (n, d), elements=_TIE_VALUES))
+    g_pool = draw(hnp.arrays(np.float64, (len(sizes), d), elements=_TIE_VALUES))
+    return x, w, b, g_dense, sizes, g_pool
+
+
+@_PROP
+@given(_channel_major_case(), st.booleans())
+def test_channel_major_layer_gives_the_row_major_values_and_adjoints(case, relu):
+    x, w, b, g_dense, sizes, g_pool = case
+
+    def run(channel_major, pooled):
+        tape = ad.Tape()
+        leaves = [tape.leaf(v) for v in (x, w, b)]
+        out = ad.linear(*leaves, relu=relu, channel_major=channel_major)
+        head, g = (ad.max_pool_groups(out, sizes), g_pool) if pooled else (out, g_dense)
+        tape.backward(ad.sum_all(ad.mul_const(head, g)))
+        return [out.data, head.data, out.grad] + [leaf.grad for leaf in leaves]
+
+    for pooled in (False, True):
+        for got, ref in zip(run(True, pooled), run(False, pooled)):
+            assert _bits_equal(got, ref)
+
+
+_NAN_TIE = (np.array([[1.0, np.nan], [np.nan, 2.0], [3.0, np.nan], [np.nan, np.nan]]), [1, 3],
+            np.array([[1.0, 2.0], [3.0, 4.0]]))
+
+
+@_PROP
+@given(_grouped(st.one_of(_TIE_VALUES, st.just(np.nan))), st.sampled_from([np.nan, np.inf, -0.0]))
+@example(_SIGNED_ZERO_TIE, np.inf)
+@example(_NAN_TIE, np.inf)
+@example((np.array([[1.0], [-0.0], [0.0], [2.0]]), [1, 2, 1], np.array([[1.0], [1.0], [1.0]])),
+         np.nan)
+def test_max_pool_groups_on_channel_major_input_matches_the_argmax_loop(case, pad):
+    # the pool never reads the padding past the last row
+    a, sizes, g = case
+    out, (da,) = _adjoint_run(lambda t: ad.max_pool_groups(t, sizes), [_channel_major(a, pad)], g)
+    ref_out, ref_da = _pool_reference(a, sizes, g)
+    assert _bits_equal(out, ref_out)
+    assert _bits_equal(da, ref_da)
 
 
 def _mlp_pool_grads(build_pool_input, pts, params, sizes, g, pool=ad.max_pool_groups):

@@ -334,6 +334,41 @@ def test_full_combined_phase_runs_and_reports_all_terms():
                for v in result.caches.views.values())
 
 
+def test_a_tsd_run_is_byte_identical_with_a_row_major_pooled_layer(monkeypatch):
+    # views replace high parts, so the stacked high-part batches have ragged
+    # row counts that are not multiples of 8; at the desk's last-layer shape
+    # (32 -> 64) the channel-major product matches x @ w there only because
+    # of its zero padding
+    dataset = generate_dataset(tiny_manifest(seed=3, instances_per_class=40,
+                                             points_per_cloud=96))
+    config = tiny_config(phase1_epochs=1, phase2_epochs=2, batch_size=16, point_widths=(32, 64),
+                         view_high_thresh=0.1, view_low_thresh=0.05)
+    real_decompose, real_linear = training.tunable_decompose, ad.linear
+    swaps, rows = [], []
+
+    def decompose(*args, **kwargs):
+        high, low = real_decompose(*args, **kwargs)
+        swaps.append(any(high.source_indices is v.indices for v in args[5]))
+        return high, low
+
+    def spy(x, w, b, relu=False, channel_major=False):
+        if channel_major:
+            rows.append(x.shape[0])
+        return real_linear(x, w, b, relu, channel_major)
+
+    def run(layer):
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "tunable_decompose", decompose)
+            patch.setattr(ad, "linear", layer)
+            result = train(dataset, config)
+        return result.model.checksum(), report_csv_text(result.rows)
+
+    channel_major = run(spy)
+    assert any(swaps) and any(n % 8 and n > 500 for n in rows)
+    assert channel_major == run(lambda x, w, b, relu=False, channel_major=False:
+                                real_linear(x, w, b, relu))
+
+
 def test_a_combined_epoch_calls_mix_once_per_step(monkeypatch):
     # each step draws all of its pseudo-unknowns, one per real sample, in one call
     dataset = tiny_dataset()

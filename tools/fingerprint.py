@@ -4,19 +4,22 @@ Runs, in a temporary directory and with BLAS at one thread, the tiny CLI
 chain `gen` -> `pretrain` -> `saliency` -> `train` -> `eval --scorer both`
 -> `synth-demo` on the manifest and widths of acceptance criterion 8, then
 criterion 8's library `train()`, whose checkpoint and report it writes too.
-The last line on stdout is one JSON object that maps each output file, by its
-path under the temporary directory, to its sha256. The sources come from this
-checkout's `src/`, so the same script copied into another checkout
-fingerprints that checkout:
+It prints one line of JSON that maps each output file, by its path under
+the temporary directory, to its sha256; alone, that is the last line on
+stdout. The sources come from this checkout's `src/`, so each checkout's
+copy of the script fingerprints that checkout. With `--compare DIR` it then
+runs DIR's own `tools/fingerprint.py` in a subprocess, prints each file
+whose sha256 differs between the two (or that only one of them wrote) and a
+count, and exits 1 on any difference:
 
-    python tools/fingerprint.py | tail -n 1 > a.json
-    python <other checkout>/tools/fingerprint.py | tail -n 1 > b.json
-    cmp a.json b.json
+    python tools/fingerprint.py --compare <other checkout>
 """
 
+import argparse
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -72,18 +75,38 @@ def run_library(out: Path) -> None:
     (out / "report.csv").write_text(report_csv_text(result.rows))
 
 
-def main() -> int:
-    for var in THREAD_VARS:
-        os.environ[var] = "1"  # before numpy loads BLAS
+def fingerprint() -> dict:
     sys.path.insert(0, str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         run_cli(root / "cli")
         run_library(root / "criterion8")
-        digests = {path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-                   for path in sorted(root.rglob("*")) if path.is_file()}
+        return {path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", metavar="DIR", type=Path,
+                        help="another checkout, fingerprinted by its own tools/fingerprint.py")
+    args = parser.parse_args(argv)
+    if args.compare is not None and not (args.compare / "tools" / "fingerprint.py").is_file():
+        parser.error(f"{args.compare} has no tools/fingerprint.py")
+    for var in THREAD_VARS:
+        os.environ[var] = "1"  # before numpy loads BLAS
+    digests = fingerprint()
     print(json.dumps(digests, sort_keys=True))
-    return 0
+    if args.compare is None:
+        return 0
+    other = subprocess.run([sys.executable, str(args.compare / "tools" / "fingerprint.py")],
+                           stdout=subprocess.PIPE, text=True, check=True)
+    theirs = json.loads(other.stdout.splitlines()[-1])
+    differ = sorted(name for name in digests.keys() | theirs.keys()
+                    if digests.get(name) != theirs.get(name))
+    for name in differ:
+        print(f"differs: {name}")
+    print(f"{len(differ)} of {len(digests.keys() | theirs.keys())} files differ from {args.compare}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

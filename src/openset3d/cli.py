@@ -26,6 +26,7 @@ from .data import (
     ConfigError,
     SaliencyCache,
     StaleCacheError,
+    _read_text,
     coerce_at,
     default_manifest,
     generate_dataset,
@@ -73,7 +74,7 @@ def load_config_file(path) -> list[tuple[str, str, str]]:
     """(where, key, value) of each `key = value` line of a config file, where
     is '<path> line N'; '#' comments and blank lines are ignored."""
     return [(f"{path} line {lineno}", key, value)
-            for lineno, key, value in read_settings(Path(path).read_text(), str(path))]
+            for lineno, key, value in read_settings(_read_text(path), str(path))]
 
 
 def _print_epoch(row) -> None:
@@ -135,12 +136,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_args(args) -> None:
-    """Every input path given exists and --count is positive, checked
-    before any command reads or writes."""
+    """Every input path given exists, each but --dataset is a file, and
+    --count is positive, checked before any command reads or writes."""
     for flag in ("config", "dataset", "manifest", "checkpoint", "saliency"):
         path = getattr(args, flag, None)
         if path is not None and not Path(path).exists():
             raise ConfigError(f"--{flag} {path}: no such file or directory")
+        if path is not None and flag != "dataset" and not Path(path).is_file():
+            raise ConfigError(f"--{flag} {path}: not a file")
     if getattr(args, "count", 1) < 1:
         raise ConfigError(f"--count must be at least 1, got {args.count}")
 

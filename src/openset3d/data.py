@@ -1,17 +1,24 @@
-"""Toy benchmark generation, plain-text point-cloud IO, and the saliency cache.
+"""Toy benchmark generation, plain-text point-cloud IO, the saliency cache,
+and the array file that holds checkpoints and saliency caches.
 
 Datasets regenerate byte-identically from (manifest, seed): every instance
 draws from its own seed stream keyed by (manifest seed, class index,
 instance index), and cloud files are written with shortest round-trip float
 formatting.
+
+An array file (`save_arrays`, `load_arrays`) holds a magic line naming its
+kind, the sha256 of every byte after that line, one JSON header line
+`{"arrays": [[name, shape], ...], "meta": ...}`, and each array's raw
+little-endian float64 values in header order: a round trip is bit-exact,
+and a changed or missing byte is detected.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,6 +45,8 @@ __all__ = [
     "load_dataset",
     "read_cloud",
     "write_cloud",
+    "save_arrays",
+    "load_arrays",
     "SaliencyCache",
     "StaleCacheError",
 ]
@@ -232,7 +241,7 @@ def format_manifest(manifest: Manifest) -> str:
 
 
 def load_manifest(path) -> Manifest:
-    return parse_manifest(Path(path).read_text(), str(path))
+    return parse_manifest(_read_text(path), str(path))
 
 
 @dataclass
@@ -340,57 +349,50 @@ def write_cloud(path, points: np.ndarray, class_name: str | None = None) -> None
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def _read_text(path, encoding=None) -> str:
-    """The text of an input file; undecodable bytes or no final newline raise ConfigError."""
+def _read_text(path) -> str:
+    """The text of an input file; undecodable bytes raise ConfigError naming it."""
     try:
-        text = Path(path).read_text(encoding=encoding)
+        return Path(path).read_text()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    if text and not text.endswith("\n"):
-        raise ConfigError(f"{path}: truncated: no final newline")
-    return text
-
-
-def _float_rows(path, numbered_lines, width: int, what: str) -> np.ndarray:
-    """The (line number, text) rows as a (rows, width) float64 array; a row of another
-    width, a non-number or a non-finite value raises ConfigError at `<path> line N`."""
-    rows, linenos = [], []
-    for lineno, line in numbered_lines:
-        fields = line.split()
-        if len(fields) != width:
-            raise ConfigError(f"{path} line {lineno}: {what} row has {len(fields)} values, "
-                              f"expected {width}")
-        try:
-            rows.append([float(v) for v in fields])
-        except ValueError as exc:
-            raise ConfigError(f"{path} line {lineno}: {what}: {exc}") from exc
-        linenos.append(lineno)
-    values = np.array(rows, dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
-    if len(bad):
-        raise ConfigError(f"{path} line {linenos[bad[0]]}: {what} has a non-finite value")
-    return values
 
 
 def read_cloud(path) -> tuple[np.ndarray, str | None]:
     """Returns (points, class name or None).
 
-    A malformed line or a non-finite coordinate is rejected with its number;
-    every malformed file raises ConfigError naming it.
+    A row that is not three numbers, and a non-finite coordinate, are rejected
+    at `<path> line N`; every malformed file raises ConfigError naming it.
     """
+    text = _read_text(path)
+    if text and not text.endswith("\n"):
+        raise ConfigError(f"{path}: truncated: no final newline")
     class_name = None
-    rows = []
-    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
+    rows, linenos = [], []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line.startswith("#"):
             fields = line[1:].split()
             if len(fields) == 2 and fields[0] == "class":
                 class_name = fields[1]
-        elif line:
-            rows.append((lineno, line))
+            continue
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) != 3:
+            raise ConfigError(f"{path} line {lineno}: point row has {len(fields)} values, "
+                              "expected 3")
+        try:
+            rows.append([float(v) for v in fields])
+        except ValueError as exc:
+            raise ConfigError(f"{path} line {lineno}: point: {exc}") from exc
+        linenos.append(lineno)
     if not rows:
         raise ConfigError(f"{path}: no points found")
-    return _float_rows(path, rows, 3, "point"), class_name
+    points = np.array(rows, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if len(bad):
+        raise ConfigError(f"{path} line {linenos[bad[0]]}: point has a non-finite value")
+    return points, class_name
 
 
 def write_dataset(dataset: ToyDataset, out_dir) -> None:
@@ -429,9 +431,66 @@ def load_dataset(dataset_dir) -> ToyDataset:
 
 
 # ----------------------------------------------------------------------
-# saliency cache
+# array files: checkpoints and the saliency cache
 
-_CACHE_MAGIC = b"OS3DSAL1\n"
+
+def save_arrays(path, kind: str, meta, arrays: dict[str, np.ndarray]) -> None:
+    """Write `arrays` (name -> float64 array, in the order given) and the JSON
+    value `meta` as an array file of `kind` (see the module docstring)."""
+    header = {"arrays": [[name, list(arr.shape)] for name, arr in arrays.items()], "meta": meta}
+    body = b"".join([json.dumps(header, sort_keys=True).encode(), b"\n",
+                     *(np.asarray(arr, dtype="<f8").tobytes() for arr in arrays.values())])
+    digest = hashlib.sha256(body).hexdigest()
+    Path(path).write_bytes(f"openset3d {kind} v2\n{digest}\n".encode() + body)
+
+
+def load_arrays(path, kind: str) -> tuple[object, dict[str, np.ndarray]]:
+    """(meta, arrays) of an array file of `kind`. Another kind, a wrong digest,
+    a malformed header, a duplicate name, a payload of another length than
+    the shapes take, and a non-finite value each raise ConfigError naming the
+    file; checking `meta` is the caller's job."""
+    data = Path(path).read_bytes()
+    magic = f"openset3d {kind} v2\n".encode()
+    if not data.startswith(magic):
+        raise ConfigError(f"{path}: not an openset3d {kind} file")
+    digest, _, body = data[len(magic):].partition(b"\n")
+    if digest != hashlib.sha256(body).hexdigest().encode():
+        raise ConfigError(f"{path}: damaged or truncated: its sha256 does not match its contents")
+    head, _, payload = body.partition(b"\n")
+    try:
+        header = json.loads(head)
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise ConfigError(f"{path}: header is not JSON: {exc}") from exc
+    if not (isinstance(header, dict) and header.keys() == {"arrays", "meta"}
+            and isinstance(header["arrays"], list)):
+        raise ConfigError(f'{path}: header: expected {{"arrays": [[name, shape], ...], '
+                          f'"meta": ...}}')
+    shapes = {}
+    for entry in header["arrays"]:
+        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
+            raise ConfigError(f"{path}: expected a [name, shape] array entry, got {entry!r}")
+        name, shape = entry
+        if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
+            raise ConfigError(f"{path}: bad shape for {name!r}: {shape!r}")
+        if name in shapes:
+            raise ConfigError(f"{path}: duplicate array name {name!r}")
+        shapes[name] = shape
+    need = 8 * sum(math.prod(shape) for shape in shapes.values())
+    if need != len(payload):  # checked before a huge shape allocates
+        raise ConfigError(f"{path}: the payload holds {len(payload)} bytes, but the header's "
+                          f"shapes take {need}")
+    arrays, offset = {}, 0
+    for name, shape in shapes.items():
+        values = np.frombuffer(payload, "<f8", math.prod(shape), offset)
+        if not np.isfinite(values).all():
+            raise ConfigError(f"{path}: array {name!r} has a non-finite value")
+        arrays[name] = values.astype(np.float64).reshape(shape)
+        offset += values.nbytes
+    return header["meta"], arrays
+
+
+# ----------------------------------------------------------------------
+# saliency cache
 
 
 @dataclass
@@ -463,59 +522,19 @@ class SaliencyCache:
                 )
 
     def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(_CACHE_MAGIC)
-            header = {"model_checksum": self.model_checksum}
-            fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-            for object_id in sorted(self.scores):
-                scores = self.scores[object_id]
-                meta = {"id": object_id, "n": int(scores.size)}
-                fh.write(json.dumps(meta, sort_keys=True).encode() + b"\n")
-                fh.write(scores.astype("<f8").tobytes())
+        save_arrays(path, "saliency cache", {"model_checksum": self.model_checksum},
+                    {object_id: self.scores[object_id] for object_id in sorted(self.scores)})
 
     @classmethod
     def load(cls, path) -> "SaliencyCache":
-        """Read a cache file; malformed input raises ConfigError naming the
-        path and the header or record (1-based), plus the record's id."""
-        with open(path, "rb") as fh:
-            magic = fh.read(len(_CACHE_MAGIC))
-            if magic != _CACHE_MAGIC:
-                raise ConfigError(f"{path}: not a saliency cache file")
-            size = os.fstat(fh.fileno()).st_size
-            header = _json_line(fh.readline(), f"{path}: header")
-            checksum = header.get("model_checksum") if isinstance(header, dict) else None
-            if not isinstance(checksum, str):
-                raise ConfigError(f"{path}: header: expected an object with a string "
-                                  "model_checksum")
-            cache = cls(checksum)  # other header keys are ignored
-            record = 0
-            while True:
-                line = fh.readline()
-                if not line:
-                    break
-                record += 1
-                where = f"{path}: record {record}"
-                meta = _json_line(line, where)
-                object_id = meta.get("id") if isinstance(meta, dict) else None
-                if not isinstance(object_id, str):
-                    raise ConfigError(f"{where}: expected an object with a string id")
-                where = f"{where} ({object_id!r})"
-                n = meta.get("n")
-                if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-                    raise ConfigError(f"{where}: n must be a nonnegative integer, got {n!r}")
-                if object_id in cache.scores:
-                    raise ConfigError(f"{where}: duplicate id")
-                if 8 * n > size - fh.tell():  # checked before a huge n allocates
-                    raise ConfigError(f"{where}: truncated record")
-                scores = np.frombuffer(fh.read(8 * n), dtype="<f8").copy()
-                if not np.isfinite(scores).all():
-                    raise ConfigError(f"{where}: non-finite score")
-                cache.scores[object_id] = scores
-        return cache
-
-
-def _json_line(line: bytes, where: str):
-    try:
-        return json.loads(line)
-    except ValueError as exc:  # bad JSON or bad UTF-8
-        raise ConfigError(f"{where}: {exc}") from exc
+        """Read a cache file (see load_arrays); a header without a string model
+        checksum, or scores that are not 1-D, raise ConfigError naming the path."""
+        meta, scores = load_arrays(path, "saliency cache")
+        checksum = meta.get("model_checksum") if isinstance(meta, dict) else None
+        if not isinstance(checksum, str):
+            raise ConfigError(f"{path}: header: expected an object with a string model_checksum")
+        for object_id, values in scores.items():
+            if values.ndim != 1:
+                raise ConfigError(f"{path}: scores for {object_id!r} have shape "
+                                  f"{values.shape}, expected (N,)")
+        return cls(checksum, scores)

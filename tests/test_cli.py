@@ -438,7 +438,7 @@ def test_a_bad_override_argument_exits_2_naming_it(tiny_dataset_dir, tmp_path, c
 
 
 @pytest.mark.parametrize("flag", ["config", "dataset", "manifest", "checkpoint", "saliency",
-                                  "count", "dataset manifest"])
+                                  "count", "dataset manifest", "directory"])
 def test_a_missing_input_or_a_bad_count_exits_2_naming_it(tiny_dataset_dir, pretrained,
                                                           saliency_cache, tmp_path, capsys,
                                                           flag):
@@ -451,6 +451,9 @@ def test_a_missing_input_or_a_bad_count_exits_2_naming_it(tiny_dataset_dir, pret
         if flag == "dataset manifest":  # a directory, but not a generated dataset
             missing.mkdir()
             flag = "dataset"
+        elif flag == "directory":  # a directory where a file belongs
+            missing.mkdir()
+            flag = "checkpoint"
         inputs[flag] = -1 if flag == "count" else missing
         argv = ["synth-demo", "--out", str(out),
                 *(f"--{k}={v}" for k, v in inputs.items() if k != "config")]
@@ -461,10 +464,28 @@ def test_a_missing_input_or_a_bad_count_exits_2_naming_it(tiny_dataset_dir, pret
     err = capsys.readouterr().err
     if flag == "count":
         assert "error: --count must be at least 1, got -1" in err
+    elif missing.is_dir() and flag == "checkpoint":
+        assert f"error: --checkpoint {missing}: not a file" in err
     elif missing.is_dir():
         assert f"error: {missing}: no manifest.txt" in err
     else:
         assert f"error: --{flag} {missing}: no such file or directory" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["manifest", "config"])
+def test_an_undecodable_manifest_or_config_exits_2_naming_it(tiny_dataset_dir, tmp_path, capsys,
+                                                             kind):
+    bad, out = tmp_path / f"bad.{kind}", tmp_path / "o"
+    bad.write_bytes(b"seed = 3\n\xff\n")
+    if kind == "manifest":
+        argv = ["gen", "--manifest", str(bad), "--out", str(out)]
+    else:
+        argv = ["pretrain", "--dataset", str(tiny_dataset_dir), "--out", str(out),
+                "--epochs", "0", "--config", str(bad)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and "can't decode byte 0xff" in err
     assert not out.exists()
 
 
@@ -499,15 +520,10 @@ def test_a_malformed_input_file_exits_2_naming_it(tiny_dataset_dir, pretrained, 
         bad = dataset / "cube" / "cube_0007.txt"
         bad.write_text(bad.read_text().splitlines()[0] + "\n")
         message = "no points found"
-    elif kind == "truncated cache":
-        bad = cache
-        bad.write_bytes(bad.read_bytes()[:-100])  # inside the last record's scores
-        message = "truncated record"
     else:
-        bad = checkpoint
-        lines = bad.read_text().splitlines()
-        bad.write_text("\n".join(lines[: len(lines) - 3]) + "\n")
-        message = "truncated value block"
+        bad = cache if kind == "truncated cache" else checkpoint
+        bad.write_bytes(bad.read_bytes()[:-100])  # inside the last array's values
+        message = "damaged or truncated: its sha256 does not match its contents"
     out = tmp_path / "o"
     code = main(["synth-demo", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
                  "--saliency", str(cache), "--out", str(out), *TRAIN_OVERRIDES])

@@ -1,6 +1,7 @@
-"""Toy benchmark generation, cloud file IO, and the saliency cache."""
+"""Toy benchmark generation, cloud file IO, array files, and the saliency cache."""
 
 import dataclasses
+import hashlib
 import re
 
 import numpy as np
@@ -17,6 +18,7 @@ from openset3d.data import (
     default_manifest,
     format_manifest,
     generate_dataset,
+    load_arrays,
     load_dataset,
     load_manifest,
     parse_manifest,
@@ -25,7 +27,8 @@ from openset3d.data import (
     write_cloud,
     write_dataset,
 )
-from openset3d.encoder import normalize_cloud
+from openset3d.checkpoint import load_checkpoint, save_checkpoint
+from openset3d.encoder import Model, normalize_cloud
 from openset3d.shapes import SHAPE_NAMES, SHAPE_PARAMS, random_instance, sample_shape
 from openset3d.training import (
     DecompCaches,
@@ -396,21 +399,17 @@ def test_every_cache_round_trips_bit_exactly(tmp_path_factory, checksum, scores)
     assert all(_bits_equal(loaded.scores[k], v) for k, v in scores.items())
 
 
-def test_cache_loads_a_header_that_names_a_normalization(tmp_path):
-    # files written before the header lost its unread "normalization" key
-    scores = np.linspace(0, 1, 8)
+def test_a_v1_cache_is_rejected_naming_the_file(tmp_path):
     path = tmp_path / "old.cache"
     path.write_bytes(
         b"OS3DSAL1\n"
-        + b'{"model_checksum": "abc123", "normalization": "raw"}\n'
+        + b'{"model_checksum": "abc123"}\n'
         + b'{"id": "cone/cone_0001", "n": 8}\n'
-        + scores.astype("<f8").tobytes()
+        + np.linspace(0, 1, 8).astype("<f8").tobytes()
     )
-    loaded = SaliencyCache.load(path)
-    assert loaded.model_checksum == "abc123"
-    assert np.array_equal(loaded.scores["cone/cone_0001"], scores)
-    loaded.save(tmp_path / "new.cache")
-    assert b"normalization" not in (tmp_path / "new.cache").read_bytes()
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"{path}: not an openset3d saliency cache file")):
+        SaliencyCache.load(path)
 
 
 def test_cache_rejects_stale_checksum():
@@ -459,57 +458,94 @@ def test_cache_check_binds_to_the_training_split():
         assert state.epoch == 0 and state.rows == []
 
 
-def cache_file(tmp_path, header, *records):
-    """A cache file from a raw header line and (meta line, scores) records."""
-    path = tmp_path / "hand.cache"
-    body = b"OS3DSAL1\n" + header + b"\n"
-    for meta, scores in records:
-        body += meta + b"\n" + np.asarray(scores, dtype="<f8").tobytes()
-    path.write_bytes(body)
+def write_array_file(path, kind, header: bytes, payload: bytes = b""):
+    """An array file of `kind` from a raw header line and payload, under a
+    digest that matches them, so that a hand-made edit reaches the checks
+    after the digest."""
+    body = header + b"\n" + payload
+    digest = hashlib.sha256(body).hexdigest().encode()
+    path.write_bytes(f"openset3d {kind} v2\n".encode() + digest + b"\n" + body)
     return path
 
 
-GOOD_HEADER = b'{"model_checksum": "abc123"}'
+def cache_file(tmp_path, meta, *entries):
+    """A cache file from raw meta JSON and (raw [name, shape] entry, scores) pairs."""
+    header = (b'{"arrays": [' + b", ".join(entry for entry, _ in entries)
+              + b'], "meta": ' + meta + b"}")
+    payload = b"".join(np.asarray(scores, dtype="<f8").tobytes() for _, scores in entries)
+    return write_array_file(tmp_path / "hand.cache", "saliency cache", header, payload)
+
+
+GOOD_META = b'{"model_checksum": "abc123"}'
 
 
 @pytest.mark.parametrize("header", [
     b'["abc123"]', b'{"model_checksum": 7}', b'{"checksum": "abc123"}', b"{not json",
 ], ids=["list", "checksum-number", "checksum-missing", "bad-json"])
 def test_cache_rejects_a_malformed_header(tmp_path, header):
-    path = cache_file(tmp_path, header, (b'{"id": "a/a_0000", "n": 2}', [0.1, 0.2]))
-    with pytest.raises(ValueError, match=re.escape(f"{path}: header")):
+    path = cache_file(tmp_path, header, (b'["a/a_0000", [2]]', [0.1, 0.2]))
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: header")):
         SaliencyCache.load(path)
 
 
-@pytest.mark.parametrize("meta, scores, message", [
-    pytest.param(b'{"id": "b/b_0000", "n": "3"}', [0.1, 0.2, 0.3],
-                 r"record 2 \('b/b_0000'\): n must", id="n-string"),
-    pytest.param(b'{"id": "b/b_0000", "n": -1}', [],
-                 r"record 2 \('b/b_0000'\): n must", id="n-negative"),
-    pytest.param(b'{"id": "b/b_0000", "n": true}', [0.1],
-                 r"record 2 \('b/b_0000'\): n must", id="n-bool"),
-    pytest.param(b'{"n": 2}', [0.1, 0.2],
-                 "record 2: expected an object with a string id", id="id-missing"),
-    pytest.param(b'{"id": 5, "n": 2}', [0.1, 0.2],
-                 "record 2: expected an object with a string id", id="id-number"),
-    pytest.param(b"[1, 2]", [0.1, 0.2],
-                 "record 2: expected an object with a string id", id="meta-list"),
-    pytest.param(b'{"id": "b/b_0000"', [0.1, 0.2], "record 2: ", id="meta-bad-json"),
-    pytest.param(b'{"id": "a/a_0000", "n": 2}', [0.3, 0.4],
-                 r"record 2 \('a/a_0000'\): duplicate id", id="duplicate-id"),
-    pytest.param(b'{"id": "b/b_0000", "n": 2}', [0.1, np.nan],
-                 r"record 2 \('b/b_0000'\): non-finite", id="nan"),
-    pytest.param(b'{"id": "b/b_0000", "n": 2}', [np.inf, 0.1],
-                 r"record 2 \('b/b_0000'\): non-finite", id="inf"),
-    pytest.param(b'{"id": "b/b_0000", "n": 3}', [0.1, 0.2],
-                 r"record 2 \('b/b_0000'\): truncated", id="truncated"),
+@pytest.mark.parametrize("header", [
+    b"[]", b'{"arrays": []}', b'{"arrays": {}, "meta": {}}',
+    b'{"arrays": [], "meta": {}, "offsets": []}',
+], ids=["list", "meta-missing", "arrays-object", "extra-key"])
+def test_an_array_file_rejects_a_header_of_another_layout(tmp_path, header):
+    path = write_array_file(tmp_path / "hand.cache", "saliency cache", header)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: header: expected ")):
+        load_arrays(path, "saliency cache")
+
+
+ENTRY = re.escape("expected a [name, shape] array entry, got ")
+
+
+@pytest.mark.parametrize("entry, scores, message", [
+    pytest.param(b'["b/b_0000", ["3"]]', [0.1, 0.2, 0.3],
+                 r"bad shape for 'b/b_0000': \['3'\]", id="n-string"),
+    pytest.param(b'["b/b_0000", [-1]]', [],
+                 r"bad shape for 'b/b_0000': \[-1\]", id="n-negative"),
+    pytest.param(b'["b/b_0000", [true]]', [0.1],
+                 r"bad shape for 'b/b_0000': \[True\]", id="n-bool"),
+    pytest.param(b"[[2]]", [0.1, 0.2], ENTRY + r"\[\[2\]\]", id="id-missing"),
+    pytest.param(b"[5, [2]]", [0.1, 0.2], ENTRY + r"\[5, \[2\]\]", id="id-number"),
+    pytest.param(b'{"id": "b/b_0000", "n": 2}', [0.1, 0.2], ENTRY + r"\{'id'", id="meta-list"),
+    pytest.param(b'["b/b_0000", [2]', [0.1, 0.2], "header is not JSON", id="meta-bad-json"),
+    pytest.param(b'["a/a_0000", [2]]', [0.3, 0.4],
+                 "duplicate array name 'a/a_0000'", id="duplicate-id"),
+    pytest.param(b'["b/b_0000", [2]]', [0.1, np.nan],
+                 "array 'b/b_0000' has a non-finite value", id="nan"),
+    pytest.param(b'["b/b_0000", [2]]', [np.inf, 0.1],
+                 "array 'b/b_0000' has a non-finite value", id="inf"),
+    pytest.param(b'["b/b_0000", [3]]', [0.1, 0.2],
+                 "the payload holds 32 bytes, but the header's shapes take 40", id="truncated"),
+    pytest.param(b'["b/b_0000", [1, 2]]', [0.1, 0.2],
+                 r"scores for 'b/b_0000' have shape \(1, 2\), expected \(N,\)", id="scores-2d"),
 ])
-def test_cache_rejects_a_malformed_record_with_its_location(tmp_path, meta, scores,
+def test_cache_rejects_a_malformed_record_with_its_location(tmp_path, entry, scores,
                                                             message):
-    path = cache_file(tmp_path, GOOD_HEADER,
-                      (b'{"id": "a/a_0000", "n": 2}', [0.1, 0.2]), (meta, scores))
-    with pytest.raises(ValueError, match=re.escape(f"{path}: ") + message):
+    path = cache_file(tmp_path, GOOD_META, (b'["a/a_0000", [2]]', [0.1, 0.2]), (entry, scores))
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: ") + message):
         SaliencyCache.load(path)
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "cache"])
+def test_no_changed_byte_or_prefix_of_an_array_file_loads(tmp_path, kind):
+    if kind == "checkpoint":
+        path, load = tmp_path / "model.ckpt", load_checkpoint
+        save_checkpoint(path, Model(3, 8, (6, 8), ()))
+    else:
+        path, load = tmp_path / "sal.cache", SaliencyCache.load
+        scores = {f"a/a_{i:04d}": np.linspace(0, 1, 4 + i) for i in range(3)}
+        SaliencyCache("abc123", scores).save(path)
+    data = path.read_bytes()
+    damaged = [data[:k] for k in range(len(data))]
+    damaged += [data[:k] + bytes([(data[k] + 1) % 256]) + data[k + 1:] for k in range(len(data))]
+    for bad in damaged:
+        path.write_bytes(bad)
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            load(path)
 
 
 def test_cache_rejects_foreign_file(tmp_path):

@@ -1,5 +1,7 @@
 """Encoder, prototype head, and checkpoint round-trip checks."""
 
+import hashlib
+import json
 import re
 
 import numpy as np
@@ -9,11 +11,11 @@ from hypothesis.extra import numpy as hnp
 
 from openset3d import autodiff as ad
 from openset3d.checkpoint import load_checkpoint, save_checkpoint
-from openset3d.data import ConfigError
+from openset3d.data import ConfigError, load_arrays, save_arrays
 from openset3d.encoder import Model, init_prototypes, normalize_cloud
 
 from test_autodiff import _PROP, _bits_equal
-from test_data import FINITE_FLOATS
+from test_data import FINITE_FLOATS, write_array_file
 
 
 def small_model(seed=0):
@@ -220,12 +222,12 @@ def test_no_prefix_of_a_checkpoint_loads(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, small_model())
     data = path.read_bytes()
+    magic = len(b"openset3d checkpoint v2\n")
     for k in range(len(data)):
         path.write_bytes(data[:k])
-        with pytest.raises(ConfigError, match=re.escape(str(path))):
+        message = "not an openset3d checkpoint file" if k < magic else "damaged or truncated"
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
             load_checkpoint(path)
-    with pytest.raises(ConfigError, match="truncated: no final newline"):
-        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
@@ -235,69 +237,84 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(path)
 
 
-def _saved_checkpoint_lines(tmp_path):
+def _saved_checkpoint(tmp_path):
+    """(path, hyperparameters, parameters) of a saved checkpoint."""
     model = Model(num_known=3, feat_dim=8, point_widths=(6, 8), proj_hidden=(4,), seed=0)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, model)
-    return path, path.read_text().splitlines()
+    return (path, *load_arrays(path, "checkpoint"))
 
 
 def test_checkpoint_header_lines_are_pinned(tmp_path):
-    _, lines = _saved_checkpoint_lines(tmp_path)
-    assert lines[:3] == [
-        "openset3d checkpoint v1",
-        '{"feat_dim": 8, "num_known": 3, "point_widths": [6, 8], "proj_hidden": [4]}',
-        "param point0.b 6",
-    ]
-
-
-def _value_line(lines, name, row=0):
-    """0-based index of value row `row` of parameter `name`."""
-    header = next(i for i, line in enumerate(lines) if line.split()[:2] == ["param", name])
-    return header + 1 + row
+    path, _, _ = _saved_checkpoint(tmp_path)
+    magic, digest, header, payload = path.read_bytes().split(b"\n", 3)
+    assert magic == b"openset3d checkpoint v2"
+    assert digest == hashlib.sha256(header + b"\n" + payload).hexdigest().encode()
+    assert header == (
+        b'{"arrays": [["point0.b", [6]], ["point0.w", [3, 6]], ["point1.b", [8]], '
+        b'["point1.w", [6, 8]], ["proj0.b", [4]], ["proj0.w", [8, 4]], ["proj1.b", [8]], '
+        b'["proj1.w", [4, 8]], ["prototypes", [4, 8]]], '
+        b'"meta": {"feat_dim": 8, "num_known": 3, "point_widths": [6, 8], "proj_hidden": [4]}}'
+    )
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_checkpoint_rejects_non_finite_values_with_their_line(tmp_path, bad):
-    path, lines = _saved_checkpoint_lines(tmp_path)
-    at = _value_line(lines, "point1.w", row=2)
-    fields = lines[at].split()
-    fields[3] = bad
-    lines[at] = " ".join(fields)
-    path.write_text("\n".join(lines) + "\n")
-    message = rf"model\.ckpt line {at + 1}: parameter 'point1\.w' has a non-finite value"
-    with pytest.raises(ValueError, match=message):
+    path, meta, params = _saved_checkpoint(tmp_path)
+    params["point1.w"][2, 3] = float(bad)
+    save_arrays(path, "checkpoint", meta, params)
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{path}: array 'point1.w' has a non-finite value")):
         load_checkpoint(path)
 
 
 @pytest.mark.parametrize("change", [-1, 1])
 def test_checkpoint_rejects_a_row_of_the_wrong_width(tmp_path, change):
-    path, lines = _saved_checkpoint_lines(tmp_path)
-    at = _value_line(lines, "proj0.w", row=1)
-    fields = lines[at].split()
-    lines[at] = " ".join(fields[:-1] if change < 0 else fields + ["0.5"])
-    path.write_text("\n".join(lines) + "\n")
-    width = len(fields)
-    with pytest.raises(
-        ValueError,
-        match=rf"model\.ckpt line {at + 1}: parameter 'proj0\.w' row has {width + change} values, "
-              rf"expected {width}",
-    ):
+    path, meta, params = _saved_checkpoint(tmp_path)
+    width = params["proj0.w"].shape[1]
+    # a column fewer or more, under a header that says so
+    params["proj0.w"] = np.resize(params["proj0.w"], (8, width + change))
+    save_arrays(path, "checkpoint", meta, params)
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{path}: shape (8, {width + change}) does not match header-derived (8, {width}) "
+            "for 'proj0.w'")):
+        load_checkpoint(path)
+    # a value fewer or more, under the saved header
+    save_checkpoint(path, small_model())
+    _, _, header, payload = path.read_bytes().split(b"\n", 3)
+    payload = payload[:-8] if change < 0 else payload + payload[-8:]
+    write_array_file(path, "checkpoint", header, payload)
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{path}: the payload holds {len(payload)} bytes, but the header's shapes take "
+            f"{len(payload) - 8 * change}")):
         load_checkpoint(path)
 
 
-# each message follows "<path> line <at + 1>: "; the id marks that line as ":<at + 1>:"
+def test_checkpoint_rejects_an_unknown_or_a_missing_parameter(tmp_path):
+    path, meta, params = _saved_checkpoint(tmp_path)
+    save_arrays(path, "checkpoint", meta, {**params, "proj9.w": params["proj0.w"]})
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: unknown parameter 'proj9.w'")):
+        load_checkpoint(path)
+    del params["proj0.b"]
+    save_arrays(path, "checkpoint", meta, params)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: missing parameters ['proj0.b']")):
+        load_checkpoint(path)
+
+
+# `at` 1 edits the JSON text of the hyperparameters, `at` 2 that of the first
+# [name, shape] entry. The ids keep the `:<at + 1>:` of the text format's line
+# numbers, so a case whose message did not change keeps its name.
 _MALFORMED_HEADERS = [
     (1, '"point_widths"', '"widths"', "hyperparameter header is missing 'point_widths'"),
-    (1, r"\}$", "", "hyperparameter header is not JSON"),
+    (1, r"\}$", "", "header is not JSON"),
     (1, "^.*$", "[1, 2]", "hyperparameter header is not a JSON object"),
     (1, r'"feat_dim": \d+', '"feat_dim": "8"',
      "hyperparameter 'feat_dim' must be a positive whole number"),
     (1, r'"num_known": \d+', '"num_known": 2.5',
      "hyperparameter 'num_known' must be a positive whole number"),
     (1, r'"point_widths": \[[^]]*\]', '"point_widths": 5', "bad hyperparameter header"),
-    (2, "$", "x", r"bad shape for 'point0\.b'"),
-    (2, "^.*$", "param", "expected a param header"),
+    (2, r"\[6\]", '["6"]', r"bad shape for 'point0\.b'"),
+    (2, r'^\["point0\.b", ', "[", r"expected a \[name, shape\] array entry"),
 ]
 
 
@@ -306,10 +323,17 @@ _MALFORMED_HEADERS = [
     for at, pattern, repl, message in _MALFORMED_HEADERS
 ])
 def test_checkpoint_rejects_a_malformed_header_with_its_line(tmp_path, at, pattern, repl, message):
-    path, lines = _saved_checkpoint_lines(tmp_path)
-    lines[at] = re.sub(pattern, repl, lines[at])
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=rf"model\.ckpt line {at + 1}: " + message):
+    path, meta, params = _saved_checkpoint(tmp_path)
+    _, _, _, payload = path.read_bytes().split(b"\n", 3)
+    entries = [json.dumps([name, list(arr.shape)]) for name, arr in params.items()]
+    meta = json.dumps(meta, sort_keys=True)
+    if at == 1:
+        meta = re.sub(pattern, repl, meta)
+    else:
+        entries[0] = re.sub(pattern, repl, entries[0])
+    header = '{"arrays": [' + ", ".join(entries) + '], "meta": ' + meta + "}"
+    write_array_file(path, "checkpoint", header.encode(), payload)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: ") + message):
         load_checkpoint(path)
 
 

@@ -479,11 +479,11 @@ def cache_file(tmp_path, meta, *entries):
 GOOD_META = b'{"model_checksum": "abc123"}'
 
 
-@pytest.mark.parametrize("header", [
+@pytest.mark.parametrize("meta", [
     b'["abc123"]', b'{"model_checksum": 7}', b'{"checksum": "abc123"}', b"{not json",
 ], ids=["list", "checksum-number", "checksum-missing", "bad-json"])
-def test_cache_rejects_a_malformed_header(tmp_path, header):
-    path = cache_file(tmp_path, header, (b'["a/a_0000", [2]]', [0.1, 0.2]))
+def test_cache_rejects_a_malformed_header(tmp_path, meta):
+    path = cache_file(tmp_path, meta, (b'["a/a_0000", [2]]', [0.1, 0.2]))
     with pytest.raises(ConfigError, match=re.escape(f"{path}: header")):
         SaliencyCache.load(path)
 

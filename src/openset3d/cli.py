@@ -1,10 +1,11 @@
 """Operator entry point.
 
 Subcommands drive the full pipeline from files: dataset generation,
-closed-set pretraining, saliency caching, the combined training phase,
-open-set evaluation, and synthetic-sample export. Configuration comes from
-an optional flat key-value file (dotted keys, e.g. `train.alpha = 0.1`),
-overridden by flags and trailing `key=value` arguments.
+closed-set pretraining, saliency caching, both training phases as one
+`training.train()` run, open-set evaluation, and synthetic-sample export.
+Configuration comes from an optional flat key-value file (dotted keys, e.g.
+`train.alpha = 0.1`), overridden by trailing `key=value` arguments and
+`--seed`.
 
 Exit codes: 0 success, 1 runtime failure, 2 invalid configuration (a
 missing input path and a saliency cache built from another checkpoint
@@ -36,21 +37,18 @@ from .data import (
     write_cloud,
     write_dataset,
 )
-from .encoder import Model
 from .metrics import write_metrics_csv, write_scores_csv
 from .saliency import tunable_decompose
 from .training import (
     STREAM_SYNTH_DEMO,
-    Adam,
     TrainConfig,
     build_saliency_cache,
-    build_views,
     draw_synthetic,
     evaluate_open_set,
     init_state,
     run_pretrain,
-    run_combined,
     stream_rng,
+    train,
     write_report_csv,
 )
 
@@ -109,18 +107,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pretrain", help="phase-1 closed-set pretraining")
     common(p)
-    p.add_argument("--epochs", type=int, help="phase-1 epoch count override")
-    p.add_argument("--checkpoint", help="resume from an existing checkpoint")
 
     p = sub.add_parser("saliency", help="cache saliency maps from a pretrained model")
     common(p)
     p.add_argument("--checkpoint", required=True, help="pretrain checkpoint")
 
-    p = sub.add_parser("train", help="phase-2 training with decomposition and synthesis")
+    p = sub.add_parser("train", help="both training phases, as training.train() runs them")
     common(p)
-    p.add_argument("--epochs", type=int, help="phase-2 epoch count override")
-    p.add_argument("--checkpoint", required=True, help="pretrain checkpoint")
-    p.add_argument("--saliency", help="saliency cache file (required when TSD runs)")
 
     p = sub.add_parser("eval", help="open-set metrics for a checkpoint")
     common(p)
@@ -136,14 +129,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_args(args) -> None:
-    """Every input path given exists, each but --dataset is a file, and
-    --count is positive, checked before any command reads or writes."""
+    """Every input path given exists, each but --dataset is a file, --out is
+    not a file, and --count is positive, checked before any command reads or
+    writes."""
     for flag in ("config", "dataset", "manifest", "checkpoint", "saliency"):
         path = getattr(args, flag, None)
         if path is not None and not Path(path).exists():
             raise ConfigError(f"--{flag} {path}: no such file or directory")
         if path is not None and flag != "dataset" and not Path(path).is_file():
             raise ConfigError(f"--{flag} {path}: not a file")
+    if Path(args.out).exists() and not Path(args.out).is_dir():
+        raise ConfigError(f"--out {args.out}: not a directory")
     if getattr(args, "count", 1) < 1:
         raise ConfigError(f"--count must be at least 1, got {args.count}")
 
@@ -159,15 +155,11 @@ def cmd_gen(args) -> int:
     return 0
 
 
-# the TrainConfig field that each training command's --epochs sets
-_EPOCHS_FIELD = {"pretrain": "phase1_epochs", "train": "phase2_epochs"}
-
-
 def _load_inputs(args):
     """(config, dataset, model) of a command, each checked against the others
     before any output exists; model is None without --checkpoint.
 
-    Precedence: defaults < --config file < trailing key=value < --seed/--epochs.
+    Precedence: defaults < --config file < trailing key=value < --seed.
     """
     updates = load_config_file(args.config) if args.config else []
     for item in args.overrides:
@@ -178,29 +170,15 @@ def _load_inputs(args):
     config = apply_overrides(TrainConfig(), updates)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    epochs_field = _EPOCHS_FIELD.get(args.command)
-    if epochs_field and args.epochs is not None:
-        config = dataclasses.replace(config, **{epochs_field: args.epochs})
     config.validate()
     dataset = load_dataset(args.dataset)
-    model = load_checkpoint(args.checkpoint) if args.checkpoint else None
+    checkpoint = getattr(args, "checkpoint", None)
+    model = load_checkpoint(checkpoint) if checkpoint else None
     if model is not None and model.num_known != len(dataset.known_classes):
         raise ConfigError(
             f"checkpoint expects {model.num_known} known classes but the dataset "
             f"defines {len(dataset.known_classes)}"
         )
-    if model is not None and epochs_field:
-        # a training command continues the checkpoint's model, so a config
-        # that describes another encoder would be silently ignored
-        for key in Model.HYPERPARAMS[1:]:  # num_known is checked above
-            want, have = getattr(config, key), getattr(model, key)
-            if isinstance(want, tuple):
-                want = tuple(int(w) for w in want)
-            if want != have:
-                raise ConfigError(
-                    f"train.{key} is {want} in the config but {have} in checkpoint "
-                    f"{args.checkpoint}; pass train.{key} to match the checkpoint"
-                )
     return config, dataset, model
 
 
@@ -210,42 +188,22 @@ def _output_dir(args) -> Path:
     return out
 
 
-def _load_saliency(path, model, records) -> SaliencyCache:
-    """The cache file at `path`, checked against the model and the records
-    it will be read for; a mismatch names the file."""
-    cache = SaliencyCache.load(path)
-    try:
-        cache.check(model.checksum(), records)
-    except StaleCacheError as exc:
-        raise StaleCacheError(f"{path}: {exc}") from None
-    return cache
-
-
 def cmd_train(args) -> int:
-    """`pretrain` and `train`: one cosine cycle over this command's epochs,
-    from the checkpoint's model (if any) with a fresh optimizer."""
-    config, dataset, model = _load_inputs(args)
-    state = init_state(dataset, config)
-    pretrain = args.command == "pretrain"
-    caches = None
-    if not pretrain and config.needs_cache():
-        if not args.saliency:
-            raise ConfigError("TSD requires --saliency <cache file>")
-        # checked before the views are built from it
-        cache = _load_saliency(args.saliency, model, dataset.train_known)
-        caches = build_views(dataset.train_known, cache, config)
-    out = _output_dir(args)
-    state.total_epochs = getattr(config, _EPOCHS_FIELD[args.command])
-    if model is not None:
-        state.model, state.opt = model, Adam(model.params)
-    if pretrain:
-        run_pretrain(state, dataset, config, config.phase1_epochs, progress=_print_epoch)
+    """`train` is one `training.train()` run; `pretrain` is its phase 1, on
+    the same cosine cycle over phase1_epochs + phase2_epochs. --out is made
+    only after the run, so a failed run leaves none."""
+    config, dataset, _ = _load_inputs(args)
+    if args.command == "pretrain":
+        state = run_pretrain(init_state(dataset, config), dataset, config,
+                             config.phase1_epochs, progress=_print_epoch)
+        model, rows, name = state.model, state.rows, "pretrain.ckpt"
     else:
-        run_combined(state, dataset, config, caches, progress=_print_epoch)
-    checkpoint = out / ("pretrain.ckpt" if pretrain else "model.ckpt")
-    save_checkpoint(checkpoint, state.model)
-    write_report_csv(out / f"{args.command}_report.csv", state.rows)
-    print(f"checkpoint {checkpoint}")
+        result = train(dataset, config, progress=_print_epoch)
+        model, rows, name = result.model, result.rows, "model.ckpt"
+    out = _output_dir(args)
+    save_checkpoint(out / name, model)
+    write_report_csv(out / f"{args.command}_report.csv", rows)
+    print(f"checkpoint {out / name}")
     return 0
 
 
@@ -279,7 +237,11 @@ def cmd_eval(args) -> int:
 
 def cmd_synth_demo(args) -> int:
     config, dataset, model = _load_inputs(args)
-    cache = _load_saliency(args.saliency, model, dataset.train_known)
+    cache = SaliencyCache.load(args.saliency)
+    try:  # checked against the model and the records it will be read for
+        cache.check(model.checksum(), dataset.train_known)
+    except StaleCacheError as exc:
+        raise StaleCacheError(f"{args.saliency}: {exc}") from None
     out = _output_dir(args)
     rng = stream_rng(config.seed, STREAM_SYNTH_DEMO)
     # each training cloud's pure saliency split; with no views it draws nothing from rng

@@ -6,8 +6,11 @@ import shutil
 import numpy as np
 import pytest
 
-from openset3d.cli import main
+from openset3d import training
+from openset3d.checkpoint import save_checkpoint
+from openset3d.cli import apply_overrides, main
 from openset3d.data import SaliencyCache, format_manifest, load_dataset, read_cloud, tiny_manifest
+from openset3d.training import TrainConfig, report_csv_text, train
 
 from test_synthesis import invert_transform
 
@@ -36,8 +39,8 @@ def tiny_dataset_dir(tmp_path_factory):
 def pretrained(tiny_dataset_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("pretrain")
     code = main([
-        "pretrain", "--dataset", str(tiny_dataset_dir), "--out", str(out),
-        "--epochs", "60", "--seed", "0", *TRAIN_OVERRIDES,
+        "pretrain", "--dataset", str(tiny_dataset_dir), "--out", str(out), "--seed", "0",
+        *TRAIN_OVERRIDES, "train.phase1_epochs=60", "train.phase2_epochs=2",
     ])
     assert code == 0
     return out / "pretrain.ckpt"
@@ -143,59 +146,79 @@ def test_saliency_covers_every_training_object(tiny_dataset_dir, saliency_cache)
         assert scores.shape == (64,)
 
 
-def test_train_zero_weights_matches_continued_pretrain(tiny_dataset_dir, pretrained,
-                                                       tmp_path):
-    zero = ["train.alpha=0", "train.beta=0", "train.gamma=0"]
-    out_a = tmp_path / "resumed"
+def test_train_zero_weights_matches_continued_pretrain(tiny_dataset_dir, tmp_path):
+    # criterion 9 on the command line: P phase-1 epochs and Q zero-weight
+    # phase-2 epochs are P + Q epochs of phase 1, checkpoint and report alike
+    opts = ["--dataset", str(tiny_dataset_dir), "--seed", "0"]
+    out_a = tmp_path / "continued"
     assert main([
-        "pretrain", "--dataset", str(tiny_dataset_dir), "--out", str(out_a),
-        "--epochs", "3", "--seed", "0", "--checkpoint", str(pretrained),
-        *TRAIN_OVERRIDES,
+        "pretrain", *opts, "--out", str(out_a), *TRAIN_OVERRIDES,
+        "train.phase1_epochs=5", "train.phase2_epochs=0",
     ]) == 0
     out_b = tmp_path / "zeroed"
     assert main([
-        "train", "--dataset", str(tiny_dataset_dir), "--out", str(out_b),
-        "--epochs", "3", "--seed", "0", "--checkpoint", str(pretrained),
-        *TRAIN_OVERRIDES, *zero,
+        "train", *opts, "--out", str(out_b), *TRAIN_OVERRIDES,
+        "train.phase1_epochs=2", "train.phase2_epochs=3",
+        "train.alpha=0", "train.beta=0", "train.gamma=0",
     ]) == 0
-    report_a = (out_a / "pretrain_report.csv").read_text()
-    report_b = (out_b / "train_report.csv").read_text()
+    report_a = (out_a / "pretrain_report.csv").read_bytes()
+    report_b = (out_b / "train_report.csv").read_bytes()
     assert report_a == report_b  # same loss curve, step for step
     assert (out_a / "pretrain.ckpt").read_bytes() == (out_b / "model.ckpt").read_bytes()
 
 
-def test_train_requires_cache_in_cached_mode(tiny_dataset_dir, pretrained, tmp_path,
-                                             capsys):
-    missing = tmp_path / "nope.cache"
-    code = main([
-        "train", "--dataset", str(tiny_dataset_dir), "--out", str(tmp_path / "t"),
-        "--epochs", "1", "--checkpoint", str(pretrained),
-        "--saliency", str(missing), *TRAIN_OVERRIDES,
-    ])
-    assert code == 2
-    assert "nope.cache" in capsys.readouterr().err
+def test_train_of_no_epochs_reads_no_cache_and_keeps_the_model(tiny_dataset_dir, tmp_path,
+                                                              monkeypatch):
+    # TSD is on, but a phase 2 of no epochs builds no saliency cache, and
+    # train writes the phase-1 model and report that pretrain writes
+    def no_cache(*_args):
+        raise AssertionError("a phase 2 of no epochs built a saliency cache")
+
+    monkeypatch.setattr(training, "build_saliency_cache", no_cache)
+    argv = ["--dataset", str(tiny_dataset_dir), "--seed", "0", *TRAIN_OVERRIDES,
+            "train.phase1_epochs=3", "train.phase2_epochs=0"]
+    pre, out = tmp_path / "pre", tmp_path / "t"
+    assert main(["pretrain", "--out", str(pre), *argv]) == 0
+    assert main(["train", "--out", str(out), *argv]) == 0
+    assert (out / "model.ckpt").read_bytes() == (pre / "pretrain.ckpt").read_bytes()
+    assert (out / "train_report.csv").read_bytes() == (pre / "pretrain_report.csv").read_bytes()
 
 
-def test_train_of_no_epochs_reads_no_cache_and_keeps_the_model(tiny_dataset_dir, pretrained,
-                                                              tmp_path):
-    # TSD is on, but a phase of no epochs reads no saliency cache
-    out = tmp_path / "t"
-    assert main([
-        "train", "--dataset", str(tiny_dataset_dir), "--out", str(out),
-        "--epochs", "0", "--checkpoint", str(pretrained), *TRAIN_OVERRIDES,
-    ]) == 0
-    assert (out / "model.ckpt").read_bytes() == pretrained.read_bytes()
+def test_the_cli_chain_writes_what_library_train_returns(tiny_dataset_dir, tmp_path):
+    opts = ["--dataset", str(tiny_dataset_dir), "--seed", "0"]
+    keys = [*TRAIN_OVERRIDES, "train.phase1_epochs=3", "train.phase2_epochs=2"]
+    pre, sal, full, lib = (tmp_path / name for name in ("pre", "sal", "full", "lib"))
+    assert main(["pretrain", *opts, "--out", str(pre), *keys]) == 0
+    assert main(["saliency", *opts, "--out", str(sal),
+                 "--checkpoint", str(pre / "pretrain.ckpt"), *keys]) == 0
+    assert main(["train", *opts, "--out", str(full), *keys]) == 0
+
+    config = apply_overrides(TrainConfig(seed=0), [("test", *k.split("=")) for k in keys])
+    result = train(load_dataset(tiny_dataset_dir), config)
+    lib.mkdir()
+    save_checkpoint(lib / "model.ckpt", result.model)
+    save_checkpoint(lib / "pretrain.ckpt", result.phase1_model)
+    assert (full / "model.ckpt").read_bytes() == (lib / "model.ckpt").read_bytes()
+    report = (full / "train_report.csv").read_text()
+    assert report == report_csv_text(result.rows)
+    assert (pre / "pretrain.ckpt").read_bytes() == (lib / "pretrain.ckpt").read_bytes()
+    # the header and the phase-1 rows
+    assert (pre / "pretrain_report.csv").read_text().splitlines() == report.splitlines()[:4]
+    cache = SaliencyCache.load(sal / "saliency.cache")
+    assert cache.scores.keys() == result.caches.saliency.scores.keys()
+    for object_id, scores in result.caches.saliency.scores.items():
+        assert cache.scores[object_id].tobytes() == scores.tobytes()
 
 
-def test_train_rejects_a_cache_from_another_checkpoint(tiny_dataset_dir, pretrained,
-                                                        saliency_cache, tmp_path, capsys):
+def test_synth_demo_rejects_a_cache_from_another_checkpoint(tiny_dataset_dir, pretrained,
+                                                            saliency_cache, tmp_path, capsys):
     stale = SaliencyCache.load(saliency_cache)
     stale.model_checksum = "0" * 64
     stale.save(tmp_path / "stale.cache")
     out = tmp_path / "t"
     code = main([
-        "train", "--dataset", str(tiny_dataset_dir), "--out", str(out),
-        "--epochs", "1", "--checkpoint", str(pretrained),
+        "synth-demo", "--dataset", str(tiny_dataset_dir), "--out", str(out),
+        "--count", "1", "--checkpoint", str(pretrained),
         "--saliency", str(tmp_path / "stale.cache"), *TRAIN_OVERRIDES,
     ])
     assert code == 2
@@ -203,7 +226,7 @@ def test_train_rejects_a_cache_from_another_checkpoint(tiny_dataset_dir, pretrai
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["train", "synth-demo"])
+@pytest.mark.parametrize("command", ["synth-demo"])  # the one command that reads a cache
 @pytest.mark.parametrize("mismatch", ["missing", "short"])
 def test_a_cache_of_another_split_exits_2_naming_the_file(tiny_dataset_dir, pretrained,
                                                           saliency_cache, tmp_path, capsys,
@@ -220,10 +243,9 @@ def test_a_cache_of_another_split_exits_2_naming_the_file(tiny_dataset_dir, pret
     path = tmp_path / "other.cache"
     other.save(path)
     out = tmp_path / "t"
-    extra = ["--epochs", "1"] if command == "train" else ["--count", "1"]
     code = main([
-        command, "--dataset", str(tiny_dataset_dir), "--out", str(out),
-        "--checkpoint", str(pretrained), "--saliency", str(path), *extra, *TRAIN_OVERRIDES,
+        command, "--dataset", str(tiny_dataset_dir), "--out", str(out), "--count", "1",
+        "--checkpoint", str(pretrained), "--saliency", str(path), *TRAIN_OVERRIDES,
     ])
     err = capsys.readouterr().err
     assert code == 2
@@ -240,7 +262,7 @@ def test_a_cache_of_another_split_exits_2_naming_the_file(tiny_dataset_dir, pret
     "train.saliency_mode=online", "train.use_gss=false", "train.use_sms=false",
     "train.synth_ratio=0.5",
     # values TrainConfig.validate() rejects
-    "train.views_per_object=0",
+    "train.views_per_object=0", "train.phase1_epochs=-1", "train.phase2_epochs=1.5",
     "train.proj_hidden=16.5", "train.point_widths=0 8", "train.feat_dim=0",
     "train.point_widths=", "train.noise_weights=nan", "train.noise_weights=0.1 inf",
     "train.noise_weights=-0.1", "train.mix_count=2.5", "train.batch_size=nan",
@@ -249,54 +271,57 @@ def test_a_cache_of_another_split_exits_2_naming_the_file(tiny_dataset_dir, pret
     # init_state: more parts to mix than a 64-point cloud has points
     "train.mix_count=100",
 ])
-def test_invalid_config_exits_2_before_any_work(tiny_dataset_dir, pretrained,
-                                                saliency_cache, tmp_path, capsys, override):
+def test_invalid_config_exits_2_before_any_work(tiny_dataset_dir, tmp_path, capsys, override):
     out = tmp_path / "t"
     code = main([
         "train", "--dataset", str(tiny_dataset_dir), "--out", str(out),
-        "--epochs", "1", "--checkpoint", str(pretrained),
-        "--saliency", str(saliency_cache), *TRAIN_OVERRIDES, override,
+        *TRAIN_OVERRIDES, "train.phase1_epochs=1", "train.phase2_epochs=1", override,
     ])
     assert code == 2
     assert override.split("=")[0].removeprefix("train.") in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["train", "pretrain"])
-@pytest.mark.parametrize("override,values", [
-    ("train.proj_hidden=16", ("(16,)", "()")),
-    ("train.feat_dim=8", ("8", "16")),
-    ("train.point_widths=12,8", ("(12, 8)", "(12, 16)")),
-])
-def test_an_architecture_unlike_the_checkpoints_exits_2_before_any_work(
-        tiny_dataset_dir, pretrained, saliency_cache, tmp_path, capsys, command, override,
-        values):
-    out = tmp_path / "t"
-    extra = ["--saliency", str(saliency_cache)] if command == "train" else []
-    code = main([
-        command, "--dataset", str(tiny_dataset_dir), "--out", str(out),
-        "--epochs", "1", "--checkpoint", str(pretrained), *extra, *TRAIN_OVERRIDES,
-        override,
-    ])
-    err = capsys.readouterr().err
-    assert code == 2
-    key = override.split("=")[0]
-    assert f"{key} is {values[0]} in the config but {values[1]} in checkpoint" in err
-    assert str(pretrained) in err
-    assert not out.exists()
-
-
-def test_train_full_phase2_runs(tiny_dataset_dir, pretrained, saliency_cache, tmp_path):
+def test_train_full_phase2_runs(tiny_dataset_dir, tmp_path):
     out = tmp_path / "full"
     code = main([
-        "train", "--dataset", str(tiny_dataset_dir), "--out", str(out),
-        "--epochs", "2", "--seed", "0", "--checkpoint", str(pretrained),
-        "--saliency", str(saliency_cache), *TRAIN_OVERRIDES,
+        "train", "--dataset", str(tiny_dataset_dir), "--out", str(out), "--seed", "0",
+        *TRAIN_OVERRIDES, "train.phase1_epochs=2", "train.phase2_epochs=2",
     ])
     assert code == 0
     assert (out / "model.ckpt").exists()
     lines = (out / "train_report.csv").read_text().strip().splitlines()
-    assert len(lines) == 3
+    assert len(lines) == 5  # the header, two phase-1 rows and two phase-2 rows
+    assert all(float(line.split(",")[2]) > 0 for line in lines[3:])  # l_h ran
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_a_diverging_run_exits_1_and_creates_no_out(tiny_dataset_dir, tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main([
+        "pretrain", "--dataset", str(tiny_dataset_dir), "--out", str(out), *TRAIN_OVERRIDES,
+        "train.phase1_epochs=1", "train.phase2_epochs=0", "train.learning_rate=1e300",
+    ])
+    assert code == 1
+    assert "error: non-finite loss at epoch 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "train"])
+def test_an_out_that_is_a_file_exits_2_before_any_work(tiny_dataset_dir, tmp_path, capsys,
+                                                       command):
+    out = tmp_path / "taken.txt"
+    out.write_text("kept\n")
+    if command == "gen":
+        argv = ["gen", "--manifest", str(tiny_dataset_dir / "manifest.txt"), "--out", str(out)]
+    else:
+        argv = ["train", "--dataset", str(tiny_dataset_dir), "--out", str(out),
+                *TRAIN_OVERRIDES, "train.phase1_epochs=1", "train.phase2_epochs=1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --out {out}: not a directory\n"
+    assert captured.out == ""  # no epoch ran and no dataset was generated
+    assert out.read_text() == "kept\n"
 
 
 def test_eval_schema_and_untrained_chance_band(tiny_dataset_dir, tmp_path):
@@ -304,7 +329,7 @@ def test_eval_schema_and_untrained_chance_band(tiny_dataset_dir, tmp_path):
     out_pre = tmp_path / "pre"
     assert main([
         "pretrain", "--dataset", str(tiny_dataset_dir), "--out", str(out_pre),
-        "--epochs", "0", "--seed", "1", *TRAIN_OVERRIDES,
+        "--seed", "1", *TRAIN_OVERRIDES, "train.phase1_epochs=0",
     ]) == 0
     out = tmp_path / "eval"
     code = main([
@@ -383,7 +408,7 @@ def test_synth_demo_exports_with_provenance(tiny_dataset_dir, pretrained,
 def test_unknown_override_key_exit_2(tiny_dataset_dir, tmp_path, capsys):
     code = main([
         "pretrain", "--dataset", str(tiny_dataset_dir), "--out", str(tmp_path / "x"),
-        "--epochs", "0", "train.does_not_exist=5",
+        "train.phase1_epochs=0", "train.does_not_exist=5",
     ])
     assert code == 2
     assert "does_not_exist" in capsys.readouterr().err
@@ -395,7 +420,7 @@ def test_config_file_plus_override_precedence(tiny_dataset_dir, tmp_path):
     out = tmp_path / "cfg_run"
     code = main([
         "pretrain", "--dataset", str(tiny_dataset_dir), "--out", str(out),
-        "--epochs", "0", "--config", str(config), "train.alpha=0.25",
+        "--config", str(config), "train.alpha=0.25", "train.phase1_epochs=0",
     ])
     assert code == 0  # flag override parsed after the file without complaint
 
@@ -414,7 +439,7 @@ def test_a_malformed_config_line_exits_2_naming_it(tiny_dataset_dir, tmp_path, c
         out = tmp_path / "o"
         code = main([
             "pretrain", "--dataset", str(tiny_dataset_dir), "--out", str(out),
-            "--epochs", "0", "--config", str(config),
+            "--config", str(config), "train.phase1_epochs=0",
         ])
         assert code == 2
         assert f"error: {config} line {pos + 1}: {message}" in capsys.readouterr().err
@@ -430,7 +455,7 @@ def test_a_bad_override_argument_exits_2_naming_it(tiny_dataset_dir, tmp_path, c
     out = tmp_path / "o"
     code = main([
         "pretrain", "--dataset", str(tiny_dataset_dir), "--out", str(out),
-        "--epochs", "0", "train.alpha=0.5", item,
+        "train.phase1_epochs=0", "train.alpha=0.5", item,
     ])
     assert code == 2
     assert f"error: {message}" in capsys.readouterr().err
@@ -482,7 +507,7 @@ def test_an_undecodable_manifest_or_config_exits_2_naming_it(tiny_dataset_dir, t
         argv = ["gen", "--manifest", str(bad), "--out", str(out)]
     else:
         argv = ["pretrain", "--dataset", str(tiny_dataset_dir), "--out", str(out),
-                "--epochs", "0", "--config", str(bad)]
+                "--config", str(bad), "train.phase1_epochs=0"]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and "can't decode byte 0xff" in err

@@ -334,6 +334,28 @@ def test_full_combined_phase_runs_and_reports_all_terms():
                for v in result.caches.views.values())
 
 
+def test_a_last_batch_too_small_to_mix_adds_no_synthesis_term(monkeypatch):
+    # 56 training clouds in batches of 9 leave a last batch of 2, below
+    # mix_count 3: that step draws no pseudo-unknown, and the run stays finite
+    dataset = generate_dataset(tiny_manifest(seed=3, instances_per_class=40,
+                                             points_per_cloud=48))
+    config = tiny_config(batch_size=9)
+    assert len(dataset.train_known) == 56 and config.mix_count == 3
+    terms = []
+
+    def recording(*args):
+        terms.append(synthesis_loss(*args))
+        return terms[-1]
+
+    synthesis_loss = training._synthesis_loss
+    monkeypatch.setattr(training, "_synthesis_loss", recording)
+    result = train(dataset, config)
+    assert terms.count(None) == config.phase2_epochs
+    assert len(terms) == 7 * config.phase2_epochs  # ceil(56 / 9) steps per epoch
+    for row in result.rows:
+        assert all(np.isfinite(value) for value in row.values())
+
+
 def test_a_tsd_run_is_byte_identical_with_a_row_major_pooled_layer(monkeypatch):
     # views replace high parts, so the stacked high-part batches have ragged
     # row counts that are not multiples of 8; at the desk's last-layer shape

@@ -4,6 +4,10 @@ Runs, in a temporary directory and with BLAS at one thread, the tiny CLI
 chain `gen` -> `pretrain` -> `saliency` -> `train` -> `eval --scorer both`
 -> `synth-demo` on the manifest and widths of acceptance criterion 8, then
 criterion 8's library `train()`, whose checkpoint and report it writes too.
+Every command gets criterion 8's config, epoch counts included, and `train`
+runs that same `train()`, so `cli/train/model.ckpt` and
+`cli/train/train_report.csv` have the digests of `criterion8/model.ckpt` and
+`criterion8/report.csv`.
 It prints one line of JSON that maps each output file, by its path under
 the temporary directory, to its sha256; alone, that is the last line on
 stdout. The sources come from this checkout's `src/`, so each checkout's
@@ -29,9 +33,8 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 # acceptance criterion 8: its manifest and the TrainConfig fields it sets
 MANIFEST = dict(seed=5, instances_per_class=20, points_per_cloud=48)
-CONFIG = dict(batch_size=8, seed=11, feat_dim=16, point_widths=(12, 16), proj_hidden=(),
-              learning_rate=0.01, views_per_object=3)
-EPOCHS = 2  # per phase
+CONFIG = dict(phase1_epochs=2, phase2_epochs=2, batch_size=8, seed=11, feat_dim=16,
+              point_widths=(12, 16), proj_hidden=(), learning_rate=0.01, views_per_object=3)
 
 
 def run_cli(out: Path) -> None:
@@ -46,10 +49,9 @@ def run_cli(out: Path) -> None:
     pretrain, saliency = out / "pretrain" / "pretrain.ckpt", out / "saliency" / "saliency.cache"
     commands = [
         ["gen", "--manifest", str(out / "manifest.txt"), "--out", str(out / "dataset")],
-        ["pretrain", *common, "--out", str(pretrain.parent), "--epochs", str(EPOCHS)],
+        ["pretrain", *common, "--out", str(pretrain.parent)],
         ["saliency", *common, "--out", str(saliency.parent), "--checkpoint", str(pretrain)],
-        ["train", *common, "--out", str(out / "train"), "--epochs", str(EPOCHS),
-         "--checkpoint", str(pretrain), "--saliency", str(saliency)],
+        ["train", *common, "--out", str(out / "train")],
         ["eval", *common, "--out", str(out / "eval"), "--scorer", "both",
          "--checkpoint", str(out / "train" / "model.ckpt")],
         ["synth-demo", *common, "--out", str(out / "synth"), "--count", "3",
@@ -68,7 +70,7 @@ def run_library(out: Path) -> None:
     from openset3d.data import generate_dataset, tiny_manifest
     from openset3d.training import TrainConfig, report_csv_text, train
 
-    config = TrainConfig(phase1_epochs=EPOCHS, phase2_epochs=EPOCHS, **CONFIG)
+    config = TrainConfig(**CONFIG)
     result = train(generate_dataset(tiny_manifest(**MANIFEST)), config)
     out.mkdir()
     save_checkpoint(out / "model.ckpt", result.model)

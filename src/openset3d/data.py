@@ -1,5 +1,5 @@
-"""Toy benchmark generation, plain-text point-cloud IO, the saliency cache,
-and the array file that holds checkpoints and saliency caches.
+"""Toy benchmark generation, plain-text point-cloud IO, and the array file
+that holds checkpoints.
 
 Datasets regenerate byte-identically from (manifest, seed): every instance
 draws from its own seed stream keyed by (manifest seed, class index,
@@ -47,18 +47,12 @@ __all__ = [
     "write_cloud",
     "save_arrays",
     "load_arrays",
-    "SaliencyCache",
-    "StaleCacheError",
 ]
 
 
 class ConfigError(ValueError):
-    """Invalid input: a manifest, a run configuration, or a malformed cloud,
-    checkpoint or saliency-cache file."""
-
-
-class StaleCacheError(RuntimeError):
-    """Cache was built from a different model checkpoint or dataset."""
+    """Invalid input: a manifest, a run configuration, or a malformed cloud or
+    checkpoint file."""
 
 
 @dataclass
@@ -431,7 +425,7 @@ def load_dataset(dataset_dir) -> ToyDataset:
 
 
 # ----------------------------------------------------------------------
-# array files: checkpoints and the saliency cache
+# array files: checkpoints
 
 
 def save_arrays(path, kind: str, meta, arrays: dict[str, np.ndarray]) -> None:
@@ -487,54 +481,3 @@ def load_arrays(path, kind: str) -> tuple[object, dict[str, np.ndarray]]:
         arrays[name] = values.astype(np.float64).reshape(shape)
         offset += values.nbytes
     return header["meta"], arrays
-
-
-# ----------------------------------------------------------------------
-# saliency cache
-
-
-@dataclass
-class SaliencyCache:
-    """Raw saliency scores keyed by object id, and the checksum of the model
-    that made them; check() refuses any other model, so stale saliency can
-    never silently steer training."""
-
-    model_checksum: str
-    scores: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def check(self, model_checksum: str, records) -> None:
-        """Raise StaleCacheError unless the scores came from this model and
-        hold one score per point of every record (the training split)."""
-        if model_checksum != self.model_checksum:
-            raise StaleCacheError(
-                f"saliency cache was built from model {self.model_checksum[:12]}..., "
-                f"not {model_checksum[:12]}...; rebuild it from this model (retrain "
-                "or rerun the saliency command)"
-            )
-        for rec in records:
-            scores = self.scores.get(rec.object_id)
-            if scores is None or len(scores) != len(rec.points):
-                held = "no scores" if scores is None else f"{len(scores)} scores"
-                raise StaleCacheError(
-                    f"saliency cache holds {held} for training object {rec.object_id!r}, "
-                    f"whose cloud has {len(rec.points)} points; rebuild it for this "
-                    "dataset (rerun the saliency command)"
-                )
-
-    def save(self, path) -> None:
-        save_arrays(path, "saliency cache", {"model_checksum": self.model_checksum},
-                    {object_id: self.scores[object_id] for object_id in sorted(self.scores)})
-
-    @classmethod
-    def load(cls, path) -> "SaliencyCache":
-        """Read a cache file (see load_arrays); a header without a string model
-        checksum, or scores that are not 1-D, raise ConfigError naming the path."""
-        meta, scores = load_arrays(path, "saliency cache")
-        checksum = meta.get("model_checksum") if isinstance(meta, dict) else None
-        if not isinstance(checksum, str):
-            raise ConfigError(f"{path}: header: expected an object with a string model_checksum")
-        for object_id, values in scores.items():
-            if values.ndim != 1:
-                raise ConfigError(f"{path}: scores for {object_id!r} have shape "
-                                  f"{values.shape}, expected (N,)")
-        return cls(checksum, scores)

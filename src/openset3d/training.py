@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .data import ConfigError, SaliencyCache, ToyDataset
+from .data import ConfigError, ToyDataset
 from .encoder import Model, normalize_cloud
 from .margins import RunningStd, build_triplet, margin_loss, pseudo_features
 from .metrics import ScoredSample, acc_macc, auroc, fpr95, mls_score, msp_score
@@ -49,6 +49,9 @@ __all__ = [
     "init_state",
     "run_pretrain",
     "run_combined",
+    "check_dataset",
+    "SaliencyCache",
+    "StaleCacheError",
     "build_saliency_cache",
     "build_views",
     "build_decomposition_caches",
@@ -190,6 +193,39 @@ def cosine_lr(lr0: float, epoch: int, total_epochs: int) -> float:
 
 # ----------------------------------------------------------------------
 # cached decomposition inputs
+
+
+class StaleCacheError(RuntimeError):
+    """Cache was built from a different model or dataset."""
+
+
+@dataclass
+class SaliencyCache:
+    """Raw saliency scores keyed by object id, and the checksum of the model
+    that made them; check() refuses any other model, so stale saliency can
+    never silently steer training."""
+
+    model_checksum: str
+    scores: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def check(self, model_checksum: str, records) -> None:
+        """Raise StaleCacheError unless the scores came from this model and
+        hold one score per point of every record (the training split)."""
+        if model_checksum != self.model_checksum:
+            raise StaleCacheError(
+                f"saliency cache was built from model {self.model_checksum[:12]}..., "
+                f"not {model_checksum[:12]}...; rebuild it from this model with "
+                "build_saliency_cache (a retrained model needs its own cache)"
+            )
+        for rec in records:
+            scores = self.scores.get(rec.object_id)
+            if scores is None or len(scores) != len(rec.points):
+                held = "no scores" if scores is None else f"{len(scores)} scores"
+                raise StaleCacheError(
+                    f"saliency cache holds {held} for training object {rec.object_id!r}, "
+                    f"whose cloud has {len(rec.points)} points; rebuild it for this "
+                    "dataset (build_saliency_cache)"
+                )
 
 
 @dataclass
@@ -438,13 +474,19 @@ def _epoch(state, dataset, config, caches, run_std, parts):
 # public training entry points
 
 
-def init_state(dataset: ToyDataset, config: TrainConfig) -> TrainState:
-    config.validate()
+def check_dataset(dataset: ToyDataset, config: TrainConfig) -> None:
+    """ConfigError unless `dataset` has two known classes to train on and
+    clouds that `config.mix_count` parts can be cut from."""
     if len(dataset.known_classes) < 2:
         raise ConfigError("training requires at least two known classes")
     if config.mix_count > dataset.manifest.points_per_cloud:
         raise ConfigError(f"mix_count {config.mix_count} exceeds the dataset's "
                           f"{dataset.manifest.points_per_cloud} points per cloud")
+
+
+def init_state(dataset: ToyDataset, config: TrainConfig) -> TrainState:
+    config.validate()
+    check_dataset(dataset, config)
     architecture = {key: getattr(config, key) for key in Model.HYPERPARAMS[1:]}
     model = Model(len(dataset.known_classes), **architecture, seed=config.seed)
     return TrainState(

@@ -9,7 +9,7 @@ import pytest
 from openset3d import training
 from openset3d.checkpoint import save_checkpoint
 from openset3d.cli import apply_overrides, main
-from openset3d.data import SaliencyCache, format_manifest, load_dataset, read_cloud, tiny_manifest
+from openset3d.data import format_manifest, load_dataset, read_cloud, tiny_manifest
 from openset3d.training import TrainConfig, report_csv_text, train
 
 from test_synthesis import invert_transform
@@ -44,17 +44,6 @@ def pretrained(tiny_dataset_dir, tmp_path_factory):
     ])
     assert code == 0
     return out / "pretrain.ckpt"
-
-
-@pytest.fixture(scope="module")
-def saliency_cache(tiny_dataset_dir, pretrained, tmp_path_factory):
-    out = tmp_path_factory.mktemp("saliency")
-    code = main([
-        "saliency", "--dataset", str(tiny_dataset_dir), "--checkpoint", str(pretrained),
-        "--out", str(out), *TRAIN_OVERRIDES,
-    ])
-    assert code == 0
-    return out / "saliency.cache"
 
 
 def test_gen_writes_expected_layout(tiny_dataset_dir):
@@ -137,15 +126,6 @@ def test_pretrain_reaches_high_val_accuracy(pretrained, capsys):
     assert final_val_acc >= 0.99
 
 
-def test_saliency_covers_every_training_object(tiny_dataset_dir, saliency_cache):
-    cache = SaliencyCache.load(saliency_cache)
-    dataset = load_dataset(tiny_dataset_dir)
-    assert len(cache.scores) == len(dataset.train_known)
-    for record in dataset.train_known:
-        scores = cache.scores[record.object_id]
-        assert scores.shape == (64,)
-
-
 def test_train_zero_weights_matches_continued_pretrain(tiny_dataset_dir, tmp_path):
     # criterion 9 on the command line: P phase-1 epochs and Q zero-weight
     # phase-2 epochs are P + Q epochs of phase 1, checkpoint and report alike
@@ -187,10 +167,8 @@ def test_train_of_no_epochs_reads_no_cache_and_keeps_the_model(tiny_dataset_dir,
 def test_the_cli_chain_writes_what_library_train_returns(tiny_dataset_dir, tmp_path):
     opts = ["--dataset", str(tiny_dataset_dir), "--seed", "0"]
     keys = [*TRAIN_OVERRIDES, "train.phase1_epochs=3", "train.phase2_epochs=2"]
-    pre, sal, full, lib = (tmp_path / name for name in ("pre", "sal", "full", "lib"))
+    pre, full, lib = (tmp_path / name for name in ("pre", "full", "lib"))
     assert main(["pretrain", *opts, "--out", str(pre), *keys]) == 0
-    assert main(["saliency", *opts, "--out", str(sal),
-                 "--checkpoint", str(pre / "pretrain.ckpt"), *keys]) == 0
     assert main(["train", *opts, "--out", str(full), *keys]) == 0
 
     config = apply_overrides(TrainConfig(seed=0), [("test", *k.split("=")) for k in keys])
@@ -204,56 +182,6 @@ def test_the_cli_chain_writes_what_library_train_returns(tiny_dataset_dir, tmp_p
     assert (pre / "pretrain.ckpt").read_bytes() == (lib / "pretrain.ckpt").read_bytes()
     # the header and the phase-1 rows
     assert (pre / "pretrain_report.csv").read_text().splitlines() == report.splitlines()[:4]
-    cache = SaliencyCache.load(sal / "saliency.cache")
-    assert cache.scores.keys() == result.caches.saliency.scores.keys()
-    for object_id, scores in result.caches.saliency.scores.items():
-        assert cache.scores[object_id].tobytes() == scores.tobytes()
-
-
-def test_synth_demo_rejects_a_cache_from_another_checkpoint(tiny_dataset_dir, pretrained,
-                                                            saliency_cache, tmp_path, capsys):
-    stale = SaliencyCache.load(saliency_cache)
-    stale.model_checksum = "0" * 64
-    stale.save(tmp_path / "stale.cache")
-    out = tmp_path / "t"
-    code = main([
-        "synth-demo", "--dataset", str(tiny_dataset_dir), "--out", str(out),
-        "--count", "1", "--checkpoint", str(pretrained),
-        "--saliency", str(tmp_path / "stale.cache"), *TRAIN_OVERRIDES,
-    ])
-    assert code == 2
-    assert "saliency cache was built from model 000000000000" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["synth-demo"])  # the one command that reads a cache
-@pytest.mark.parametrize("mismatch", ["missing", "short"])
-def test_a_cache_of_another_split_exits_2_naming_the_file(tiny_dataset_dir, pretrained,
-                                                          saliency_cache, tmp_path, capsys,
-                                                          command, mismatch):
-    # the same model's scores, but one training object is absent or one point short
-    cache = SaliencyCache.load(saliency_cache)
-    records = load_dataset(tiny_dataset_dir).train_known
-    other = SaliencyCache(cache.model_checksum)
-    for rec in records[1:]:
-        other.scores[rec.object_id] = cache.scores[rec.object_id]
-    first = records[0]
-    if mismatch == "short":
-        other.scores[first.object_id] = cache.scores[first.object_id][:-1]
-    path = tmp_path / "other.cache"
-    other.save(path)
-    out = tmp_path / "t"
-    code = main([
-        command, "--dataset", str(tiny_dataset_dir), "--out", str(out), "--count", "1",
-        "--checkpoint", str(pretrained), "--saliency", str(path), *TRAIN_OVERRIDES,
-    ])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert str(path) in err and repr(first.object_id) in err
-    n = len(first.points)
-    held = "no scores" if mismatch == "missing" else f"{n - 1} scores"
-    assert f"holds {held}" in err and f"has {n} points" in err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("override", [
@@ -268,18 +196,23 @@ def test_a_cache_of_another_split_exits_2_naming_the_file(tiny_dataset_dir, pret
     "train.noise_weights=-0.1", "train.mix_count=2.5", "train.batch_size=nan",
     "train.learning_rate=inf", "train.margin=inf", "train.neg_weight=inf",
     "train.alpha=inf", "train.beta=inf", "train.gamma=inf", "train.view_radius=1.5 inf",
-    # init_state: more parts to mix than a 64-point cloud has points
+    # check_dataset: more parts to mix than a 64-point cloud has points
     "train.mix_count=100",
 ])
-def test_invalid_config_exits_2_before_any_work(tiny_dataset_dir, tmp_path, capsys, override):
+def test_invalid_config_exits_2_before_any_work(tiny_dataset_dir, pretrained, tmp_path, capsys,
+                                                override):
     out = tmp_path / "t"
-    code = main([
-        "train", "--dataset", str(tiny_dataset_dir), "--out", str(out),
-        *TRAIN_OVERRIDES, "train.phase1_epochs=1", "train.phase2_epochs=1", override,
-    ])
-    assert code == 2
-    assert override.split("=")[0].removeprefix("train.") in capsys.readouterr().err
-    assert not out.exists()
+    commands = [["train"]]
+    if override == "train.mix_count=100":  # synth-demo mixes parts too
+        commands.append(["synth-demo", "--checkpoint", str(pretrained)])
+    for command in commands:
+        code = main([
+            *command, "--dataset", str(tiny_dataset_dir), "--out", str(out),
+            *TRAIN_OVERRIDES, "train.phase1_epochs=1", "train.phase2_epochs=1", override,
+        ])
+        assert code == 2
+        assert override.split("=")[0].removeprefix("train.") in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_train_full_phase2_runs(tiny_dataset_dir, tmp_path):
@@ -295,15 +228,32 @@ def test_train_full_phase2_runs(tiny_dataset_dir, tmp_path):
     assert all(float(line.split(",")[2]) > 0 for line in lines[3:])  # l_h ran
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_diverging_run_exits_1_and_creates_no_out(tiny_dataset_dir, tmp_path, capsys):
+    # numpy's overflow warnings stay inside the command: stderr is the one error line
     out = tmp_path / "o"
     code = main([
         "pretrain", "--dataset", str(tiny_dataset_dir), "--out", str(out), *TRAIN_OVERRIDES,
         "train.phase1_epochs=1", "train.phase2_epochs=0", "train.learning_rate=1e300",
     ])
     assert code == 1
-    assert "error: non-finite loss at epoch 0" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: non-finite loss at epoch 0: nan\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["saliency"], "argument command: invalid choice: 'saliency'"),
+    (["synth-demo", "--saliency", "saliency.cache"], "unrecognized arguments: --saliency"),
+], ids=["saliency-command", "saliency-flag"])
+def test_the_removed_saliency_command_and_flag_exit_2(tiny_dataset_dir, pretrained, tmp_path,
+                                                      capsys, argv, message):
+    # synth-demo derives saliency from its checkpoint, so no saliency file exists
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--dataset", str(tiny_dataset_dir), "--checkpoint", str(pretrained),
+              "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert f"openset3d: error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -347,9 +297,9 @@ def test_eval_schema_and_untrained_chance_band(tiny_dataset_dir, tmp_path):
     assert len(scores) == 1 + 8 * 3  # 2 known + 1 unknown classes, 8 test each
 
 
-@pytest.mark.parametrize("command", ["eval", "saliency", "synth-demo"])
-def test_eval_class_count_mismatch_rejected(tiny_dataset_dir, pretrained, saliency_cache,
-                                            tmp_path, capsys, command):
+@pytest.mark.parametrize("command", ["eval", "synth-demo"])
+def test_eval_class_count_mismatch_rejected(tiny_dataset_dir, pretrained, tmp_path, capsys,
+                                            command):
     other = tmp_path / "otherds"
     manifest = tmp_path / "m.txt"
     manifest.write_text(
@@ -359,23 +309,19 @@ def test_eval_class_count_mismatch_rejected(tiny_dataset_dir, pretrained, salien
     assert main(["gen", "--manifest", str(manifest), "--out", str(other)]) == 0
     capsys.readouterr()
     out = tmp_path / "e"
-    extra = ["--saliency", str(saliency_cache)] if command == "synth-demo" else []
     code = main([
-        command, "--dataset", str(other), "--out", str(out),
-        "--checkpoint", str(pretrained), *extra,
+        command, "--dataset", str(other), "--out", str(out), "--checkpoint", str(pretrained),
     ])
     assert code == 2
     assert "checkpoint expects 2 known classes" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_synth_demo_exports_with_provenance(tiny_dataset_dir, pretrained,
-                                            saliency_cache, tmp_path):
+def test_synth_demo_exports_with_provenance(tiny_dataset_dir, pretrained, tmp_path):
     out = tmp_path / "synth"
     code = main([
         "synth-demo", "--dataset", str(tiny_dataset_dir), "--out", str(out),
-        "--checkpoint", str(pretrained), "--saliency", str(saliency_cache),
-        "--count", "5", "--seed", "0", *TRAIN_OVERRIDES,
+        "--checkpoint", str(pretrained), "--count", "5", "--seed", "0", *TRAIN_OVERRIDES,
     ])
     assert code == 0
     clouds = sorted(out.glob("*.txt"))
@@ -462,14 +408,12 @@ def test_a_bad_override_argument_exits_2_naming_it(tiny_dataset_dir, tmp_path, c
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", ["config", "dataset", "manifest", "checkpoint", "saliency",
-                                  "count", "dataset manifest", "directory"])
+@pytest.mark.parametrize("flag", ["config", "dataset", "manifest", "checkpoint", "count",
+                                  "dataset manifest", "directory"])
 def test_a_missing_input_or_a_bad_count_exits_2_naming_it(tiny_dataset_dir, pretrained,
-                                                          saliency_cache, tmp_path, capsys,
-                                                          flag):
+                                                          tmp_path, capsys, flag):
     missing, out = tmp_path / "missing", tmp_path / "o"
-    inputs = {"dataset": tiny_dataset_dir, "checkpoint": pretrained,
-              "saliency": saliency_cache, "count": 1}
+    inputs = {"dataset": tiny_dataset_dir, "checkpoint": pretrained, "count": 1}
     if flag == "manifest":
         argv = ["gen", "--manifest", str(missing), "--out", str(out)]
     else:
@@ -533,25 +477,23 @@ def test_a_cloud_of_another_point_count_exits_2_naming_it(tiny_dataset_dir, pret
         assert not out.exists()
 
 
-@pytest.mark.parametrize("kind", ["header-only cloud", "truncated cache", "truncated checkpoint"])
-def test_a_malformed_input_file_exits_2_naming_it(tiny_dataset_dir, pretrained, saliency_cache,
-                                                  tmp_path, capsys, kind):
+@pytest.mark.parametrize("kind", ["header-only cloud", "truncated checkpoint"])
+def test_a_malformed_input_file_exits_2_naming_it(tiny_dataset_dir, pretrained, tmp_path, capsys,
+                                                  kind):
     dataset, checkpoint = tmp_path / "dataset", tmp_path / "model.ckpt"
-    cache = tmp_path / "saliency.cache"
     shutil.copytree(tiny_dataset_dir, dataset)
     shutil.copy(pretrained, checkpoint)
-    shutil.copy(saliency_cache, cache)
     if kind == "header-only cloud":
         bad = dataset / "cube" / "cube_0007.txt"
         bad.write_text(bad.read_text().splitlines()[0] + "\n")
         message = "no points found"
     else:
-        bad = cache if kind == "truncated cache" else checkpoint
+        bad = checkpoint
         bad.write_bytes(bad.read_bytes()[:-100])  # inside the last array's values
         message = "damaged or truncated: its sha256 does not match its contents"
     out = tmp_path / "o"
     code = main(["synth-demo", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
-                 "--saliency", str(cache), "--out", str(out), *TRAIN_OVERRIDES])
+                 "--out", str(out), *TRAIN_OVERRIDES])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}") and message in err

@@ -1,4 +1,4 @@
-"""Toy benchmark generation, cloud file IO, array files, and the saliency cache."""
+"""Toy benchmark generation, cloud file IO, array files, and the saliency cache check."""
 
 import dataclasses
 import hashlib
@@ -13,8 +13,6 @@ from openset3d.data import (
     ConfigError,
     Manifest,
     ClassSpec,
-    SaliencyCache,
-    StaleCacheError,
     default_manifest,
     format_manifest,
     generate_dataset,
@@ -32,6 +30,8 @@ from openset3d.encoder import Model, normalize_cloud
 from openset3d.shapes import SHAPE_NAMES, SHAPE_PARAMS, random_instance, sample_shape
 from openset3d.training import (
     DecompCaches,
+    SaliencyCache,
+    StaleCacheError,
     TrainConfig,
     build_decomposition_caches,
     build_saliency_cache,
@@ -375,41 +375,7 @@ def test_non_finite_coordinate_names_its_line(tmp_path, bad):
 
 
 # ----------------------------------------------------------------------
-# saliency cache
-
-
-def test_cache_round_trip(tmp_path):
-    scores = np.linspace(0, 1, 32)
-    cache = SaliencyCache("abc123", {"cone/cone_0001": scores})
-    path = tmp_path / "sal.cache"
-    cache.save(path)
-    loaded = SaliencyCache.load(path)
-    assert loaded.model_checksum == "abc123"
-    assert np.array_equal(loaded.scores["cone/cone_0001"], scores)
-
-
-@_PROP
-@given(st.text(), st.dictionaries(st.text(), hnp.arrays(np.float64, st.integers(0, 8),
-                                                       elements=FINITE_FLOATS), max_size=5))
-def test_every_cache_round_trips_bit_exactly(tmp_path_factory, checksum, scores):
-    path = tmp_path_factory.getbasetemp() / "round_trip.cache"
-    SaliencyCache(checksum, scores).save(path)
-    loaded = SaliencyCache.load(path)
-    assert loaded.model_checksum == checksum and loaded.scores.keys() == scores.keys()
-    assert all(_bits_equal(loaded.scores[k], v) for k, v in scores.items())
-
-
-def test_a_v1_cache_is_rejected_naming_the_file(tmp_path):
-    path = tmp_path / "old.cache"
-    path.write_bytes(
-        b"OS3DSAL1\n"
-        + b'{"model_checksum": "abc123"}\n'
-        + b'{"id": "cone/cone_0001", "n": 8}\n'
-        + np.linspace(0, 1, 8).astype("<f8").tobytes()
-    )
-    with pytest.raises(ConfigError,
-                       match=re.escape(f"{path}: not an openset3d saliency cache file")):
-        SaliencyCache.load(path)
+# saliency cache check, and array files (checkpoints)
 
 
 def test_cache_rejects_stale_checksum():
@@ -468,24 +434,11 @@ def write_array_file(path, kind, header: bytes, payload: bytes = b""):
     return path
 
 
-def cache_file(tmp_path, meta, *entries):
-    """A cache file from raw meta JSON and (raw [name, shape] entry, scores) pairs."""
-    header = (b'{"arrays": [' + b", ".join(entry for entry, _ in entries)
-              + b'], "meta": ' + meta + b"}")
-    payload = b"".join(np.asarray(scores, dtype="<f8").tobytes() for _, scores in entries)
-    return write_array_file(tmp_path / "hand.cache", "saliency cache", header, payload)
-
-
-GOOD_META = b'{"model_checksum": "abc123"}'
-
-
-@pytest.mark.parametrize("meta", [
-    b'["abc123"]', b'{"model_checksum": 7}', b'{"checksum": "abc123"}', b"{not json",
-], ids=["list", "checksum-number", "checksum-missing", "bad-json"])
-def test_cache_rejects_a_malformed_header(tmp_path, meta):
-    path = cache_file(tmp_path, meta, (b'["a/a_0000", [2]]', [0.1, 0.2]))
-    with pytest.raises(ConfigError, match=re.escape(f"{path}: header")):
-        SaliencyCache.load(path)
+def array_file(tmp_path, *entries):
+    """An array file from (raw [name, shape] entry, values) pairs."""
+    header = b'{"arrays": [' + b", ".join(entry for entry, _ in entries) + b'], "meta": {}}'
+    payload = b"".join(np.asarray(values, dtype="<f8").tobytes() for _, values in entries)
+    return write_array_file(tmp_path / "hand.ckpt", "checkpoint", header, payload)
 
 
 @pytest.mark.parametrize("header", [
@@ -493,9 +446,9 @@ def test_cache_rejects_a_malformed_header(tmp_path, meta):
     b'{"arrays": [], "meta": {}, "offsets": []}',
 ], ids=["list", "meta-missing", "arrays-object", "extra-key"])
 def test_an_array_file_rejects_a_header_of_another_layout(tmp_path, header):
-    path = write_array_file(tmp_path / "hand.cache", "saliency cache", header)
+    path = write_array_file(tmp_path / "hand.ckpt", "checkpoint", header)
     with pytest.raises(ConfigError, match=re.escape(f"{path}: header: expected ")):
-        load_arrays(path, "saliency cache")
+        load_arrays(path, "checkpoint")
 
 
 ENTRY = re.escape("expected a [name, shape] array entry, got ")
@@ -520,36 +473,28 @@ ENTRY = re.escape("expected a [name, shape] array entry, got ")
                  "array 'b/b_0000' has a non-finite value", id="inf"),
     pytest.param(b'["b/b_0000", [3]]', [0.1, 0.2],
                  "the payload holds 32 bytes, but the header's shapes take 40", id="truncated"),
-    pytest.param(b'["b/b_0000", [1, 2]]', [0.1, 0.2],
-                 r"scores for 'b/b_0000' have shape \(1, 2\), expected \(N,\)", id="scores-2d"),
 ])
 def test_cache_rejects_a_malformed_record_with_its_location(tmp_path, entry, scores,
                                                             message):
-    path = cache_file(tmp_path, GOOD_META, (b'["a/a_0000", [2]]', [0.1, 0.2]), (entry, scores))
+    path = array_file(tmp_path, (b'["a/a_0000", [2]]', [0.1, 0.2]), (entry, scores))
     with pytest.raises(ConfigError, match=re.escape(f"{path}: ") + message):
-        SaliencyCache.load(path)
+        load_arrays(path, "checkpoint")
 
 
-@pytest.mark.parametrize("kind", ["checkpoint", "cache"])
-def test_no_changed_byte_or_prefix_of_an_array_file_loads(tmp_path, kind):
-    if kind == "checkpoint":
-        path, load = tmp_path / "model.ckpt", load_checkpoint
-        save_checkpoint(path, Model(3, 8, (6, 8), ()))
-    else:
-        path, load = tmp_path / "sal.cache", SaliencyCache.load
-        scores = {f"a/a_{i:04d}": np.linspace(0, 1, 4 + i) for i in range(3)}
-        SaliencyCache("abc123", scores).save(path)
+def test_no_changed_byte_or_prefix_of_an_array_file_loads(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, Model(3, 8, (6, 8), ()))
     data = path.read_bytes()
     damaged = [data[:k] for k in range(len(data))]
     damaged += [data[:k] + bytes([(data[k] + 1) % 256]) + data[k + 1:] for k in range(len(data))]
     for bad in damaged:
         path.write_bytes(bad)
         with pytest.raises(ConfigError, match=re.escape(str(path))):
-            load(path)
+            load_checkpoint(path)
 
 
 def test_cache_rejects_foreign_file(tmp_path):
-    path = tmp_path / "not_a_cache.bin"
+    path = tmp_path / "not_a_checkpoint.bin"
     path.write_bytes(b"garbage")
-    with pytest.raises(ValueError, match="cache"):
-        SaliencyCache.load(path)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: not an openset3d checkpoint file")):
+        load_checkpoint(path)

@@ -1,13 +1,14 @@
 """Byte fingerprint of the pipeline's outputs, to compare two checkouts.
 
 Runs, in a temporary directory and with BLAS at one thread, the tiny CLI
-chain `gen` -> `pretrain` -> `saliency` -> `train` -> `eval --scorer both`
--> `synth-demo` on the manifest and widths of acceptance criterion 8, then
+chain `gen` -> `pretrain` -> `train` -> `eval --scorer both` -> `synth-demo`
+on the manifest and widths of acceptance criterion 8, then
 criterion 8's library `train()`, whose checkpoint and report it writes too.
 Every command gets criterion 8's config, epoch counts included, and `train`
 runs that same `train()`, so `cli/train/model.ckpt` and
 `cli/train/train_report.csv` have the digests of `criterion8/model.ckpt` and
-`criterion8/report.csv`.
+`criterion8/report.csv`. `synth-demo` takes the `pretrain` checkpoint and
+derives its saliency from it, so the chain writes no saliency file.
 It prints one line of JSON that maps each output file, by its path under
 the temporary directory, to its sha256; alone, that is the last line on
 stdout. The sources come from this checkout's `src/`, so each checkout's
@@ -46,16 +47,15 @@ def run_cli(out: Path) -> None:
     overrides = [f"train.{k}=" + (",".join(map(str, v)) if isinstance(v, tuple) else str(v))
                  for k, v in CONFIG.items() if k != "seed"]
     common = ["--dataset", str(out / "dataset"), "--seed", str(CONFIG["seed"])]
-    pretrain, saliency = out / "pretrain" / "pretrain.ckpt", out / "saliency" / "saliency.cache"
+    pretrain = out / "pretrain" / "pretrain.ckpt"
     commands = [
         ["gen", "--manifest", str(out / "manifest.txt"), "--out", str(out / "dataset")],
         ["pretrain", *common, "--out", str(pretrain.parent)],
-        ["saliency", *common, "--out", str(saliency.parent), "--checkpoint", str(pretrain)],
         ["train", *common, "--out", str(out / "train")],
         ["eval", *common, "--out", str(out / "eval"), "--scorer", "both",
          "--checkpoint", str(out / "train" / "model.ckpt")],
         ["synth-demo", *common, "--out", str(out / "synth"), "--count", "3",
-         "--checkpoint", str(pretrain), "--saliency", str(saliency)],
+         "--checkpoint", str(pretrain)],
     ]
     for argv in commands:
         if argv[0] != "gen":

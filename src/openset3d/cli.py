@@ -1,8 +1,8 @@
 """Operator entry point.
 
-Subcommands drive the full pipeline from files: dataset generation,
-closed-set pretraining, both training phases as one `training.train()` run,
-open-set evaluation, and synthetic-sample export from a checkpoint's saliency.
+Subcommands drive the full pipeline from files: dataset generation, both
+training phases as one `training.train()` run, open-set evaluation, and
+synthetic-sample export from a checkpoint's saliency.
 Configuration comes from an optional flat key-value file (dotted keys, e.g.
 `train.alpha = 0.1`), overridden by trailing `key=value` arguments and
 `--seed`.
@@ -43,8 +43,6 @@ from .training import (
     check_dataset,
     draw_synthetic,
     evaluate_open_set,
-    init_state,
-    run_pretrain,
     stream_rng,
     train,
     write_report_csv,
@@ -89,12 +87,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, dataset=True):
+    def common(p):
         p.add_argument("--config", help="flat key-value config file")
         p.add_argument("--seed", type=int, help="seed override")
         p.add_argument("--out", required=True, help="output directory")
-        if dataset:
-            p.add_argument("--dataset", required=True, help="generated dataset directory")
+        p.add_argument("--dataset", required=True, help="generated dataset directory")
         p.add_argument("overrides", nargs="*", metavar="key=value",
                        help="dotted-key config overrides, e.g. train.alpha=0.2")
 
@@ -102,9 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", help="manifest file (defaults to the built-in benchmark)")
     p.add_argument("--seed", type=int, help="manifest seed override")
     p.add_argument("--out", required=True)
-
-    p = sub.add_parser("pretrain", help="phase-1 closed-set pretraining")
-    common(p)
 
     p = sub.add_parser("train", help="both training phases, as training.train() runs them")
     common(p)
@@ -116,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth-demo", help="export synthetic pseudo-unknown samples")
     common(p)
-    p.add_argument("--checkpoint", required=True, help="pretrain checkpoint")
+    p.add_argument("--checkpoint", required=True, help="phase-1 checkpoint (pretrain.ckpt)")
     p.add_argument("--count", type=int, default=5)
     return parser
 
@@ -183,21 +177,16 @@ def _output_dir(args) -> Path:
 
 
 def cmd_train(args) -> int:
-    """`train` is one `training.train()` run; `pretrain` is its phase 1, on
-    the same cosine cycle over phase1_epochs + phase2_epochs. --out is made
-    only after the run, so a failed run leaves none."""
+    """One `training.train()` run: the final model, its phase-1 snapshot and
+    every epoch's report row. --out is made only after the run, so a failed
+    run leaves none."""
     config, dataset, _ = _load_inputs(args)
-    if args.command == "pretrain":
-        state = run_pretrain(init_state(dataset, config), dataset, config,
-                             config.phase1_epochs, progress=_print_epoch)
-        model, rows, name = state.model, state.rows, "pretrain.ckpt"
-    else:
-        result = train(dataset, config, progress=_print_epoch)
-        model, rows, name = result.model, result.rows, "model.ckpt"
+    result = train(dataset, config, progress=_print_epoch)
     out = _output_dir(args)
-    save_checkpoint(out / name, model)
-    write_report_csv(out / f"{args.command}_report.csv", rows)
-    print(f"checkpoint {out / name}")
+    save_checkpoint(out / "model.ckpt", result.model)
+    save_checkpoint(out / "pretrain.ckpt", result.phase1_model)
+    write_report_csv(out / "train_report.csv", result.rows)
+    print(f"checkpoint {out / 'model.ckpt'}")
     return 0
 
 
@@ -205,23 +194,21 @@ def cmd_eval(args) -> int:
     _, dataset, model = _load_inputs(args)  # validates overrides though eval has no knobs
     out = _output_dir(args)
     scorers = ("mls", "msp") if args.scorer == "both" else (args.scorer,)
-    rows, all_samples = [], []
-    for scorer in scorers:
-        row, samples = evaluate_open_set(
-            model, dataset.test_known, dataset.test_unknown, scorer
-        )
-        rows.append(row)
-        if scorer == scorers[0]:
-            all_samples = samples
-        print(f"{scorer}: auroc {row['auroc']:.4f} fpr95 {row['fpr95']:.4f} "
+    results = [evaluate_open_set(model, dataset.test_known, dataset.test_unknown, scorer)
+               for scorer in scorers]
+    for row, _ in results:
+        print(f"{row['method']}: auroc {row['auroc']:.4f} fpr95 {row['fpr95']:.4f} "
               f"acc {row['acc']:.4f} macc {row['macc']:.4f}")
-    write_metrics_csv(out / "metrics.csv", rows)
-    write_scores_csv(out / "scores.csv", all_samples)
+    write_metrics_csv(out / "metrics.csv", [row for row, _ in results])
+    write_scores_csv(out / "scores.csv", results[0][1])  # the first scorer's samples
     return 0
 
 
 def cmd_synth_demo(args) -> int:
     config, dataset, model = _load_inputs(args)
+    if len(dataset.train_known) < config.mix_count:  # training skips such batches instead
+        raise ConfigError(f"mix_count {config.mix_count} exceeds the dataset's "
+                          f"{len(dataset.train_known)} known training clouds")
     cache = build_saliency_cache(model, dataset.train_known)
     rng = stream_rng(config.seed, STREAM_SYNTH_DEMO)
     # each training cloud's pure saliency split; with no views it draws nothing from rng
@@ -266,7 +253,6 @@ def cmd_synth_demo(args) -> int:
 
 _COMMANDS = {
     "gen": cmd_gen,
-    "pretrain": cmd_train,
     "train": cmd_train,
     "eval": cmd_eval,
     "synth-demo": cmd_synth_demo,

@@ -19,6 +19,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,6 +63,8 @@ class ClassSpec:
     params: dict = field(default_factory=dict)
 
     def validate(self):
+        if not re.fullmatch(r"[A-Za-z0-9_-]+", self.name):  # it names a directory and files
+            raise ConfigError(f"class name {self.name!r} must match [A-Za-z0-9_-]+")
         if self.shape not in SHAPE_NAMES:
             raise ConfigError(
                 f"class {self.name!r} uses unknown shape {self.shape!r}; "
@@ -186,6 +189,7 @@ def parse_manifest(text: str, where: str = "manifest") -> Manifest:
     scalars: dict = {}
     class_names = {"known": [], "unknown": []}
     class_defs: dict[str, ClassSpec] = {}
+    class_at, listed_at = {}, {}  # the location of each class line and each listing line
     for lineno, key, value in read_settings(text, where):
         at = f"{where} line {lineno}"
         if key.startswith("class "):
@@ -200,26 +204,35 @@ def parse_manifest(text: str, where: str = "manifest") -> Manifest:
                 pk, pv = tok.split("=", 1)
                 params[pk] = pv
             spec = ClassSpec(name, tokens[0], params)
-            try:
-                spec.validate()  # the shape and the parameter names, before any value is read
-            except ConfigError as exc:
-                raise ConfigError(f"{at}: {exc}") from exc
+            _validate_at(spec, at)  # the name, shape and parameter names, before any value
             defaults = SHAPE_PARAMS[spec.shape]  # each value takes its default's type
             spec.params = {pk: coerce_at(at, pk, pv, defaults[pk]) for pk, pv in params.items()}
-            class_defs[name] = spec
+            class_defs[name], class_at[name] = spec, at
         elif key in class_names:
-            class_names[key] = value.split()
+            class_names[key], listed_at[key] = value.split(), at
         elif key in _SCALAR_KEYS:
             target = _SCALAR_KEYS[key]
             scalars[target.name] = coerce_at(at, key, value, target.default)
         else:
             raise ConfigError(f"{at}: unknown key {key!r}")
 
-    known, unknown = ([class_defs.get(n, ClassSpec(n, n)) for n in class_names[side]]
-                      for side in ("known", "unknown"))
+    for name in class_defs:
+        if name not in class_names["known"] + class_names["unknown"]:
+            raise ConfigError(f"{class_at[name]}: class {name!r} is listed in neither known "
+                              "nor unknown")
+    known, unknown = ([class_defs.get(n) or _validate_at(ClassSpec(n, n), listed_at[side])
+                       for n in class_names[side]] for side in ("known", "unknown"))
     manifest = Manifest(known, unknown, **scalars)
     manifest.validate()
     return manifest
+
+
+def _validate_at(spec: ClassSpec, at: str) -> ClassSpec:
+    try:
+        spec.validate()
+    except ConfigError as exc:
+        raise ConfigError(f"{at}: {exc}") from exc
+    return spec
 
 
 def format_manifest(manifest: Manifest) -> str:

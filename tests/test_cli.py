@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from openset3d import training
+from openset3d import cli, training
 from openset3d.checkpoint import save_checkpoint
 from openset3d.cli import apply_overrides, main
 from openset3d.data import format_manifest, load_dataset, read_cloud, tiny_manifest
@@ -37,9 +37,9 @@ def tiny_dataset_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def pretrained(tiny_dataset_dir, tmp_path_factory):
-    out = tmp_path_factory.mktemp("pretrain")
+    out = tmp_path_factory.mktemp("train")
     code = main([
-        "pretrain", "--dataset", str(tiny_dataset_dir), "--out", str(out), "--seed", "0",
+        "train", "--dataset", str(tiny_dataset_dir), "--out", str(out), "--seed", "0",
         *TRAIN_OVERRIDES, "train.phase1_epochs=60", "train.phase2_epochs=2",
     ])
     assert code == 0
@@ -93,6 +93,19 @@ def test_gen_unknown_class_parameter_exits_2_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["..", "s[1]"])
+def test_a_class_name_that_is_no_plain_file_name_exits_2_naming_its_line(tmp_path, capsys, name):
+    # accepted, '..' wrote clouds beside --out and 's[1]' a dataset load_dataset rejects
+    manifest = tmp_path / "bad.txt"
+    manifest.write_text(f"points = 32\ninstances_per_class = 4\nclass {name} = sphere\n"
+                        f"known = {name} cube\nunknown = torus\n")
+    out = tmp_path / "out" / "ds"
+    assert main(["gen", "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {manifest} line 3: class name {name!r} must match [A-Za-z0-9_-]+\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("line,key", [
     ("noise = inf", "noise"), ("noise = nan", "noise"), ("noise = -0.5", "noise"),
     ("tilt = inf", "tilt"), ("tilt = nan", "tilt"), ("scale_jitter = inf", "scale_jitter"),
@@ -118,11 +131,12 @@ def test_gen_bad_manifest_value_exits_2_before_writing(tmp_path, capsys, line, k
 
 
 def test_pretrain_reaches_high_val_accuracy(pretrained, capsys):
-    # the fixture already ran; re-check by reading its report
-    report = pretrained.parent / "pretrain_report.csv"
+    # the fixture already ran; re-check by reading its report's last phase-1 row
+    report = pretrained.parent / "train_report.csv"
     lines = report.read_text().strip().splitlines()
     assert lines[0] == "epoch,l_cls,l_h,l_s,l_m,total,val_acc"
-    final_val_acc = float(lines[-1].split(",")[-1])
+    assert len(lines) == 1 + 60 + 2
+    final_val_acc = float(lines[60].split(",")[-1])
     assert final_val_acc >= 0.99
 
 
@@ -132,7 +146,7 @@ def test_train_zero_weights_matches_continued_pretrain(tiny_dataset_dir, tmp_pat
     opts = ["--dataset", str(tiny_dataset_dir), "--seed", "0"]
     out_a = tmp_path / "continued"
     assert main([
-        "pretrain", *opts, "--out", str(out_a), *TRAIN_OVERRIDES,
+        "train", *opts, "--out", str(out_a), *TRAIN_OVERRIDES,
         "train.phase1_epochs=5", "train.phase2_epochs=0",
     ]) == 0
     out_b = tmp_path / "zeroed"
@@ -141,34 +155,31 @@ def test_train_zero_weights_matches_continued_pretrain(tiny_dataset_dir, tmp_pat
         "train.phase1_epochs=2", "train.phase2_epochs=3",
         "train.alpha=0", "train.beta=0", "train.gamma=0",
     ]) == 0
-    report_a = (out_a / "pretrain_report.csv").read_bytes()
+    report_a = (out_a / "train_report.csv").read_bytes()
     report_b = (out_b / "train_report.csv").read_bytes()
     assert report_a == report_b  # same loss curve, step for step
-    assert (out_a / "pretrain.ckpt").read_bytes() == (out_b / "model.ckpt").read_bytes()
+    assert (out_a / "model.ckpt").read_bytes() == (out_b / "model.ckpt").read_bytes()
 
 
 def test_train_of_no_epochs_reads_no_cache_and_keeps_the_model(tiny_dataset_dir, tmp_path,
                                                               monkeypatch):
     # TSD is on, but a phase 2 of no epochs builds no saliency cache, and
-    # train writes the phase-1 model and report that pretrain writes
+    # the final model is the phase-1 model
     def no_cache(*_args):
         raise AssertionError("a phase 2 of no epochs built a saliency cache")
 
     monkeypatch.setattr(training, "build_saliency_cache", no_cache)
-    argv = ["--dataset", str(tiny_dataset_dir), "--seed", "0", *TRAIN_OVERRIDES,
-            "train.phase1_epochs=3", "train.phase2_epochs=0"]
-    pre, out = tmp_path / "pre", tmp_path / "t"
-    assert main(["pretrain", "--out", str(pre), *argv]) == 0
-    assert main(["train", "--out", str(out), *argv]) == 0
-    assert (out / "model.ckpt").read_bytes() == (pre / "pretrain.ckpt").read_bytes()
-    assert (out / "train_report.csv").read_bytes() == (pre / "pretrain_report.csv").read_bytes()
+    out = tmp_path / "t"
+    assert main(["train", "--out", str(out), "--dataset", str(tiny_dataset_dir), "--seed", "0",
+                 *TRAIN_OVERRIDES, "train.phase1_epochs=3", "train.phase2_epochs=0"]) == 0
+    assert (out / "model.ckpt").read_bytes() == (out / "pretrain.ckpt").read_bytes()
+    assert len((out / "train_report.csv").read_text().splitlines()) == 1 + 3
 
 
 def test_the_cli_chain_writes_what_library_train_returns(tiny_dataset_dir, tmp_path):
     opts = ["--dataset", str(tiny_dataset_dir), "--seed", "0"]
     keys = [*TRAIN_OVERRIDES, "train.phase1_epochs=3", "train.phase2_epochs=2"]
-    pre, full, lib = (tmp_path / name for name in ("pre", "full", "lib"))
-    assert main(["pretrain", *opts, "--out", str(pre), *keys]) == 0
+    full, lib = tmp_path / "full", tmp_path / "lib"
     assert main(["train", *opts, "--out", str(full), *keys]) == 0
 
     config = apply_overrides(TrainConfig(seed=0), [("test", *k.split("=")) for k in keys])
@@ -179,9 +190,9 @@ def test_the_cli_chain_writes_what_library_train_returns(tiny_dataset_dir, tmp_p
     assert (full / "model.ckpt").read_bytes() == (lib / "model.ckpt").read_bytes()
     report = (full / "train_report.csv").read_text()
     assert report == report_csv_text(result.rows)
-    assert (pre / "pretrain.ckpt").read_bytes() == (lib / "pretrain.ckpt").read_bytes()
-    # the header and the phase-1 rows
-    assert (pre / "pretrain_report.csv").read_text().splitlines() == report.splitlines()[:4]
+    assert (full / "pretrain.ckpt").read_bytes() == (lib / "pretrain.ckpt").read_bytes()
+    assert sorted(path.name for path in full.iterdir()) == [
+        "model.ckpt", "pretrain.ckpt", "train_report.csv"]
 
 
 @pytest.mark.parametrize("override", [
@@ -233,7 +244,7 @@ def test_a_diverging_run_exits_1_and_creates_no_out(tiny_dataset_dir, tmp_path, 
     # numpy's overflow warnings stay inside the command: stderr is the one error line
     out = tmp_path / "o"
     code = main([
-        "pretrain", "--dataset", str(tiny_dataset_dir), "--out", str(out), *TRAIN_OVERRIDES,
+        "train", "--dataset", str(tiny_dataset_dir), "--out", str(out), *TRAIN_OVERRIDES,
         "train.phase1_epochs=1", "train.phase2_epochs=0", "train.learning_rate=1e300",
     ])
     assert code == 1
@@ -244,10 +255,12 @@ def test_a_diverging_run_exits_1_and_creates_no_out(tiny_dataset_dir, tmp_path, 
 @pytest.mark.parametrize("argv, message", [
     (["saliency"], "argument command: invalid choice: 'saliency'"),
     (["synth-demo", "--saliency", "saliency.cache"], "unrecognized arguments: --saliency"),
-], ids=["saliency-command", "saliency-flag"])
-def test_the_removed_saliency_command_and_flag_exit_2(tiny_dataset_dir, pretrained, tmp_path,
-                                                      capsys, argv, message):
-    # synth-demo derives saliency from its checkpoint, so no saliency file exists
+    (["pretrain"], "argument command: invalid choice: 'pretrain'"),
+], ids=["saliency-command", "saliency-flag", "pretrain-command"])
+def test_the_removed_commands_and_flag_exit_2(tiny_dataset_dir, pretrained, tmp_path, capsys,
+                                              argv, message):
+    # synth-demo derives saliency from its checkpoint, so no saliency file
+    # exists, and train writes the phase-1 checkpoint
     out = tmp_path / "o"
     with pytest.raises(SystemExit) as exit_info:
         main([*argv, "--dataset", str(tiny_dataset_dir), "--checkpoint", str(pretrained),
@@ -278,8 +291,8 @@ def test_eval_schema_and_untrained_chance_band(tiny_dataset_dir, tmp_path):
     # an untrained checkpoint scores near chance
     out_pre = tmp_path / "pre"
     assert main([
-        "pretrain", "--dataset", str(tiny_dataset_dir), "--out", str(out_pre),
-        "--seed", "1", *TRAIN_OVERRIDES, "train.phase1_epochs=0",
+        "train", "--dataset", str(tiny_dataset_dir), "--out", str(out_pre),
+        "--seed", "1", *TRAIN_OVERRIDES, "train.phase1_epochs=0", "train.phase2_epochs=0",
     ]) == 0
     out = tmp_path / "eval"
     code = main([
@@ -351,9 +364,29 @@ def test_synth_demo_exports_with_provenance(tiny_dataset_dir, pretrained, tmp_pa
                                atol=1e-9)
 
 
+def test_synth_demo_with_fewer_training_clouds_than_mix_count_exits_2(pretrained, tmp_path,
+                                                                      capsys, monkeypatch):
+    # accepted, it built the saliency scores and then exited 1 in draw_synthetic
+    def no_cache(*_args):
+        raise AssertionError("synth-demo built saliency scores it cannot mix")
+
+    monkeypatch.setattr(cli, "build_saliency_cache", no_cache)
+    manifest, dataset, out = tmp_path / "m.txt", tmp_path / "ds", tmp_path / "o"
+    manifest.write_text(format_manifest(tiny_manifest(instances_per_class=2,
+                                                      points_per_cloud=32)))
+    assert main(["gen", "--manifest", str(manifest), "--out", str(dataset)]) == 0
+    capsys.readouterr()
+    code = main(["synth-demo", "--dataset", str(dataset), "--checkpoint", str(pretrained),
+                 "--out", str(out), *TRAIN_OVERRIDES, "train.mix_count=3"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: mix_count 3 exceeds the dataset's 2 known training clouds\n")
+    assert not out.exists()
+
+
 def test_unknown_override_key_exit_2(tiny_dataset_dir, tmp_path, capsys):
     code = main([
-        "pretrain", "--dataset", str(tiny_dataset_dir), "--out", str(tmp_path / "x"),
+        "train", "--dataset", str(tiny_dataset_dir), "--out", str(tmp_path / "x"),
         "train.phase1_epochs=0", "train.does_not_exist=5",
     ])
     assert code == 2
@@ -365,8 +398,9 @@ def test_config_file_plus_override_precedence(tiny_dataset_dir, tmp_path):
     config.write_text("train.alpha = 0.5\ntrain.batch_size = 8\n")
     out = tmp_path / "cfg_run"
     code = main([
-        "pretrain", "--dataset", str(tiny_dataset_dir), "--out", str(out),
+        "train", "--dataset", str(tiny_dataset_dir), "--out", str(out),
         "--config", str(config), "train.alpha=0.25", "train.phase1_epochs=0",
+        "train.phase2_epochs=0",
     ])
     assert code == 0  # flag override parsed after the file without complaint
 
@@ -384,7 +418,7 @@ def test_a_malformed_config_line_exits_2_naming_it(tiny_dataset_dir, tmp_path, c
         config.write_text("\n".join(lines) + "\n")
         out = tmp_path / "o"
         code = main([
-            "pretrain", "--dataset", str(tiny_dataset_dir), "--out", str(out),
+            "train", "--dataset", str(tiny_dataset_dir), "--out", str(out),
             "--config", str(config), "train.phase1_epochs=0",
         ])
         assert code == 2
@@ -400,7 +434,7 @@ def test_a_bad_override_argument_exits_2_naming_it(tiny_dataset_dir, tmp_path, c
                                                    item, message):
     out = tmp_path / "o"
     code = main([
-        "pretrain", "--dataset", str(tiny_dataset_dir), "--out", str(out),
+        "train", "--dataset", str(tiny_dataset_dir), "--out", str(out),
         "train.phase1_epochs=0", "train.alpha=0.5", item,
     ])
     assert code == 2
@@ -450,7 +484,7 @@ def test_an_undecodable_manifest_or_config_exits_2_naming_it(tiny_dataset_dir, t
     if kind == "manifest":
         argv = ["gen", "--manifest", str(bad), "--out", str(out)]
     else:
-        argv = ["pretrain", "--dataset", str(tiny_dataset_dir), "--out", str(out),
+        argv = ["train", "--dataset", str(tiny_dataset_dir), "--out", str(out),
                 "--config", str(bad), "train.phase1_epochs=0"]
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -159,6 +159,18 @@ def test_manifest_rejects_unknown_shape():
         parse_manifest(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("known = sphere ..\nunknown = torus\n", "line 1: class name '..' must match"),
+    ("known = sphere cube\nunknown = torus\nclass sphre = sphere radius=2.0\n",
+     "line 3: class 'sphre' is listed in neither known nor unknown"),
+], ids=["listed-name", "unlisted-class"])
+def test_a_bad_class_name_names_its_line(text, message):
+    # the listed '..' failed as an unknown shape with no line, and the
+    # unlisted 'sphre' line was dropped while 'sphere' took the default radius
+    with pytest.raises(ConfigError, match=re.escape(f"manifest {message}")):
+        parse_manifest(text)
+
+
 def test_class_parameters_take_the_type_of_the_samplers_default():
     manifest = Manifest([ClassSpec("sphere", "sphere"),
                          ClassSpec("open_can", "cylinder", {"caps": False})],

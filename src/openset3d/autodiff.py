@@ -31,7 +31,10 @@ unique critical rows, their values, and +0.0 everywhere else. relu and
 linear take such an adjoint and keep it row-sparse (a node records whether
 it does when it is created, so a wrapped backward closure keeps the path):
 relu masks only those rows, and linear computes dx on those rows,
-dW = x[rows].T @ v and db = v.sum(0). Tape.backward densifies a RowSparse
+dW = x[rows].T @ v and db = v.sum(0). The max-pool's adjoint also carries
+the sign of its pooled values at the argmax entries, the only ones that can
+be non-zero, so a relu mask reads out > 0 there without gathering rows of
+a channel-major array. Tape.backward densifies a RowSparse
 before it reaches any other op and whenever two adjoints are summed, and
 Tensor.grad densifies on read, so callers only ever see dense arrays.
 
@@ -97,14 +100,18 @@ class RowSparse:
     """An (N, d) adjoint that is +0.0 outside `rows`.
 
     `rows` is sorted and unique; `values[i]` is the adjoint of row rows[i].
+    `positive`, when set, is a (len(rows), d) bool array that equals
+    data[rows] > 0 of the tensor the adjoint belongs to wherever `values`
+    is not +0.0, so a relu mask can read it instead of gathering the rows.
     """
 
-    __slots__ = ("rows", "values", "shape")
+    __slots__ = ("rows", "values", "shape", "positive")
 
-    def __init__(self, rows, values, shape):
+    def __init__(self, rows, values, shape, positive=None):
         self.rows = rows
         self.values = values
         self.shape = shape
+        self.positive = positive
 
     def dense(self) -> np.ndarray:
         z = np.zeros(self.shape)
@@ -114,6 +121,11 @@ class RowSparse:
 
 def _dense(g):
     return g.dense() if type(g) is RowSparse else g
+
+
+def _positive_rows(g: RowSparse, data: np.ndarray) -> np.ndarray:
+    """The relu mask data[g.rows] > 0 where g can be non-zero."""
+    return g.positive if g.positive is not None else data[g.rows] > 0.0
 
 
 class Tensor:
@@ -231,8 +243,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False,
     channel_major=True writes the result as the transpose of a C-contiguous
     (out, N) array, w.T @ x.T, for max_pool_groups. x is zero-padded to a
     multiple of 8 rows (a single row is not), which makes the product
-    bit-equal to x @ w on OpenBLAS's Haswell dgemm kernel when `out` is a
-    multiple of 8; any other width stays row-major.
+    bit-equal to x @ w on OpenBLAS's Haswell and SkylakeX dgemm kernels
+    when `out` is a multiple of 8; any other width stays row-major.
     """
     tape = _tape_of(x, w, b)
     if x.ndim != 2 or w.ndim != 2 or b.ndim != 1:
@@ -256,7 +268,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False,
         if type(g) is RowSparse:
             v = g.values
             if relu:
-                v = v * (out[g.rows] > 0.0)
+                v = v * _positive_rows(g, out)
             return (RowSparse(g.rows, v @ w.data.T, x.shape),
                     x.data[g.rows].T @ v, v.sum(axis=0))
         if relu:
@@ -279,7 +291,7 @@ def relu(x: Tensor) -> Tensor:
 
     def grad_fn(g):
         if type(g) is RowSparse:
-            return (RowSparse(g.rows, g.values * (out[g.rows] > 0.0), out.shape),)
+            return (RowSparse(g.rows, g.values * _positive_rows(g, out), out.shape),)
         return (g * (out > 0.0),)
 
     return Tensor(x.tape, out, (x,), grad_fn, "relu", takes_rows=True)
@@ -320,9 +332,13 @@ def max_pool_groups(a: Tensor, sizes) -> Tensor:
         rows, slot = np.unique(args, return_inverse=True)  # rows[slot] == args
         # each (row, column) pair is hit once; += keeps the dense 0.0 + g,
         # which turns a -0.0 adjoint into +0.0
+        slot = slot.reshape(args.shape)
         values = np.zeros((len(rows), d))
-        values[slot.reshape(args.shape), cols] += g
-        return (RowSparse(rows, values, a.shape),)
+        values[slot, cols] += g
+        # only the hit pairs can hold a non-zero value, and there a.data is out
+        positive = np.zeros((len(rows), d), dtype=bool)
+        positive[slot, cols] = out > 0.0
+        return (RowSparse(rows, values, a.shape, positive),)
 
     return Tensor(a.tape, out, (a,), grad_fn, "max_pool_groups")
 

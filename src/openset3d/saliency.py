@@ -28,6 +28,8 @@ __all__ = [
     "saliency_maps_batch",
     "split_by_saliency",
     "hidden_point_removal",
+    "view_geometry",
+    "score_views",
     "partial_views",
     "tunable_decompose",
 ]
@@ -127,45 +129,50 @@ def split_by_saliency(scores: np.ndarray, mix_count: int) -> tuple[np.ndarray, n
     return np.sort(order[:cut]), np.sort(order[cut:])
 
 
-def hidden_point_removal(points: np.ndarray, camera: np.ndarray) -> np.ndarray:
-    """Indices of points visible from `camera` via spherical flipping.
+def hidden_point_removal(points: np.ndarray, camera: np.ndarray, buffer=None) -> np.ndarray:
+    """Sorted indices of points visible from `camera` via spherical flipping.
 
     Points are shifted so the camera sits at the origin and reflected about
     a sphere of radius twice the farthest point; the vertices of the convex
     hull of the flipped cloud plus the origin are the visible points.
+    `buffer`, an (N + 1, 3) array whose last row is zero, receives the
+    flipped cloud, so one allocation serves every view of a cloud.
     Raises QhullError on degenerate (e.g. coplanar) input.
     """
     pts = np.asarray(points, dtype=np.float64)
+    n = len(pts)
     q = pts - np.asarray(camera, dtype=np.float64)
     norms = np.linalg.norm(q, axis=1)
     if norms.min() <= 1e-12:
         raise ValueError("camera coincides with a point")
     radius = 2.0 * norms.max()
-    flipped = q * (2.0 * radius / norms - 1.0)[:, None]
-    hull = ConvexHull(np.vstack([flipped, np.zeros(3)]))
-    visible = hull.vertices[hull.vertices < len(pts)]
-    return np.sort(visible)
+    if buffer is None:
+        buffer = np.zeros((n + 1, 3))
+    np.multiply(q, (2.0 * radius / norms - 1.0)[:, None], out=buffer[:n])
+    hull = ConvexHull(buffer)
+    on_hull = np.zeros(n + 1, dtype=bool)
+    on_hull[hull.simplices] = True
+    return np.flatnonzero(on_hull[:n])
 
 
-def partial_views(points, normalized_saliency, count, rng, radius_range):
-    """Crop `count` partial views from randomly posed cameras.
+def view_geometry(points, count, rng, radius_range) -> list[tuple[np.ndarray, bool]]:
+    """(visible indices, used_fallback) of `count` randomly posed cameras.
 
     Cameras sit at a uniform random direction from the centroid, at a
     distance uniform in radius_range times the cloud radius. Visibility
     uses hidden-point removal; a degenerate hull falls back to cropping by
-    a random plane through the centroid, flagged on the view. Every view
-    keeps only original input points.
+    a random plane through the centroid, which draws one more normal from
+    `rng`. The result depends on the points and `rng` alone, never on a
+    model, so it can be computed anywhere and scored later.
     """
     pts = np.asarray(points, dtype=np.float64)
-    sal = np.asarray(normalized_saliency, dtype=np.float64)
     if count < 1:
         raise ValueError("need at least one view")
     if len(pts) < 4:
         raise ValueError("partial views require at least 4 points (convex hull)")
-    if len(sal) != len(pts):
-        raise ValueError("saliency length does not match the cloud")
     centroid = pts.mean(axis=0)
     cloud_radius = np.linalg.norm(pts - centroid, axis=1).max()
+    buffer = np.zeros((len(pts) + 1, 3))
     views = []
     for _ in range(count):
         direction = rng.normal(size=3)
@@ -173,22 +180,32 @@ def partial_views(points, normalized_saliency, count, rng, radius_range):
         distance = rng.uniform(*radius_range) * cloud_radius
         camera = centroid + direction * distance
         try:
-            visible = hidden_point_removal(pts, camera)
-            fallback = False
+            views.append((hidden_point_removal(pts, camera, buffer), False))
         except QhullError:
             normal = rng.normal(size=3)
             normal /= np.linalg.norm(normal)
             keep = (pts - centroid) @ normal >= 0.0
             if not keep.any():
                 keep = ~keep
-            visible = np.flatnonzero(keep)
-            fallback = True
-        views.append(PartialView(
-            indices=visible,
-            overall_score=float(sal[visible].mean()),
-            used_fallback=fallback,
-        ))
+            views.append((np.flatnonzero(keep), True))
     return views
+
+
+def score_views(geometry, normalized_saliency) -> list[PartialView]:
+    """Views from `view_geometry` output, each scored by the mean normalized
+    saliency of its visible points."""
+    sal = np.asarray(normalized_saliency, dtype=np.float64)
+    return [PartialView(indices=visible, overall_score=float(sal[visible].mean()),
+                        used_fallback=fallback) for visible, fallback in geometry]
+
+
+def partial_views(points, normalized_saliency, count, rng, radius_range):
+    """Crop `count` partial views (view_geometry) and score them against
+    `normalized_saliency` (score_views). Every view keeps only original
+    input points."""
+    if len(normalized_saliency) != len(points):
+        raise ValueError("saliency length does not match the cloud")
+    return score_views(view_geometry(points, count, rng, radius_range), normalized_saliency)
 
 
 def tunable_decompose(points, scores, mix_count, view_high_thresh,

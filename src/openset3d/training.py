@@ -19,6 +19,9 @@ from __future__ import annotations
 
 import copy
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -34,7 +37,9 @@ from .saliency import (
     normalize_scores,
     partial_views,
     saliency_maps_batch,
+    score_views,
     tunable_decompose,
+    view_geometry,
 )
 from .synthesis import mix
 
@@ -67,7 +72,7 @@ __all__ = [
 ]
 
 REPORT_COLUMNS = ("epoch", "l_cls", "l_h", "l_s", "l_m", "total", "val_acc")
-PREDICT_CHUNK = 256  # clouds per inference pass when scoring
+PREDICT_CHUNK = 32  # clouds per inference pass when scoring
 
 # independent stochastic streams, keyed additionally by global epoch
 STREAM_SHUFFLE = 1
@@ -248,28 +253,140 @@ def build_saliency_cache(model: Model, records) -> SaliencyCache:
     return cache
 
 
-def build_views(records, cache: SaliencyCache, config: TrainConfig) -> DecompCaches:
+class _ViewWorkers:
+    """Forked processes that crop the training records' partial views.
+
+    With k usable CPUs, worker i (1 <= i < k) computes view_geometry for
+    the records at positions pos % k == i and pipes the result back; the
+    calling process keeps the share pos % k == 0. Each position draws its
+    cameras from its own stream, so the views do not depend on k. Workers
+    start at once, so they run while the caller builds the saliency cache;
+    close() kills and reaps every worker, done or not. A worker whose
+    parent is gone exits before its next record.
+    """
+
+    def __init__(self, records, config: TrainConfig):
+        can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+        self.shares = len(os.sched_getaffinity(0)) if can_fork else 1
+        self.count = len(records)
+        self.procs = []  # (pid, reader), one per share 1..k-1
+        parent = os.getpid()
+        try:
+            for share in range(1, self.shares):
+                read_fd, write_fd = os.pipe()
+                try:
+                    pid = os.fork()
+                except BaseException:
+                    os.close(read_fd)
+                    os.close(write_fd)
+                    raise
+                if pid == 0:  # the worker exits here, never into the caller's code
+                    code = 1
+                    try:
+                        os.close(read_fd)
+                        for _, reader in self.procs:
+                            os.close(reader.fileno())
+                        code = _view_worker(write_fd, parent, records, config, share,
+                                            self.shares)
+                    finally:
+                        os._exit(code)
+                os.close(write_fd)
+                self.procs.append((pid, os.fdopen(read_fd, "rb")))
+        except BaseException:
+            self.close()
+            raise
+
+    def positions(self, share: int) -> range:
+        return range(share, self.count, self.shares)
+
+    def collect(self) -> dict[int, list]:
+        """view_geometry output of every worker's positions; a worker's
+        exception is raised here."""
+        geometry = {}
+        for share, (_, reader) in enumerate(self.procs, start=1):
+            try:
+                ok, payload = pickle.load(reader)
+            except EOFError:
+                raise RuntimeError(
+                    f"view worker {share} of {self.shares - 1} ended without its views"
+                ) from None
+            if not ok:
+                raise payload
+            geometry.update(zip(self.positions(share), payload))
+        return geometry
+
+    def close(self) -> None:
+        for pid, reader in self.procs:
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        self.procs = []
+
+
+def _view_worker(fd, parent, records, config, share, shares) -> int:
+    """Body of one forked view worker: crops its share of the records and
+    writes the pickled result, or the exception it raised, to `fd`. Returns
+    the exit status: 1, having written nothing, once the parent is gone."""
+    geometry = []
+    try:
+        for pos in range(share, len(records), shares):
+            if os.getppid() != parent:
+                return 1
+            geometry.append(view_geometry(
+                records[pos].points, config.views_per_object,
+                stream_rng(config.seed, STREAM_VIEWS, pos), config.view_radius))
+        payload = pickle.dumps((True, geometry), pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:  # the parent raises it
+        try:
+            payload = pickle.dumps((False, exc))
+            pickle.loads(payload)
+        except Exception:  # an exception that does not survive pickling
+            payload = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+    with os.fdopen(fd, "wb") as out:
+        out.write(payload)
+    return 0
+
+
+def build_views(records, cache: SaliencyCache, config: TrainConfig,
+                workers: _ViewWorkers | None = None) -> DecompCaches:
     """`cache` and every record's partial views, scored by its cached saliency.
 
     View sampling is keyed by the record's position, not the epoch, so the
-    same views come back however often training restarts from the cache.
+    same views come back however often training restarts from the cache,
+    and on however many CPUs. This process crops the positions of share 0
+    of `workers` (all of them without workers) and scores the rest once
+    the workers send them.
     """
-    views: dict[str, list[PartialView]] = {}
-    for pos, rec in enumerate(records):
+    records = list(records)
+    own = workers.positions(0) if workers is not None else range(len(records))
+    by_pos = {}
+    for pos in own:
+        rec = records[pos]
         rng = stream_rng(config.seed, STREAM_VIEWS, pos)
-        normalized = normalize_scores(cache.scores[rec.object_id])
-        views[rec.object_id] = partial_views(
-            rec.points, normalized, config.views_per_object, rng, config.view_radius
-        )
+        by_pos[pos] = partial_views(rec.points, normalize_scores(cache.scores[rec.object_id]),
+                                    config.views_per_object, rng, config.view_radius)
+    if workers is not None:
+        for pos, geometry in workers.collect().items():
+            normalized = normalize_scores(cache.scores[records[pos].object_id])
+            by_pos[pos] = score_views(geometry, normalized)
+    views = {rec.object_id: by_pos[pos] for pos, rec in enumerate(records)}
     return DecompCaches(saliency=cache, views=views)
 
 
 def build_decomposition_caches(model: Model, records, config: TrainConfig) -> DecompCaches | None:
-    """The caches phase 2 reads, from the frozen `model`; None when it reads none."""
+    """The caches phase 2 reads, from the frozen `model`; None when it reads none.
+
+    The view workers (one per usable CPU beyond the first) start before the
+    saliency pass, which needs the model; the views do not.
+    """
     if not config.needs_cache():
         return None
     records = list(records)
-    return build_views(records, build_saliency_cache(model, records), config)
+    workers = _ViewWorkers(records, config)
+    try:
+        return build_views(records, build_saliency_cache(model, records), config, workers)
+    finally:
+        workers.close()
 
 
 # ----------------------------------------------------------------------

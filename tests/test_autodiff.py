@@ -882,6 +882,39 @@ def test_channel_major_layer_gives_the_row_major_values_and_adjoints(case, relu)
             assert _bits_equal(got, ref)
 
 
+@pytest.mark.parametrize("fused", [True, False])
+def test_the_pool_sign_mask_is_byte_equal_to_the_gathered_mask(fused):
+    # channels 0-3 are 0 on every row, so their pooled value is +0.0; the
+    # adjoint holds -0.0 and negative entries over both signs
+    rng = np.random.default_rng(21)
+    x, w, b = rng.normal(size=(40, 3)), rng.normal(size=(3, 16)), rng.normal(size=16)
+    b[:4] = -50.0
+    sizes = [9, 11, 20]
+    g = rng.normal(size=(3, 16))
+    g[0, :8] = -0.0
+    g[1, :6] = -np.abs(g[1, :6])
+    tape = ad.Tape()
+    leaves = [tape.leaf(v) for v in (x, w, b)]
+    if fused:
+        out = ad.linear(*leaves, relu=True, channel_major=True)
+    else:
+        out = ad.relu(ad.linear(*leaves, channel_major=True))
+    pooled = ad.max_pool_groups(out, sizes)
+    assert (pooled.data[:, :4] == 0.0).all() and (pooled.data[:, 4:] > 0.0).any()
+    (carried,) = pooled._grad_fn(g)
+    masked = carried.values * carried.positive
+    assert _bits_equal(masked, carried.values * (out.data[carried.rows] > 0.0))
+    assert np.signbit(masked).any()  # a negative adjoint masked to -0.0
+    gathered = ad.RowSparse(carried.rows, carried.values, carried.shape)
+    got, ref = out._grad_fn(carried), out._grad_fn(gathered)
+    assert len(got) == len(ref)
+    for a, r in zip(got, ref):
+        if type(a) is ad.RowSparse:
+            assert np.array_equal(a.rows, r.rows)
+            a, r = a.values, r.values
+        assert _bits_equal(a, r)
+
+
 _NAN_TIE = (np.array([[1.0, np.nan], [np.nan, 2.0], [3.0, np.nan], [np.nan, np.nan]]), [1, 3],
             np.array([[1.0, 2.0], [3.0, 4.0]]))
 

@@ -253,83 +253,76 @@ def build_saliency_cache(model: Model, records) -> SaliencyCache:
     return cache
 
 
-class _ViewWorkers:
-    """Forked processes that crop the training records' partial views.
+class _ViewWorker:
+    """A forked process that crops the partial views of the odd positions.
 
-    With k usable CPUs, worker i (1 <= i < k) computes view_geometry for
-    the records at positions pos % k == i and pipes the result back; the
-    calling process keeps the share pos % k == 0. Each position draws its
-    cameras from its own stream, so the views do not depend on k. Workers
-    start at once, so they run while the caller builds the saliency cache;
-    close() kills and reaps every worker, done or not. A worker whose
-    parent is gone exits before its next record.
+    With two or more usable CPUs and two or more records, the worker runs
+    view_geometry for the records at odd positions and pipes the result
+    back, while the caller builds the saliency cache and crops the even
+    positions; otherwise no worker starts and the caller crops them all.
+    Each position draws its cameras from its own stream, so the views do
+    not depend on the split. The worker starts at once; close() kills and
+    reaps it, done or not. A worker whose parent is gone exits before its
+    next record. Only two CPUs have been timed, so one worker is the most.
     """
 
     def __init__(self, records, config: TrainConfig):
         can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-        self.shares = len(os.sched_getaffinity(0)) if can_fork else 1
+        cpus = len(os.sched_getaffinity(0)) if can_fork else 1
         self.count = len(records)
-        self.procs = []  # (pid, reader), one per share 1..k-1
+        self.shares = 2 if cpus > 1 and self.count > 1 else 1
+        self.pid = None
+        if self.shares == 1:
+            return
         parent = os.getpid()
+        read_fd, write_fd = os.pipe()
         try:
-            for share in range(1, self.shares):
-                read_fd, write_fd = os.pipe()
-                try:
-                    pid = os.fork()
-                except BaseException:
-                    os.close(read_fd)
-                    os.close(write_fd)
-                    raise
-                if pid == 0:  # the worker exits here, never into the caller's code
-                    code = 1
-                    try:
-                        os.close(read_fd)
-                        for _, reader in self.procs:
-                            os.close(reader.fileno())
-                        code = _view_worker(write_fd, parent, records, config, share,
-                                            self.shares)
-                    finally:
-                        os._exit(code)
-                os.close(write_fd)
-                self.procs.append((pid, os.fdopen(read_fd, "rb")))
+            self.pid = os.fork()
         except BaseException:
-            self.close()
+            os.close(read_fd)
+            os.close(write_fd)
             raise
+        if self.pid == 0:  # the worker exits here, never into the caller's code
+            code = 1
+            try:
+                os.close(read_fd)
+                code = _view_worker(write_fd, parent, records, config, self.positions(1))
+            finally:
+                os._exit(code)
+        os.close(write_fd)
+        self.reader = os.fdopen(read_fd, "rb")
 
     def positions(self, share: int) -> range:
         return range(share, self.count, self.shares)
 
     def collect(self) -> dict[int, list]:
-        """view_geometry output of every worker's positions; a worker's
+        """view_geometry output of the worker's positions; the worker's
         exception is raised here."""
-        geometry = {}
-        for share, (_, reader) in enumerate(self.procs, start=1):
-            try:
-                ok, payload = pickle.load(reader)
-            except EOFError:
-                raise RuntimeError(
-                    f"view worker {share} of {self.shares - 1} ended without its views"
-                ) from None
-            if not ok:
-                raise payload
-            geometry.update(zip(self.positions(share), payload))
-        return geometry
+        if self.pid is None:
+            return {}
+        try:
+            ok, payload = pickle.load(self.reader)
+        except (EOFError, pickle.UnpicklingError):
+            raise RuntimeError("the view worker ended without its views") from None
+        if not ok:
+            raise payload
+        return dict(zip(self.positions(1), payload))
 
     def close(self) -> None:
-        for pid, reader in self.procs:
-            reader.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        self.procs = []
+        if self.pid is not None:
+            self.reader.close()
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
 
 
-def _view_worker(fd, parent, records, config, share, shares) -> int:
-    """Body of one forked view worker: crops its share of the records and
+def _view_worker(fd, parent, records, config, positions) -> int:
+    """Body of the forked view worker: crops the records at `positions` and
     writes the pickled result, or the exception it raised, to `fd`. Returns
     the exit status: 1, having written nothing, once the parent is gone."""
     geometry = []
     try:
-        for pos in range(share, len(records), shares):
+        for pos in positions:
             if os.getppid() != parent:
                 return 1
             geometry.append(view_geometry(
@@ -348,27 +341,25 @@ def _view_worker(fd, parent, records, config, share, shares) -> int:
 
 
 def build_views(records, cache: SaliencyCache, config: TrainConfig,
-                workers: _ViewWorkers | None = None) -> DecompCaches:
+                worker: _ViewWorker) -> DecompCaches:
     """`cache` and every record's partial views, scored by its cached saliency.
 
     View sampling is keyed by the record's position, not the epoch, so the
     same views come back however often training restarts from the cache,
-    and on however many CPUs. This process crops the positions of share 0
-    of `workers` (all of them without workers) and scores the rest once
-    the workers send them.
+    and whether or not `worker` forked. This process crops the positions of
+    share 0 of `worker` (all of them when it did not fork) and scores the
+    rest once the worker sends them.
     """
     records = list(records)
-    own = workers.positions(0) if workers is not None else range(len(records))
     by_pos = {}
-    for pos in own:
+    for pos in worker.positions(0):
         rec = records[pos]
         rng = stream_rng(config.seed, STREAM_VIEWS, pos)
         by_pos[pos] = partial_views(rec.points, normalize_scores(cache.scores[rec.object_id]),
                                     config.views_per_object, rng, config.view_radius)
-    if workers is not None:
-        for pos, geometry in workers.collect().items():
-            normalized = normalize_scores(cache.scores[records[pos].object_id])
-            by_pos[pos] = score_views(geometry, normalized)
+    for pos, geometry in worker.collect().items():
+        normalized = normalize_scores(cache.scores[records[pos].object_id])
+        by_pos[pos] = score_views(geometry, normalized)
     views = {rec.object_id: by_pos[pos] for pos, rec in enumerate(records)}
     return DecompCaches(saliency=cache, views=views)
 
@@ -376,17 +367,17 @@ def build_views(records, cache: SaliencyCache, config: TrainConfig,
 def build_decomposition_caches(model: Model, records, config: TrainConfig) -> DecompCaches | None:
     """The caches phase 2 reads, from the frozen `model`; None when it reads none.
 
-    The view workers (one per usable CPU beyond the first) start before the
-    saliency pass, which needs the model; the views do not.
+    The view worker starts before the saliency pass, which needs the model;
+    the views do not.
     """
     if not config.needs_cache():
         return None
     records = list(records)
-    workers = _ViewWorkers(records, config)
+    worker = _ViewWorker(records, config)
     try:
-        return build_views(records, build_saliency_cache(model, records), config, workers)
+        return build_views(records, build_saliency_cache(model, records), config, worker)
     finally:
-        workers.close()
+        worker.close()
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""The partial views built in forked workers equal the serial views bit for
+"""The partial views built in a forked worker equal the serial views bit for
 bit, on any CPU count, and no worker outlives the call that forked it."""
 
 import dataclasses
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -23,14 +24,14 @@ from openset3d.training import (
 )
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"),
-                                reason="the view workers need os.fork and CPU affinity")
+                                reason="the view worker needs os.fork and CPU affinity")
 
 CONFIG = TrainConfig(phase1_epochs=1, phase2_epochs=1, batch_size=8, seed=4, feat_dim=16,
                      point_widths=(12, 16), proj_hidden=(), views_per_object=3)
 # a collinear cloud is coplanar with every camera: its hull degenerates, so
 # each of its views takes the plane-crop fallback and one more normal draw
 LINE = np.outer(np.linspace(-1.0, 1.0, 48), np.array([1.0, 0.5, -0.25]))
-LINE_POS = 5  # a worker's position when there are 2 or 3 shares
+LINE_POS = 5  # odd, so the worker crops it when one forks
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +44,7 @@ def setup():
 
 
 def use_cpus(monkeypatch, count):
-    """Make `count` CPUs usable, as far as the view workers can tell."""
+    """Make `count` CPUs usable, as far as the view worker can tell."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
@@ -68,23 +69,7 @@ def assert_reaped(pids):
             os.waitpid(pid, os.WNOHANG)
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_worker_views_equal_the_serial_views_bit_for_bit(monkeypatch, setup, cpus):
-    model, records = setup
-    use_cpus(monkeypatch, cpus)
-    pids = record_forks(monkeypatch)
-    own = []  # positions this process crops; a worker's calls stay in the worker
-    geometry = saliency.view_geometry
-
-    def counted(points, *args):
-        own.append(next(i for i, r in enumerate(records) if r.points is points))
-        return geometry(points, *args)
-
-    monkeypatch.setattr(saliency, "view_geometry", counted)
-    caches = build_decomposition_caches(model, records, CONFIG)
-    monkeypatch.undo()
-    assert len(pids) == cpus - 1
-    assert own == list(range(0, len(records), cpus))
+def assert_views_equal_the_serial_views(caches, records):
     assert list(caches.views) == [r.object_id for r in records]
     for pos, rec in enumerate(records):
         normalized = normalize_scores(caches.saliency.scores[rec.object_id])
@@ -97,9 +82,49 @@ def test_worker_views_equal_the_serial_views_bit_for_bit(monkeypatch, setup, cpu
             assert view.indices.tobytes() == ref.indices.tobytes()
             assert view.used_fallback is ref.used_fallback
             assert np.float64(view.overall_score).tobytes() == np.float64(ref.overall_score).tobytes()
+
+
+def own_positions(monkeypatch, records):
+    """The positions whose views this process crops, in order; a worker's
+    calls stay in the worker."""
+    own = []
+    geometry = saliency.view_geometry
+
+    def counted(points, *args):
+        own.append(next(i for i, r in enumerate(records) if r.points is points))
+        return geometry(points, *args)
+
+    monkeypatch.setattr(saliency, "view_geometry", counted)
+    return own
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_worker_views_equal_the_serial_views_bit_for_bit(monkeypatch, setup, cpus):
+    model, records = setup
+    use_cpus(monkeypatch, cpus)
+    pids = record_forks(monkeypatch)
+    own = own_positions(monkeypatch, records)
+    caches = build_decomposition_caches(model, records, CONFIG)
+    monkeypatch.undo()
+    shares = min(cpus, 2)  # at most one worker, on any CPU count
+    assert len(pids) == shares - 1
+    assert own == list(range(0, len(records), shares))
+    assert_views_equal_the_serial_views(caches, records)
     assert all(v.used_fallback for v in caches.views[records[LINE_POS].object_id])
     assert not any(v.used_fallback for v in caches.views[records[LINE_POS + 1].object_id])
     assert_reaped(pids)
+
+
+def test_no_worker_forks_for_a_single_record(monkeypatch, setup):
+    model, records = setup
+    use_cpus(monkeypatch, 3)
+    pids = record_forks(monkeypatch)
+    own = own_positions(monkeypatch, records[:1])
+    caches = build_decomposition_caches(model, records[:1], CONFIG)
+    monkeypatch.undo()
+    assert pids == []
+    assert own == [0]
+    assert_views_equal_the_serial_views(caches, records[:1])
 
 
 def test_a_worker_exception_reaches_the_caller_and_no_worker_is_left(monkeypatch, setup):
@@ -133,7 +158,26 @@ def test_a_failure_in_the_saliency_pass_reaps_the_running_workers(monkeypatch, s
     monkeypatch.setattr(training, "build_saliency_cache", failing)
     with pytest.raises(RuntimeError, match="saliency pass failed"):
         build_decomposition_caches(model, records, CONFIG)
-    assert len(pids) == 2
+    assert len(pids) == 1
+    assert_reaped(pids)
+
+
+def test_a_killed_worker_raises_in_the_caller_instead_of_hanging(monkeypatch, setup):
+    model, records = setup
+    use_cpus(monkeypatch, 2)
+    pids = record_forks(monkeypatch)
+    geometry = training.view_geometry
+    bad = records[LINE_POS].points
+
+    def killed(points, *args):
+        if points is bad:  # as the OOM killer would
+            os.kill(os.getpid(), signal.SIGKILL)
+        return geometry(points, *args)
+
+    monkeypatch.setattr(training, "view_geometry", killed)
+    with pytest.raises(RuntimeError, match="the view worker ended without its views"):
+        build_decomposition_caches(model, records, CONFIG)
+    assert len(pids) == 1
     assert_reaped(pids)
 
 
@@ -146,7 +190,8 @@ def test_a_worker_whose_parent_is_gone_sends_nothing_and_exits(setup):
         try:
             os.close(read_fd)
             # -1 is never the parent pid, so the worker sees its parent gone
-            code = training._view_worker(write_fd, -1, records, CONFIG, 1, 2)
+            code = training._view_worker(write_fd, -1, records, CONFIG,
+                                         range(1, len(records), 2))
         finally:
             os._exit(code)
     os.close(write_fd)

@@ -8,6 +8,11 @@ scores. Objects split into a low-saliency part (the floor(N/M) lowest
 scores) and its complement; either part may be swapped for a partial view
 whose mean min-max normalized saliency clears a threshold, which tunes the
 decomposition between semantically and geometrically focused.
+
+Partial views come from hidden point removal, whose convex hull is scipy's
+Qhull, the library's only use of scipy. scipy.spatial is imported by the
+first view a process cuts, not by this module, so a process that scores,
+pretrains or mixes parts without cutting a view never loads it.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from . import autodiff as ad
 from .encoder import Model
@@ -137,8 +141,10 @@ def hidden_point_removal(points: np.ndarray, camera: np.ndarray, buffer=None) ->
     hull of the flipped cloud plus the origin are the visible points.
     `buffer`, an (N + 1, 3) array whose last row is zero, receives the
     flipped cloud, so one allocation serves every view of a cloud.
-    Raises QhullError on degenerate (e.g. coplanar) input.
+    Raises scipy's QhullError on degenerate (e.g. coplanar) input.
     """
+    from scipy.spatial import ConvexHull  # loaded by the first view cut, not on import
+
     pts = np.asarray(points, dtype=np.float64)
     n = len(pts)
     q = pts - np.asarray(camera, dtype=np.float64)
@@ -165,6 +171,8 @@ def view_geometry(points, count, rng, radius_range) -> list[tuple[np.ndarray, bo
     `rng`. The result depends on the points and `rng` alone, never on a
     model, so it can be computed anywhere and scored later.
     """
+    from scipy.spatial import QhullError
+
     pts = np.asarray(points, dtype=np.float64)
     if count < 1:
         raise ValueError("need at least one view")

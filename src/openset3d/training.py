@@ -72,7 +72,7 @@ __all__ = [
 ]
 
 REPORT_COLUMNS = ("epoch", "l_cls", "l_h", "l_s", "l_m", "total", "val_acc")
-PREDICT_CHUNK = 32  # clouds per inference pass when scoring
+PREDICT_CHUNK = 32  # clouds per pass that does not step the optimizer (scoring, saliency)
 
 # independent stochastic streams, keyed additionally by global epoch
 STREAM_SHUFFLE = 1
@@ -243,8 +243,13 @@ def build_saliency_cache(model: Model, records) -> SaliencyCache:
     """Saliency scores for every record, from one frozen model."""
     cache = SaliencyCache(model.checksum())
     records = list(records)
-    for start in range(0, len(records), 128):
-        chunk = records[start : start + 128]
+    starts = list(range(0, len(records), PREDICT_CHUNK))
+    if len(records) % PREDICT_CHUNK == 1 and len(starts) > 1:
+        # a lone last cloud joins the chunk before it: numpy computes a
+        # one-row product with another BLAS routine, which rounds differently
+        starts.pop()
+    for start, stop in zip(starts, starts[1:] + [len(records)]):
+        chunk = records[start:stop]
         maps = saliency_maps_batch(
             model, [r.points for r in chunk], [r.class_index for r in chunk]
         )

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from openset3d import autodiff as ad
+from openset3d import training
+from openset3d.data import generate_dataset, tiny_manifest
 from openset3d.encoder import Model
 from openset3d.saliency import (
     PartialView,
@@ -131,6 +133,23 @@ def test_saliency_batch_matches_single():
     for cloud, label, scores in zip(clouds, labels, batch):
         single = saliency_maps_batch(model, [cloud], [label])[0]
         assert np.allclose(scores, single, rtol=0, atol=1e-12)
+
+
+def test_saliency_cache_bytes_do_not_depend_on_the_chunk():
+    # widths that are multiples of 8 take the padded channel-major pool layer;
+    # a count one past a chunk multiple would leave the last cloud alone in
+    # its pass, where numpy's one-row product rounds differently
+    dataset = generate_dataset(tiny_manifest(seed=3, instances_per_class=40,
+                                             points_per_cloud=40))
+    records = [r for r in dataset.records if r.known][: 2 * training.PREDICT_CHUNK + 1]
+    assert len(records) == 2 * training.PREDICT_CHUNK + 1
+    model = Model(num_known=2, feat_dim=16, point_widths=(16, 24), proj_hidden=(), seed=5)
+    cache = training.build_saliency_cache(model, records)
+    one_pass = saliency_maps_batch(model, [r.points for r in records],
+                                   [r.class_index for r in records])
+    assert list(cache.scores) == [r.object_id for r in records]
+    for rec, reference in zip(records, one_pass):
+        assert cache.scores[rec.object_id].tobytes() == reference.tobytes(), rec.object_id
 
 
 def test_normalize_scores_constant_collapses_to_zero():

@@ -8,10 +8,9 @@ from pathlib import Path
 
 import numpy as np
 
-from openset3d.data import default_manifest, generate_dataset, read_cloud, write_cloud
+from openset3d.data import default_manifest, generate_dataset, load_dataset, write_dataset
 from openset3d.shapes import SHAPE_NAMES, random_instance
 
-rng = np.random.default_rng(7)
 # every instance below is posed and noised as the benchmark's are
 defaults = default_manifest()
 pose = dict(noise=defaults.noise, scale_jitter=defaults.scale_jitter, tilt=defaults.tilt)
@@ -41,11 +40,11 @@ print(f"\ntube vs cylinder xy-radius spread: "
       f"{np.linalg.norm(tube[:, :2], axis=1).std():.3f} vs "
       f"{np.linalg.norm(cyl[:, :2], axis=1).std():.3f}")
 
-# --- plain-text cloud files round-trip exactly ------------------------------
+# --- a dataset on disk: its manifest plus one array file, read back exactly --
 with tempfile.TemporaryDirectory() as tmp:
-    path = Path(tmp) / "cone.txt"
-    cloud = random_instance("cone", 64, rng, **pose)
-    write_cloud(path, cloud, "cone")
-    loaded, cls = read_cloud(path)
-    print(f"\nwrote and re-read {path.name}: class={cls}, "
-          f"exact round trip={np.array_equal(loaded, cloud)}")
+    write_dataset(dataset, tmp)
+    loaded = load_dataset(tmp)
+    files = ", ".join(sorted(p.name for p in Path(tmp).iterdir()))
+    exact = all(np.array_equal(a.points, b.points) and a.object_id == b.object_id
+                for a, b in zip(dataset.records, loaded.records))
+    print(f"\nwrote {files}; exact round trip={exact}")

@@ -1,10 +1,10 @@
-"""Toy benchmark generation, plain-text point-cloud IO, and the array file
-that holds checkpoints.
+"""Toy benchmark generation, cloud export, and the array file that holds
+datasets and checkpoints.
 
 Datasets regenerate byte-identically from (manifest, seed): every instance
 draws from its own seed stream keyed by (manifest seed, class index,
-instance index), and cloud files are written with shortest round-trip float
-formatting.
+instance index). On disk a dataset is its `manifest.txt` and one array file
+of its clouds, which carries the manifest it was written with.
 
 An array file (`save_arrays`, `load_arrays`) holds a magic line naming its
 kind, the sha256 of every byte after that line, one JSON header line
@@ -44,7 +44,6 @@ __all__ = [
     "generate_dataset",
     "write_dataset",
     "load_dataset",
-    "read_cloud",
     "write_cloud",
     "save_arrays",
     "load_arrays",
@@ -52,7 +51,7 @@ __all__ = [
 
 
 class ConfigError(ValueError):
-    """Invalid input: a manifest, a run configuration, or a malformed cloud or
+    """Invalid input: a manifest, a run configuration, or a malformed dataset or
     checkpoint file."""
 
 
@@ -63,7 +62,7 @@ class ClassSpec:
     params: dict = field(default_factory=dict)
 
     def validate(self):
-        if not re.fullmatch(r"[A-Za-z0-9_-]+", self.name):  # it names a directory and files
+        if not re.fullmatch(r"[A-Za-z0-9_-]+", self.name):  # it forms object ids and provenance
             raise ConfigError(f"class name {self.name!r} must match [A-Za-z0-9_-]+")
         if self.shape not in SHAPE_NAMES:
             raise ConfigError(
@@ -304,21 +303,20 @@ def _split_of(index: int, total: int) -> str:
 
 
 def _build_dataset(manifest: Manifest, clouds) -> ToyDataset:
-    """One record per cloud; `clouds(class_pos, spec)` yields each instance's
-    (file stem, points) in instance order."""
-    known_names = [c.name for c in manifest.known]
+    """One record per cloud; `clouds` holds every class's instances in
+    manifest class order, each class's in instance order."""
+    n = manifest.instances_per_class
     records = []
     for class_pos, spec in enumerate(manifest.class_specs):
-        known = spec.name in known_names
-        class_index = known_names.index(spec.name) if known else -1
-        for inst, (stem, points) in enumerate(clouds(class_pos, spec)):
+        known = class_pos < len(manifest.known)
+        for inst in range(n):
             records.append(CloudRecord(
-                object_id=f"{spec.name}/{stem}",
-                points=points,
+                object_id=f"{spec.name}/{spec.name}_{inst:04d}",
+                points=clouds[class_pos * n + inst],
                 class_name=spec.name,
-                class_index=class_index,
+                class_index=class_pos if known else -1,
                 known=known,
-                split=_split_of(inst, manifest.instances_per_class),
+                split=_split_of(inst, n),
             ))
     return ToyDataset(manifest, records)
 
@@ -326,34 +324,29 @@ def _build_dataset(manifest: Manifest, clouds) -> ToyDataset:
 def generate_dataset(manifest: Manifest) -> ToyDataset:
     """Generate every instance of every class, fully seeded per instance."""
     manifest.validate()
-
-    def clouds(class_pos, spec):
-        for inst in range(manifest.instances_per_class):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([manifest.seed, class_pos, inst])
-            )
-            yield f"{spec.name}_{inst:04d}", random_instance(
-                spec.shape, manifest.points_per_cloud, rng,
-                noise=manifest.noise, scale_jitter=manifest.scale_jitter,
-                tilt=manifest.tilt, **spec.params,
-            )
-
+    clouds = [
+        random_instance(
+            spec.shape, manifest.points_per_cloud,
+            np.random.default_rng(np.random.SeedSequence([manifest.seed, class_pos, inst])),
+            noise=manifest.noise, scale_jitter=manifest.scale_jitter, tilt=manifest.tilt,
+            **spec.params,
+        )
+        for class_pos, spec in enumerate(manifest.class_specs)
+        for inst in range(manifest.instances_per_class)
+    ]
     return _build_dataset(manifest, clouds)
 
 
 # ----------------------------------------------------------------------
-# plain-text cloud files
+# datasets on disk, and cloud export
 
 
-def write_cloud(path, points: np.ndarray, class_name: str | None = None) -> None:
-    """One 'x y z' triple per line, optional '# class <name>' header."""
-    pts = np.asarray(points, dtype=np.float64)
-    lines = []
-    if class_name is not None:
-        lines.append(f"# class {class_name}")
-    for row in pts:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+def write_cloud(path, points: np.ndarray) -> None:
+    """One 'x y z' triple per line, in shortest round-trip float formatting,
+    so that `np.loadtxt` reads the points back exactly."""
+    rows = np.asarray(points, dtype=np.float64)
+    Path(path).write_text("".join(" ".join(repr(float(v)) for v in row) + "\n" for row in rows),
+                          encoding="ascii")
 
 
 def _read_text(path) -> str:
@@ -364,81 +357,49 @@ def _read_text(path) -> str:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def read_cloud(path) -> tuple[np.ndarray, str | None]:
-    """Returns (points, class name or None).
-
-    A row that is not three numbers, and a non-finite coordinate, are rejected
-    at `<path> line N`; every malformed file raises ConfigError naming it.
-    """
-    text = _read_text(path)
-    if text and not text.endswith("\n"):
-        raise ConfigError(f"{path}: truncated: no final newline")
-    class_name = None
-    rows, linenos = [], []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line.startswith("#"):
-            fields = line[1:].split()
-            if len(fields) == 2 and fields[0] == "class":
-                class_name = fields[1]
-            continue
-        fields = line.split()
-        if not fields:
-            continue
-        if len(fields) != 3:
-            raise ConfigError(f"{path} line {lineno}: point row has {len(fields)} values, "
-                              "expected 3")
-        try:
-            rows.append([float(v) for v in fields])
-        except ValueError as exc:
-            raise ConfigError(f"{path} line {lineno}: point: {exc}") from exc
-        linenos.append(lineno)
-    if not rows:
-        raise ConfigError(f"{path}: no points found")
-    points = np.array(rows, dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
-    if len(bad):
-        raise ConfigError(f"{path} line {linenos[bad[0]]}: point has a non-finite value")
-    return points, class_name
-
-
 def write_dataset(dataset: ToyDataset, out_dir) -> None:
+    """`manifest.txt` and `clouds.arrays`: an array file of kind "dataset"
+    whose (R, N, 3) `points` array holds the clouds in record order and
+    whose meta holds the manifest text."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "manifest.txt").write_text(format_manifest(dataset.manifest))
-    for record in dataset.records:
-        path = out / (record.object_id + ".txt")
-        path.parent.mkdir(exist_ok=True)
-        write_cloud(path, record.points, record.class_name)
+    text = format_manifest(dataset.manifest)
+    (out / "manifest.txt").write_text(text)
+    save_arrays(out / "clouds.arrays", "dataset", {"manifest": text},
+                {"points": np.stack([r.points for r in dataset.records])})
 
 
 def load_dataset(dataset_dir) -> ToyDataset:
-    """Load a generated dataset; splits re-derive from the stored manifest,
-    and every cloud must hold the manifest's point count."""
+    """Load a generated dataset; splits re-derive from the stored manifest.
+
+    `clouds.arrays` must exist, load (see load_arrays), carry the text of
+    the manifest `manifest.txt` parses to, and hold one `points` array of
+    that manifest's (clouds, points, 3) shape; otherwise ConfigError names
+    the file. The manifest check refuses a `manifest.txt` edited after the
+    clouds were written, whose class order would relabel them.
+    """
     root = Path(dataset_dir)
     if not (root / "manifest.txt").is_file():
         raise ConfigError(f"{root}: no manifest.txt; is this a generated dataset directory?")
     manifest = load_manifest(root / "manifest.txt")
-
-    def clouds(_, spec):
-        class_dir = root / spec.name
-        files = sorted(class_dir.glob(f"{spec.name}_*.txt"))
-        if len(files) != manifest.instances_per_class:
-            raise ConfigError(
-                f"{class_dir}: expected {manifest.instances_per_class} clouds, found {len(files)}"
-            )
-        for path in files:
-            points = read_cloud(path)[0]
-            if len(points) != manifest.points_per_cloud:
-                raise ConfigError(f"{path}: expected {manifest.points_per_cloud} points "
-                                  f"(the manifest's points), found {len(points)}")
-            yield path.stem, points
-
-    return _build_dataset(manifest, clouds)
+    path = root / "clouds.arrays"
+    if not path.is_file():
+        raise ConfigError(f"{path}: no such file; a dataset of text clouds must be generated "
+                          "again with `openset3d gen`")
+    meta, arrays = load_arrays(path, "dataset")
+    if meta != {"manifest": format_manifest(manifest)}:
+        raise ConfigError(f"{path}: written for another manifest than {root / 'manifest.txt'}")
+    shape = (len(manifest.class_specs) * manifest.instances_per_class,
+             manifest.points_per_cloud, 3)
+    found = {name: values.shape for name, values in arrays.items()}
+    if found != {"points": shape}:
+        raise ConfigError(f"{path}: expected one 'points' array of shape {shape} "
+                          f"(the manifest's clouds and points), found {found}")
+    return _build_dataset(manifest, [np.array(row) for row in arrays["points"]])
 
 
 # ----------------------------------------------------------------------
-# array files: checkpoints
+# array files: datasets and checkpoints
 
 
 def save_arrays(path, kind: str, meta, arrays: dict[str, np.ndarray]) -> None:

@@ -239,16 +239,21 @@ class DecompCaches:
     views: dict[str, list[PartialView]]
 
 
+def _chunk_bounds(count: int):
+    """Yield the (start, stop) of each PREDICT_CHUNK-cloud pass over `count`
+    clouds. A lone last cloud joins the chunk before it: numpy computes a
+    one-row product with another BLAS routine, which rounds differently."""
+    starts = list(range(0, count, PREDICT_CHUNK))
+    if count % PREDICT_CHUNK == 1 and len(starts) > 1:
+        starts.pop()
+    yield from zip(starts, starts[1:] + [count])
+
+
 def build_saliency_cache(model: Model, records) -> SaliencyCache:
     """Saliency scores for every record, from one frozen model."""
     cache = SaliencyCache(model.checksum())
     records = list(records)
-    starts = list(range(0, len(records), PREDICT_CHUNK))
-    if len(records) % PREDICT_CHUNK == 1 and len(starts) > 1:
-        # a lone last cloud joins the chunk before it: numpy computes a
-        # one-row product with another BLAS routine, which rounds differently
-        starts.pop()
-    for start, stop in zip(starts, starts[1:] + [len(records)]):
+    for start, stop in _chunk_bounds(len(records)):
         chunk = records[start:stop]
         maps = saliency_maps_batch(
             model, [r.points for r in chunk], [r.class_index for r in chunk]
@@ -653,10 +658,8 @@ def train(dataset: ToyDataset, config: TrainConfig, progress=None) -> TrainResul
 
 def predict_logits(model: Model, records) -> np.ndarray:
     records = list(records)
-    out = []
-    for start in range(0, len(records), PREDICT_CHUNK):
-        out.append(model.infer_batch([r.points for r in records[start : start + PREDICT_CHUNK]]))
-    return np.vstack(out)
+    return np.vstack([model.infer_batch([r.points for r in records[start:stop]])
+                      for start, stop in _chunk_bounds(len(records))])
 
 
 def evaluate_closed_set(model: Model, records) -> tuple[float, float]:

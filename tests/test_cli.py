@@ -9,7 +9,7 @@ import pytest
 from openset3d import cli, training
 from openset3d.checkpoint import save_checkpoint
 from openset3d.cli import apply_overrides, main
-from openset3d.data import format_manifest, load_dataset, read_cloud, tiny_manifest
+from openset3d.data import format_manifest, load_arrays, load_dataset, save_arrays, tiny_manifest
 from openset3d.training import TrainConfig, report_csv_text, train
 
 from test_synthesis import invert_transform
@@ -46,30 +46,33 @@ def pretrained(tiny_dataset_dir, tmp_path_factory):
     return out / "pretrain.ckpt"
 
 
+def dataset_files(root):
+    return sorted(p.relative_to(root).as_posix() for p in root.rglob("*"))
+
+
 def test_gen_writes_expected_layout(tiny_dataset_dir):
-    class_dirs = sorted(p.name for p in tiny_dataset_dir.iterdir() if p.is_dir())
-    assert class_dirs == ["cube", "sphere", "torus"]
-    for name in class_dirs:
-        assert len(list((tiny_dataset_dir / name).glob("*.txt"))) == 40
-    assert (tiny_dataset_dir / "manifest.txt").exists()
+    assert dataset_files(tiny_dataset_dir) == ["clouds.arrays", "manifest.txt"]
+    meta, arrays = load_arrays(tiny_dataset_dir / "clouds.arrays", "dataset")
+    assert meta == {"manifest": (tiny_dataset_dir / "manifest.txt").read_text()}
+    assert {name: a.shape for name, a in arrays.items()} == {"points": (3 * 40, 64, 3)}
 
 
 def test_gen_default_manifest_class_count(tmp_path):
-    # the built-in benchmark: 12 class directories; use a seed override only
+    # the built-in benchmark: 12 classes of 200 clouds of 256 points
     out = tmp_path / "default"
     assert main(["gen", "--out", str(out)]) == 0
-    class_dirs = [p for p in out.iterdir() if p.is_dir()]
-    assert len(class_dirs) == 12
-    assert all(len(list(p.glob("*.txt"))) == 200 for p in class_dirs)
+    assert dataset_files(out) == ["clouds.arrays", "manifest.txt"]
+    _, arrays = load_arrays(out / "clouds.arrays", "dataset")
+    assert arrays["points"].shape == (12 * 200, 256, 3)
 
 
 def test_gen_rerun_is_byte_identical(tiny_dataset_dir, tmp_path):
     manifest_path = tiny_dataset_dir / "manifest.txt"
     again = tmp_path / "again"
     assert main(["gen", "--manifest", str(manifest_path), "--out", str(again)]) == 0
-    for path in sorted(tiny_dataset_dir.rglob("*.txt")):
-        rel = path.relative_to(tiny_dataset_dir)
-        assert (again / rel).read_bytes() == path.read_bytes()
+    assert dataset_files(again) == dataset_files(tiny_dataset_dir)
+    for rel in dataset_files(tiny_dataset_dir):
+        assert (again / rel).read_bytes() == (tiny_dataset_dir / rel).read_bytes()
 
 
 def test_gen_bad_shape_name_exit_2(tmp_path, capsys):
@@ -344,7 +347,7 @@ def test_synth_demo_exports_with_provenance(tiny_dataset_dir, pretrained, tmp_pa
     dataset = load_dataset(tiny_dataset_dir)
     by_id = {r.object_id: r for r in dataset.records}
     for cloud_path, sidecar_path in zip(clouds, sidecars):
-        points, _ = read_cloud(cloud_path)
+        points = np.loadtxt(cloud_path, ndmin=2)
         meta = json.loads(sidecar_path.read_text())
         assert abs(sum(meta["soft_label"]) - 1.0) <= 1e-9
         assert sum(meta["source_classes"].values()) == meta["mix_count"]
@@ -496,19 +499,35 @@ def test_a_cloud_of_another_point_count_exits_2_naming_it(tiny_dataset_dir, pret
                                                           tmp_path, capsys):
     dataset = tmp_path / "dataset"
     shutil.copytree(tiny_dataset_dir, dataset)
-    cloud = dataset / "cube" / "cube_0007.txt"
-    header, *rows = cloud.read_text().splitlines()
-    assert len(rows) == 64
+    clouds = dataset / "clouds.arrays"
+    meta, arrays = load_arrays(clouds, "dataset")
+    assert arrays["points"].shape == (120, 64, 3)
     for kept in (1, 10, 63, 65):
-        lines = [header, *(rows + rows[:1])[:kept]]
-        cloud.write_text("\n".join(lines) + "\n")
+        points = np.concatenate([arrays["points"]] * 2, axis=1)[:, :kept]
+        save_arrays(clouds, "dataset", meta, {"points": points})
         out = tmp_path / "o"
         code = main(["eval", "--dataset", str(dataset), "--checkpoint", str(pretrained),
                      "--out", str(out)])
         assert code == 2
-        assert f"error: {cloud}: expected 64 points (the manifest's points), found {kept}" \
+        assert (f"error: {clouds}: expected one 'points' array of shape (120, 64, 3) (the "
+                f"manifest's clouds and points), found {{'points': (120, {kept}, 3)}}") \
             in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_a_dataset_of_text_clouds_exits_2_naming_its_missing_clouds_file(
+        tiny_dataset_dir, pretrained, tmp_path, capsys):
+    # a dataset written before clouds.arrays: only its manifest.txt still loads
+    dataset, out = tmp_path / "dataset", tmp_path / "o"
+    dataset.mkdir()
+    shutil.copy(tiny_dataset_dir / "manifest.txt", dataset)
+    code = main(["eval", "--dataset", str(dataset), "--checkpoint", str(pretrained),
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {dataset / 'clouds.arrays'}: no such file; a dataset of text clouds must be "
+        "generated again")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind", ["header-only cloud", "truncated checkpoint"])
@@ -517,10 +536,10 @@ def test_a_malformed_input_file_exits_2_naming_it(tiny_dataset_dir, pretrained, 
     dataset, checkpoint = tmp_path / "dataset", tmp_path / "model.ckpt"
     shutil.copytree(tiny_dataset_dir, dataset)
     shutil.copy(pretrained, checkpoint)
-    if kind == "header-only cloud":
-        bad = dataset / "cube" / "cube_0007.txt"
-        bad.write_text(bad.read_text().splitlines()[0] + "\n")
-        message = "no points found"
+    if kind == "header-only cloud":  # the clouds file cut after its header line
+        bad = dataset / "clouds.arrays"
+        bad.write_bytes(b"\n".join(bad.read_bytes().split(b"\n")[:3]) + b"\n")
+        message = "damaged or truncated: its sha256 does not match its contents"
     else:
         bad = checkpoint
         bad.write_bytes(bad.read_bytes()[:-100])  # inside the last array's values

@@ -1,8 +1,10 @@
-"""Toy benchmark generation, cloud file IO, array files, and the saliency cache check."""
+"""Toy benchmark generation, datasets on disk, cloud export, array files, and the
+saliency cache check."""
 
 import dataclasses
 import hashlib
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from openset3d.data import (
     load_dataset,
     load_manifest,
     parse_manifest,
-    read_cloud,
+    save_arrays,
     tiny_manifest,
     write_cloud,
     write_dataset,
@@ -292,9 +294,9 @@ def test_dataset_write_is_byte_deterministic(tmp_path):
     out1, out2 = tmp_path / "one", tmp_path / "two"
     write_dataset(generate_dataset(m), out1)
     write_dataset(generate_dataset(small_manifest()), out2)
-    files1 = sorted(p.relative_to(out1) for p in out1.rglob("*.txt"))
-    files2 = sorted(p.relative_to(out2) for p in out2.rglob("*.txt"))
-    assert files1 == files2
+    files1 = sorted(p.relative_to(out1) for p in out1.rglob("*"))
+    files2 = sorted(p.relative_to(out2) for p in out2.rglob("*"))
+    assert files1 == files2 == [Path("clouds.arrays"), Path("manifest.txt")]
     for rel in files1:
         assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes()
 
@@ -303,14 +305,13 @@ def test_dataset_round_trip(tmp_path):
     dataset = generate_dataset(small_manifest())
     write_dataset(dataset, tmp_path / "ds")
     loaded = load_dataset(tmp_path / "ds")
-    assert loaded.known_classes == dataset.known_classes
-    assert loaded.unknown_classes == dataset.unknown_classes
+    assert loaded.manifest == dataset.manifest
     assert len(loaded.records) == len(dataset.records)
-    by_id = {r.object_id: r for r in loaded.records}
-    for record in dataset.records:
-        twin = by_id[record.object_id]
-        assert twin.split == record.split
-        assert np.allclose(twin.points, record.points, atol=1e-9)
+    for record, twin in zip(dataset.records, loaded.records):
+        fields = ("object_id", "class_name", "class_index", "known", "split")
+        assert [getattr(twin, f) for f in fields] == [getattr(record, f) for f in fields]
+        assert np.array_equal(twin.points, record.points)
+        assert twin.points.flags.c_contiguous and twin.points.flags.owndata
 
 
 def test_clouds_on_disk_renormalize_to_themselves(tmp_path):
@@ -322,68 +323,71 @@ def test_clouds_on_disk_renormalize_to_themselves(tmp_path):
         assert np.allclose(again, record.points, atol=1e-9)
 
 
+def write_tiny_dataset(root):
+    write_dataset(generate_dataset(tiny_manifest(instances_per_class=2, points_per_cloud=4)),
+                  root)
+    return root
+
+
+def test_no_prefix_of_a_dataset_cloud_loads(tmp_path):
+    # every cut of the clouds file and every changed byte is refused, naming it
+    path = write_tiny_dataset(tmp_path / "ds") / "clouds.arrays"
+    data = path.read_bytes()
+    damaged = [data[:k] for k in range(len(data))]
+    damaged += [data[:k] + bytes([data[k] ^ 1]) + data[k + 1:] for k in range(len(data))]
+    for bad in damaged:
+        path.write_bytes(bad)
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            load_dataset(tmp_path / "ds")
+    path.write_bytes(data)
+    assert len(load_dataset(tmp_path / "ds").records) == 6
+
+
+@pytest.mark.parametrize("old, new", [
+    ("known = sphere cube", "known = cube sphere"), ("noise = 0.02", "noise = 0.03"),
+], ids=["known-order", "noise"])
+def test_a_manifest_edited_after_its_clouds_were_written_is_refused(tmp_path, old, new):
+    # with the known classes swapped, every sphere would load labelled a cube
+    root = write_tiny_dataset(tmp_path / "ds")
+    manifest = root / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace(old, new))
+    message = f"{root / 'clouds.arrays'}: written for another manifest than {manifest}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_dataset(root)
+
+
+@pytest.mark.parametrize("arrays", [
+    {"points": np.zeros((5, 4, 3))}, {"points": np.zeros((6, 4, 3)), "labels": np.zeros(6)},
+    {"clouds": np.zeros((6, 4, 3))},
+], ids=["clouds", "extra-array", "renamed"])
+def test_a_clouds_file_of_another_layout_is_refused(tmp_path, arrays):
+    # another point count: test_cli's test_a_cloud_of_another_point_count_exits_2_naming_it
+    root = write_tiny_dataset(tmp_path / "ds")
+    path = root / "clouds.arrays"
+    save_arrays(path, "dataset", {"manifest": (root / "manifest.txt").read_text()}, arrays)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: expected one 'points' array of "
+                                                    "shape (6, 4, 3)")):
+        load_dataset(root)
+
+
 # ----------------------------------------------------------------------
-# cloud file format
+# cloud export
 
 
 def test_cloud_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     pts = rng.uniform(-1, 1, (20, 3))
     path = tmp_path / "cloud.txt"
-    write_cloud(path, pts, "cone")
-    loaded, name = read_cloud(path)
-    assert name == "cone"
-    assert np.allclose(loaded, pts, atol=1e-9)
-    assert np.array_equal(loaded, pts)  # repr round-trip is exact
+    write_cloud(path, pts)
+    assert np.array_equal(np.loadtxt(path), pts)  # repr round-trip is exact
 
 
 @_PROP
-@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 8), st.just(3)), elements=FINITE_FLOATS),
-       st.none() | _NAMES)
-def test_every_cloud_round_trips_bit_exactly(tmp_path_factory, points, class_name):
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 8), st.just(3)), elements=FINITE_FLOATS))
+def test_every_cloud_round_trips_bit_exactly(tmp_path_factory, points):
     path = tmp_path_factory.getbasetemp() / "round_trip.txt"
-    write_cloud(path, points, class_name)
-    loaded, name = read_cloud(path)
-    assert _bits_equal(loaded, points) and name == class_name
-
-
-def test_no_prefix_of_a_dataset_cloud_loads(tmp_path):
-    # a cut inside the last coordinate used to load with a wrong value
-    root = tmp_path / "ds"
-    write_dataset(generate_dataset(tiny_manifest(instances_per_class=2, points_per_cloud=4)),
-                  root)
-    cloud = root / "cube" / "cube_0001.txt"
-    data = cloud.read_bytes()
-    for k in range(len(data)):
-        cloud.write_bytes(data[:k])
-        with pytest.raises(ConfigError, match=re.escape(str(cloud))):
-            load_dataset(root)
-    with pytest.raises(ConfigError, match="truncated: no final newline"):
-        read_cloud(cloud)
-    cloud.write_bytes(data)
-    assert len(load_dataset(root).records) == 6
-
-
-def test_empty_cloud_file_rejected(tmp_path):
-    path = tmp_path / "empty.txt"
-    path.write_text("")
-    with pytest.raises(ValueError, match="no points"):
-        read_cloud(path)
-
-
-def test_malformed_line_names_its_number(tmp_path):
-    path = tmp_path / "broken.txt"
-    path.write_text("0 0 0\n1 1 1\n2 2 2\n3 3\n")
-    with pytest.raises(ValueError, match="line 4"):
-        read_cloud(path)
-
-
-@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "1e999"])
-def test_non_finite_coordinate_names_its_line(tmp_path, bad):
-    path = tmp_path / "poisoned.txt"
-    path.write_text(f"# class cone\n0 0 0\n1 1 1\n2 {bad} 2\n3 3 3\n")
-    with pytest.raises(ValueError, match=r"poisoned\.txt line 4: point has a non-finite value"):
-        read_cloud(path)
+    write_cloud(path, points)
+    assert _bits_equal(np.loadtxt(path, ndmin=2), points)
 
 
 # ----------------------------------------------------------------------

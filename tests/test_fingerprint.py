@@ -17,7 +17,8 @@ def test_two_fingerprint_runs_print_the_same_digests():
                            check=True).stdout.splitlines()[-1] for _ in range(2)]
     assert runs[0] == runs[1]
     digests = json.loads(runs[0])
-    assert {"cli/train/pretrain.ckpt", "cli/train/model.ckpt", "cli/eval/metrics.csv",
+    assert {"cli/dataset/clouds.arrays", "cli/dataset/manifest.txt",
+            "cli/train/pretrain.ckpt", "cli/train/model.ckpt", "cli/eval/metrics.csv",
             "cli/eval/scores.csv", "cli/synth/synth_0000.json", "criterion8/model.ckpt",
             "criterion8/report.csv"} <= digests.keys()
     # the CLI's `train` is criterion 8's library `train()` run

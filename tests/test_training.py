@@ -10,6 +10,7 @@ import pytest
 
 from openset3d import autodiff as ad, training
 from openset3d.data import ConfigError, generate_dataset, tiny_manifest
+from openset3d.encoder import Model
 from openset3d.experiments import VARIANT_ORDER, ablation_grid, run_seed
 from openset3d.saliency import Part
 from openset3d.training import (
@@ -503,6 +504,18 @@ def test_evaluate_open_set_row_schema():
     assert row["method"] == "mls" and row["split"] == "test"
     assert 0.0 <= row["auroc"] <= 1.0
     assert len(samples) == len(dataset.test_known) + len(dataset.test_unknown)
+
+
+def test_a_clouds_logits_do_not_depend_on_its_place_in_the_split():
+    # at one past a chunk multiple the last cloud was scored alone, where
+    # numpy's one-row product rounds differently from a pass of two or more
+    dataset = generate_dataset(tiny_manifest(seed=3, instances_per_class=40,
+                                             points_per_cloud=40))
+    records = [r for r in dataset.records if r.known][: training.PREDICT_CHUNK + 1]
+    assert len(records) == training.PREDICT_CHUNK + 1
+    model = Model(num_known=2, feat_dim=16, point_widths=(16, 24), proj_hidden=(), seed=5)
+    one_pass = model.infer_batch([r.points for r in records])
+    assert predict_logits(model, records).tobytes() == one_pass.tobytes()
 
 
 def test_report_csv_layout():

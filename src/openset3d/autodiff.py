@@ -78,6 +78,7 @@ __all__ = [
     "linear",
     "relu",
     "max_pool_groups",
+    "cosine_forward",
     "cosine_logits",
     "soft_cross_entropy",
     "pick_rows",
@@ -343,26 +344,36 @@ def max_pool_groups(a: Tensor, sizes) -> Tensor:
     return Tensor(a.tape, out, (a,), grad_fn, "max_pool_groups")
 
 
-def cosine_logits(f: Tensor, bank: Tensor) -> Tensor:
-    """Cosine similarity of each feature row against every bank row.
-
-    f is (B, d) and bank is (K, d); the result is (B, K). A single feature
-    is a batch of one row. The result is clipped into [-1, 1] to absorb
-    rounding above Cauchy-Schwarz; the clip is treated as identity in
-    backward (it only binds on exactly parallel vectors).
-    """
-    tape = _tape_of(f, bank)
+def cosine_forward(f, bank):
+    """(z, fn, mn): the clipped cosine table z of cosine_logits, without a
+    tape, and the row norms fn of f (B, d) and mn of bank (K, d) it divides
+    by. Raises ValueError on a shape mismatch or a zero-norm row."""
+    f = np.asarray(f, dtype=np.float64)
+    bank = np.asarray(bank, dtype=np.float64)
     if f.ndim != 2 or bank.ndim != 2 or f.shape[1] != bank.shape[1]:
         raise ValueError(f"cosine_logits expects (B, d) and (K, d): {f.shape}, {bank.shape}")
-    fd = f.data
-    fn = np.linalg.norm(fd, axis=1)  # (B,)
-    mn = np.linalg.norm(bank.data, axis=1)  # (K,)
+    fn = np.linalg.norm(f, axis=1)  # (B,)
+    mn = np.linalg.norm(bank, axis=1)  # (K,)
     if fn.min(initial=np.inf) <= _NORM_EPS:
         raise ValueError("cosine_logits: feature norm underflow (zero vector)")
     if mn.min(initial=np.inf) <= _NORM_EPS:
         raise ValueError("cosine_logits: prototype norm underflow (zero row)")
-    z = (fd @ bank.data.T) / (fn[:, None] * mn[None, :])
-    z = np.clip(z, -1.0, 1.0)
+    z = (f @ bank.T) / (fn[:, None] * mn[None, :])
+    return np.clip(z, -1.0, 1.0), fn, mn
+
+
+def cosine_logits(f: Tensor, bank: Tensor) -> Tensor:
+    """Cosine similarity of each feature row against every bank row.
+
+    f is (B, d) and bank is (K, d); the result is (B, K), computed by
+    cosine_forward. A single feature is a batch of one row. The result is
+    clipped into [-1, 1] to absorb rounding above Cauchy-Schwarz; the clip
+    is treated as identity in backward (it only binds on exactly parallel
+    vectors).
+    """
+    tape = _tape_of(f, bank)
+    z, fn, mn = cosine_forward(f.data, bank.data)
+    fd = f.data
 
     def grad_fn(g):
         df = (g / mn[None, :]) @ bank.data / fn[:, None] \

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import ConfigError, ToyDataset
-from .encoder import Model, normalize_cloud
+from .encoder import Model, normalize_cloud, usable_cpus
 from .margins import RunningStd, build_triplet, margin_loss, pseudo_features
 from .metrics import ScoredSample, acc_macc, auroc, fpr95, mls_score, msp_score
 from .saliency import (
@@ -277,8 +277,7 @@ class _ViewWorker:
     """
 
     def __init__(self, records, config: TrainConfig):
-        can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-        cpus = len(os.sched_getaffinity(0)) if can_fork else 1
+        cpus = usable_cpus() if hasattr(os, "fork") else 1
         self.count = len(records)
         self.shares = 2 if cpus > 1 and self.count > 1 else 1
         self.pid = None
@@ -657,9 +656,11 @@ def train(dataset: ToyDataset, config: TrainConfig, progress=None) -> TrainResul
 
 
 def predict_logits(model: Model, records) -> np.ndarray:
+    """Logits (R, C+1) of `records`, in PREDICT_CHUNK-cloud passes."""
     records = list(records)
-    return np.vstack([model.infer_batch([r.points for r in records[start:stop]])
-                      for start, stop in _chunk_bounds(len(records))])
+    chunks = [model.infer_batch([r.points for r in records[start:stop]])
+              for start, stop in _chunk_bounds(len(records))]
+    return np.vstack(chunks) if chunks else np.empty((0, model.num_known + 1))
 
 
 def evaluate_closed_set(model: Model, records) -> tuple[float, float]:

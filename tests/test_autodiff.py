@@ -1040,12 +1040,19 @@ def test_wrapped_backward_closures_keep_the_row_sparse_path():
 
 
 def _read_side(model, records):
+    """Logits of the tape-free and of the taped forward, scores and saliency
+    maps: infer_batch calls no ad op, so the taped logits are what a
+    patched op reaches."""
     from openset3d.training import build_saliency_cache, score_records
 
-    logits = model.infer_batch([r.points for r in records])
+    clouds = [r.points for r in records]
+    tape = ad.Tape()
+    bound = model.bind(tape)
+    taped = bound.logits(bound.encode_batch(clouds)[1]).data
+    logits = model.infer_batch(clouds)
     scores = [(s.confidence, s.predicted_class) for s in score_records(model, records)]
     cache = build_saliency_cache(model, records)
-    return logits, scores, [cache.scores[r.object_id] for r in records]
+    return logits, taped, scores, [cache.scores[r.object_id] for r in records]
 
 
 def _pretrained_tiny(proj_hidden=()):
@@ -1060,10 +1067,12 @@ def _pretrained_tiny(proj_hidden=()):
 
 
 def _assert_read_side_equal(model, records, monkeypatch, op, reference):
-    logits, scores, maps = _read_side(model, records)
+    logits, taped, scores, maps = _read_side(model, records)
     monkeypatch.setattr(ad, op, reference)
-    ref_logits, ref_scores, ref_maps = _read_side(model, records)
+    ref_logits, ref_taped, ref_scores, ref_maps = _read_side(model, records)
     assert _bits_equal(logits, ref_logits)
+    assert _bits_equal(taped, ref_taped)
+    assert _bits_equal(logits, ref_taped)
     assert scores == ref_scores
     assert len(maps) == len(ref_maps) == len(records)
     assert all(_bits_equal(got, ref) for got, ref in zip(maps, ref_maps))

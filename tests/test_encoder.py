@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from openset3d import autodiff as ad
+from openset3d import encoder
 from openset3d.checkpoint import load_checkpoint, save_checkpoint
 from openset3d.data import ConfigError, load_arrays, save_arrays
 from openset3d.encoder import Model, init_prototypes, normalize_cloud
@@ -360,3 +364,133 @@ def test_nan_coordinate_gives_non_finite_logits():
     logits = model.infer_batch([clean, poisoned])
     assert np.isfinite(logits[0]).all()
     assert not np.isfinite(logits[1]).any()
+
+
+def _taped_logits(model, clouds):
+    tape = ad.Tape()
+    bound = model.bind(tape)
+    _, f = bound.encode_batch(clouds)
+    return bound.logits(f).data
+
+
+# point_widths, proj_hidden, cloud sizes, and whether one coordinate is NaN
+_FORWARD_CASES = {
+    "widths-multiple-of-8": ((16, 24), (), [40] * 6, False),
+    "last-width-not-multiple-of-8": ((16, 10), (), [25] * 6, False),
+    # equal sizes pool into channel-major rows, which the projection reads
+    "hidden-projection": ((8, 24), (12,), [40] * 8, False),
+    "ragged-hidden-projection": ((8, 16), (12,), [33, 47, 52], False),
+    "three-point-layers": ((8, 16, 32), (), [20, 64, 9, 31], False),
+    "ragged": ((16, 32), (), [5, 2, 77, 13, 40, 3, 18], False),
+    "one-point-beside-52": ((16, 32), (), [1, 52], False),
+    "nan-coordinate": ((16, 32), (8,), [30, 30, 30], True),
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("case", list(_FORWARD_CASES))
+def test_infer_batch_equals_the_taped_forward_bit_for_bit(monkeypatch, case, cpus):
+    widths, hidden, sizes, nan = _FORWARD_CASES[case]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    for seed in range(3):
+        model = Model(num_known=3, feat_dim=16, point_widths=widths, proj_hidden=hidden,
+                      seed=seed)
+        rng = np.random.default_rng(seed)
+        for name in model.params:  # non-zero biases, so pooling before them is tested
+            if name.endswith(".b"):
+                model.params[name] = rng.normal(0.0, 0.3, model.params[name].shape)
+        clouds = [random_cloud(rng, n) for n in sizes]
+        if nan:
+            clouds[1][7, 2] = np.nan
+        got = model.infer_batch(clouds)
+        assert got.tobytes() == _taped_logits(model, clouds).tobytes(), seed
+
+
+def _helper_calls(monkeypatch):
+    """The (first cloud, end cloud, first buffer row, rows) of each half
+    handed to the scoring helper from here on."""
+    calls = []
+    submit = encoder._submit
+
+    def recording(fn, *args):
+        calls.append(args)
+        return submit(fn, *args)
+
+    monkeypatch.setattr(encoder, "_submit", recording)
+    return calls
+
+
+@pytest.mark.parametrize("widths, sizes, half", [
+    ((16, 32), [40, 40, 40, 40], (0, 2, 0, 80)),
+    ((16, 32), [3, 90, 4, 5], (0, 2, 0, 93)),  # the cut nearest half of the rows
+    ((16, 32), [2, 52], (0, 1, 0, 2)),
+    ((16, 32), [1, 52], None),  # a one-row half would round differently
+    ((16, 32), [1, 1, 1], None),
+    ((16, 32), [50], None),
+    ((16, 12), [40, 40], None),  # a width that is not a multiple of 8
+])
+def test_two_cpus_cut_the_clouds_into_two_halves(monkeypatch, widths, sizes, half):
+    model = Model(num_known=2, feat_dim=8, point_widths=widths, proj_hidden=(), seed=1)
+    rng = np.random.default_rng(2)
+    clouds = [random_cloud(rng, n) for n in sizes]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    calls = _helper_calls(monkeypatch)
+    logits = model.infer_batch(clouds)
+    assert calls == ([half] if half else [])
+    assert logits.tobytes() == _taped_logits(model, clouds).tobytes()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert model.infer_batch(clouds).tobytes() == logits.tobytes()
+    assert len(calls) == (1 if half else 0)
+
+
+def test_concurrent_callers_share_the_helper_and_get_their_own_logits(monkeypatch):
+    model = Model(num_known=3, feat_dim=16, point_widths=(16, 32), proj_hidden=(), seed=2)
+    rng = np.random.default_rng(9)
+    batches = [[random_cloud(rng, int(n)) for n in rng.integers(2, 60, 5)] for _ in range(6)]
+    expected = [_taped_logits(model, clouds).tobytes() for clouds in batches]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    wrong = []
+
+    def caller(k):
+        for _ in range(20):
+            if model.infer_batch(batches[k]).tobytes() != expected[k]:
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(len(batches))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert [t.name for t in threading.enumerate()].count("openset3d-score") == 1
+
+
+def test_the_helper_hands_back_an_exception_and_keeps_serving():
+    failure = encoder._submit(divmod, 1, 0).get(timeout=60)
+    assert isinstance(failure, ZeroDivisionError)
+    seen = []
+    assert encoder._submit(seen.append, "next call").get(timeout=60) is None
+    assert seen == ["next call"]
+
+
+def test_infer_batch_rejects_what_encode_batch_rejects():
+    model = small_model()
+    with pytest.raises(ValueError, match="at least one cloud"):
+        model.infer_batch([])
+    with pytest.raises(ValueError, match="nonempty"):
+        model.infer_batch([np.zeros((4, 3)), np.zeros((0, 3))])
+
+
+def test_feature_logits_equal_the_taped_cosine_head():
+    model = small_model()
+    rng = np.random.default_rng(15)
+    feats = rng.normal(size=(5, 8))
+    tape = ad.Tape()
+    taped = ad.cosine_logits(tape.leaf(feats), tape.leaf(model.params["prototypes"])).data
+    assert model.feature_logits(feats).tobytes() == taped.tobytes()

@@ -290,8 +290,7 @@ def test_step_tapes_are_freed_without_the_cyclic_collector(monkeypatch):
         assert all(ref() is None for ref in made)
         made.clear()
         state.model.infer_batch([r.points for r in dataset.val_known[:4]])
-        assert len(made) == 1
-        assert made[0]() is None
+        assert made == []  # scoring records no tape at all
     finally:
         gc.enable()
 
@@ -516,6 +515,14 @@ def test_a_clouds_logits_do_not_depend_on_its_place_in_the_split():
     model = Model(num_known=2, feat_dim=16, point_widths=(16, 24), proj_hidden=(), seed=5)
     one_pass = model.infer_batch([r.points for r in records])
     assert predict_logits(model, records).tobytes() == one_pass.tobytes()
+
+
+def test_scoring_no_records_gives_no_rows():
+    model = Model(num_known=2, feat_dim=8, point_widths=(8,), proj_hidden=(), seed=0)
+    logits = predict_logits(model, [])
+    assert logits.shape == (0, 3) and logits.dtype == np.float64
+    assert training.score_records(model, []) == []
+    assert training.score_records(model, [], "msp") == []
 
 
 def test_report_csv_layout():

@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 import openset3d
 from openset3d import saliency, training
 from openset3d.data import generate_dataset, tiny_manifest
+from openset3d.encoder import Model
 from openset3d.saliency import normalize_scores, partial_views
 from openset3d.training import (
     STREAM_VIEWS,
@@ -113,6 +115,61 @@ def test_worker_views_equal_the_serial_views_bit_for_bit(monkeypatch, setup, cpu
     assert all(v.used_fallback for v in caches.views[records[LINE_POS].object_id])
     assert not any(v.used_fallback for v in caches.views[records[LINE_POS + 1].object_id])
     assert_reaped(pids)
+
+
+def scoring_helper_alive():
+    return any(t.name.startswith("openset3d-score") for t in threading.enumerate())
+
+
+def test_the_scoring_helper_is_joined_before_the_view_worker_forks(monkeypatch, setup):
+    _, records = setup
+    # widths that are multiples of 8, so two CPUs split each scoring pass
+    model = Model(num_known=2, feat_dim=16, point_widths=(8, 16), proj_hidden=(), seed=4)
+    use_cpus(monkeypatch, 2)
+    training.score_records(model, records)
+    assert scoring_helper_alive()
+    alive_after_fork = []
+    fork = os.fork
+
+    def checking_fork():
+        pid = fork()
+        if pid:  # the helper, once joined, cannot have come back
+            alive_after_fork.append(scoring_helper_alive())
+        return pid
+
+    monkeypatch.setattr(os, "fork", checking_fork)
+    caches = build_decomposition_caches(model, records, CONFIG)
+    assert alive_after_fork == [False]
+    use_cpus(monkeypatch, 1)
+    serial = build_decomposition_caches(model, records, CONFIG)
+    assert alive_after_fork == [False]
+    for rec in records:
+        assert caches.saliency.scores[rec.object_id].tobytes() == \
+            serial.saliency.scores[rec.object_id].tobytes()
+        for view, ref in zip(caches.views[rec.object_id], serial.views[rec.object_id],
+                             strict=True):
+            assert view.indices.tobytes() == ref.indices.tobytes()
+            assert np.float64(view.overall_score).tobytes() == \
+                np.float64(ref.overall_score).tobytes()
+
+
+def test_a_forked_child_scores_on_two_cpus_like_its_parent(monkeypatch, setup):
+    _, records = setup
+    model = Model(num_known=2, feat_dim=16, point_widths=(8, 16), proj_hidden=(), seed=4)
+    use_cpus(monkeypatch, 2)
+    expected = training.predict_logits(model, records).tobytes()
+    assert scoring_helper_alive()
+    pid = os.fork()
+    if pid == 0:  # the child starts its own helper; a hang ends in SIGALRM
+        code = 1
+        try:
+            signal.alarm(60)
+            same = training.predict_logits(model, records).tobytes() == expected
+            code = 0 if same and scoring_helper_alive() else 1
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_no_worker_forks_for_a_single_record(monkeypatch, setup):
